@@ -22,10 +22,10 @@ from .estimator import (
     estimate_electrical,
     pair_and_recover,
 )
-from .linalg import CoefficientVector, SolveMode, SvdResult, solve_coeffs, svd, truncated_pseudoinverse
+from .linalg import CoefficientVector, SvdResult, solve_coeffs, svd, truncated_pseudoinverse
 from .matio import read_matrix_file, write_matrix_file
 from .montecarlo import MonteCarloReport, monte_carlo, run_trial, trial_seed
-from .rooting import RootSet, electrical_angles_from_roots, find_roots, select_unit_roots
+from .rooting import electrical_angles_from_roots, find_roots, select_unit_roots
 from .synthesis import (
     LpSystem,
     SignalModel,

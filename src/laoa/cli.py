@@ -28,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one synthesized trial and print estimates")
     p_sim.add_argument("--config", required=True, help="experiment config file")
     p_sim.add_argument("--snr-db", type=float, default=None,
-                       help="SNR for the trial (default: first entry of snr_db_list)")
+                       help="SNR for the trial, one of snr_db_list (default: its first entry)")
     p_sim.add_argument("--trial", type=int, default=0, help="trial index (default 0)")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
 
@@ -63,7 +63,11 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
     snr_db = args.snr_db if args.snr_db is not None else cfg.snr_db_list[0]
-    snr_index = list(cfg.snr_db_list).index(snr_db) if snr_db in cfg.snr_db_list else 0
+    if snr_db not in cfg.snr_db_list:
+        # the trial seed depends on the SNR's index in the list
+        print(f"error: --snr-db {snr_db!r} is not in snr_db_list {list(cfg.snr_db_list)}", file=sys.stderr)
+        return 1
+    snr_index = cfg.snr_db_list.index(snr_db)
     result = run_trial(cfg, snr_db, snr_index, args.trial)
     if result.failure is not None:
         print(f"trial failed: {result.failure}", file=sys.stderr)

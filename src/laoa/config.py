@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from .array_model import ArrayConfig, DirectionPair
 from .errors import ParseError
 from .estimator import EstimatorMode
-from .synthesis import SignalModel, SourceSet
+from .synthesis import SignalModel, SourceSet, separated_angle_sets
 
 _REQUIRED = (
     "m", "spacing_ratio", "M", "q", "sources", "signal_model",
@@ -55,6 +55,12 @@ class ExperimentConfig:
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         self.array_config()  # validates m and spacing_ratio
+        # Reject scenarios the estimator cannot handle before any trial runs.
+        if self.q > self.m - 2:
+            raise ValueError(f"need q <= m - 2 = {self.m - 2} for stable root selection, got q={self.q}")
+        if self.M < max(self.q, self.m - 1):
+            raise ValueError(f"need M >= max(q, m - 1) = {max(self.q, self.m - 1)} snapshots, got M={self.M}")
+        separated_angle_sets(self.source_set(), self.array_config())
 
     def array_config(self) -> ArrayConfig:
         return ArrayConfig(m=self.m, spacing_ratio=self.spacing_ratio)

@@ -12,30 +12,18 @@ exhaustively and keep the minimum joint least-squares residual.
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from itertools import permutations
 
 import numpy as np
 
 from .array_model import ArrayConfig, DirectionPair, direction_from_electrical, ElectricalAngles, steering_vector
 from .errors import PairingBudgetExceeded, QTooLarge, PairingAmbiguousWarning
-from .linalg import SolveMode, solve_coeffs
+from .linalg import EstimatorMode, solve_coeffs
 from .rooting import electrical_angles_from_roots, find_roots, select_unit_roots
 from .synthesis import SnapshotMatrix, build_lp_system
 
 PERMUTATION_BUDGET = 5040  # 7!
 PAIRING_AMBIGUITY_REL_TOL = 1e-6
-
-
-class EstimatorMode(Enum):
-    NOISELESS = "noiseless"
-    TRUNCATED_SVD = "truncated_svd"
-
-    @property
-    def solve_mode(self) -> SolveMode:
-        if self is EstimatorMode.NOISELESS:
-            return SolveMode.PLAIN_LEAST_SQUARES
-        return SolveMode.TRUNCATED_SVD
 
 
 @dataclass(frozen=True)
@@ -69,7 +57,7 @@ def estimate_electrical(
             f"need q <= m - 2 for stable root selection, got q={q}, m={snap.m}"
         )
     system = build_lp_system(snap)
-    coeffs = solve_coeffs(system, q, mode.solve_mode)
+    coeffs = solve_coeffs(system, q, mode)
     roots = find_roots(coeffs)
     selected = select_unit_roots(roots, q)
     angles = electrical_angles_from_roots(roots, selected)

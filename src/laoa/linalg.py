@@ -1,10 +1,10 @@
 """Complex dense SVD, truncated pseudoinverse, and the coefficient solve.
 
-The SVD is a one-sided Jacobi: right rotations orthogonalize the columns of
-the (tall) working matrix, after which column norms are the singular values.
-Jacobi is slower than bidiagonalization but simple, accurate to high relative
-precision, and easy to make bit-for-bit deterministic (fixed sweep order,
-fixed phase convention).
+The SVD is LAPACK's (through ``np.linalg.svd``), with a fixed phase
+convention on the singular vectors so results do not depend on the phases
+LAPACK happens to pick.  The coefficient solve inverts the q largest
+singular values (truncated SVD) or every numerically nonzero one (plain
+minimum-norm least squares).
 """
 
 import warnings
@@ -17,12 +17,18 @@ from .errors import ConvergenceFailure, RankOutOfRange, RankDeficiencyWarning
 from .synthesis import LpSystem
 
 REL_RANK_TOL = 1e-10  # singular values below this fraction of sigma_1 count as zero
-_SWEEP_TOL = 1e-14    # off-diagonal convergence threshold, relative
 _PHASE_EPS = 1e-12    # magnitude below which a vector entry counts as zero
 
 
-class SolveMode(Enum):
-    PLAIN_LEAST_SQUARES = "plain_least_squares"
+class EstimatorMode(Enum):
+    """How the prediction coefficients are solved for.
+
+    NOISELESS is the plain minimum-norm least-squares solve; TRUNCATED_SVD
+    keeps only the q largest singular values.  The solve is the only step the
+    mode changes, so it is defined here; ``laoa.estimator`` re-exports it.
+    """
+
+    NOISELESS = "noiseless"
     TRUNCATED_SVD = "truncated_svd"
 
 
@@ -51,15 +57,16 @@ class CoefficientVector:
 
 
 def svd(A: np.ndarray) -> SvdResult:
-    """Thin singular value decomposition by one-sided Jacobi rotations.
+    """Thin singular value decomposition (LAPACK via numpy).
 
-    Deterministic: fixed cyclic sweep order and a phase convention that makes
-    the first nonzero entry of each V column real non-negative.
+    Deterministic: the same input gives bit-identical factors, and the phase
+    convention makes the first nonzero entry of each V column real
+    non-negative.
 
     Raises
     ------
     ConvergenceFailure
-        If the sweep budget (100 * min(dims)) is exhausted.
+        If LAPACK reports that the decomposition did not converge.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.size == 0:
@@ -67,79 +74,12 @@ def svd(A: np.ndarray) -> SvdResult:
     if not np.all(np.isfinite(A)):
         raise ValueError("svd input contains non-finite entries")
 
-    if A.shape[0] >= A.shape[1]:
-        U, s, V = _jacobi_svd_tall(A)
-    else:
-        # A = U S V^H  <=>  A^H = V S U^H: run on the tall conjugate transpose.
-        V, s, U = _jacobi_svd_tall(A.conj().T)
-
-    U, V = _fix_phases(U, V)
+    try:
+        U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+    U, V = _fix_phases(U, Vh.conj().T)
     return SvdResult(U=U, sigma=s, V=V)
-
-
-def _jacobi_svd_tall(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows, n = A.shape
-    W = A.copy()
-    V = np.eye(n, dtype=complex)
-    budget = 100 * min(rows, n)
-
-    for _ in range(budget):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app = np.real(np.vdot(W[:, p], W[:, p]))
-                aqq = np.real(np.vdot(W[:, q], W[:, q]))
-                apq = np.vdot(W[:, p], W[:, q])
-                mag = abs(apq)
-                if mag <= _SWEEP_TOL * np.sqrt(app * aqq) or mag == 0.0:
-                    continue
-                rotated = True
-                phase = apq / mag
-                # Diagonalize [[app, mag], [mag, aqq]] with a real rotation,
-                # absorbing the phase into column q.
-                tau = (aqq - app) / (2.0 * mag)
-                t = np.sign(tau) if tau != 0 else 1.0
-                t = t / (abs(tau) + np.hypot(1.0, tau))
-                cs = 1.0 / np.hypot(1.0, t)
-                sn = t * cs
-                wq = np.conj(phase) * W[:, q]
-                W[:, p], W[:, q] = cs * W[:, p] - sn * wq, sn * W[:, p] + cs * wq
-                vq = np.conj(phase) * V[:, q]
-                V[:, p], V[:, q] = cs * V[:, p] - sn * vq, sn * V[:, p] + cs * vq
-        if not rotated:
-            break
-    else:
-        raise ConvergenceFailure(f"one-sided Jacobi SVD did not converge in {budget} sweeps")
-
-    sigma = np.linalg.norm(W, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    W = W[:, order]
-    V = V[:, order]
-
-    U = np.empty_like(W)
-    tiny = max(sigma[0], 1.0) * np.finfo(float).eps * rows
-    for j in range(n):
-        if sigma[j] > tiny:
-            U[:, j] = W[:, j] / sigma[j]
-        else:
-            sigma[j] = sigma[j] if sigma[j] > 0 else 0.0
-            U[:, j] = _orthonormal_fill(U[:, :j], rows)
-    return U, sigma, V
-
-
-def _orthonormal_fill(existing: np.ndarray, rows: int) -> np.ndarray:
-    # Deterministic completion: first coordinate vector with a significant
-    # component outside span(existing), Gram-Schmidt orthogonalized.
-    for i in range(rows):
-        e = np.zeros(rows, dtype=complex)
-        e[i] = 1.0
-        if existing.shape[1]:
-            e -= existing @ (existing.conj().T @ e)
-        norm = np.linalg.norm(e)
-        if norm > 0.5:
-            return e / norm
-    raise ConvergenceFailure("failed to complete orthonormal basis")
 
 
 def _fix_phases(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,11 +113,11 @@ def truncated_pseudoinverse(A: np.ndarray, rank: int) -> np.ndarray:
     return (res.V * inv) @ res.U.conj().T
 
 
-def solve_coeffs(system: LpSystem, q: int, mode: SolveMode) -> CoefficientVector:
+def solve_coeffs(system: LpSystem, q: int, mode: EstimatorMode) -> CoefficientVector:
     """Solve P C = P1 for the prediction coefficients.
 
     TRUNCATED_SVD inverts only the q largest singular values, suppressing
-    noise-dominated directions.  PLAIN_LEAST_SQUARES is the minimum-norm
+    noise-dominated directions.  NOISELESS is the plain minimum-norm
     least-squares solution with tolerance-based rank detection (the explicit
     normal-equations pseudoinverse is singular whenever q < m - 1 in the
     noiseless case, so both modes go through the SVD).
@@ -188,7 +128,7 @@ def solve_coeffs(system: LpSystem, q: int, mode: SolveMode) -> CoefficientVector
     res = svd(system.P)
     cutoff = REL_RANK_TOL * res.sigma[0] if res.sigma[0] > 0 else 0.0
 
-    if mode is SolveMode.TRUNCATED_SVD:
+    if mode is EstimatorMode.TRUNCATED_SVD:
         rank = q
         if res.sigma[q - 1] <= cutoff:
             rank = int(np.sum(res.sigma[:q] > cutoff))

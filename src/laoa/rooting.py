@@ -2,11 +2,10 @@
 
 The polynomial is P(y) = 1 + c_1 y + ... + c_{m-1} y^{m-1}; in the noiseless
 model its signal roots lie exactly on the unit circle at e^{j*psi_l}.  Roots
-are found by Aberth-Ehrlich simultaneous iteration started on the unit
-circle, which is where the roots of interest live.
+are the eigenvalues of the companion matrix (``np.roots``), a backward-stable
+method (Edelman & Murakami, Math. Comp. 1995), each polished by one Newton
+step on P itself and then checked against a relative residual bound.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,17 +14,6 @@ from .linalg import CoefficientVector
 
 DEFLATION_TOL = 1e-12      # relative cutoff for stripping tiny leading coefficients
 RESIDUAL_TOL = 1e-8        # relative residual every returned root must satisfy
-ROOT_RESIDUAL_TOL = 1e-6   # RootSet acceptance gate (noiseless path)
-_MAX_ITER = 500
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """All polynomial roots plus the q selected signal roots."""
-
-    roots: tuple
-    selected: tuple
-    residuals: tuple
 
 
 def find_roots(coeffs: CoefficientVector) -> list[complex]:
@@ -39,7 +27,7 @@ def find_roots(coeffs: CoefficientVector) -> list[complex]:
     DegreeZero
         If every coefficient is negligible (the constant 1 has no roots).
     ConvergenceFailure
-        If the iteration budget is exhausted before the residual bound holds.
+        If the eigenvalue solver fails or a root misses the residual bound.
     """
     poly = np.concatenate(([1.0 + 0j], coeffs.c))
     scale = np.max(np.abs(poly))
@@ -50,57 +38,30 @@ def find_roots(coeffs: CoefficientVector) -> list[complex]:
         raise DegreeZero("all polynomial coefficients are negligible; no roots exist")
     poly = poly[: degree + 1]
 
-    roots = _aberth(poly)
-    for r in roots:
-        if _residual(poly, r) > RESIDUAL_TOL * _residual_scale(poly, r):
-            raise ConvergenceFailure(f"root {r} fails the residual bound")
+    try:
+        roots = np.roots(poly[::-1])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"companion-matrix eigenvalues did not converge: {exc}") from exc
+    # one Newton step on P polishes the eigenvalues to P's own roots
+    p, dp = _horner(poly, roots)
+    roots = roots - p / dp
+
+    residual = np.abs(np.polyval(poly[::-1], roots))
+    # relative to 1 + sum_k |c_k| |y|^k; written as "not <=" so NaN fails too
+    bad = ~(residual <= RESIDUAL_TOL * np.polyval(np.abs(poly[::-1]), np.abs(roots)))
+    if np.any(bad):
+        raise ConvergenceFailure(f"root {roots[np.argmax(bad)]} fails the residual bound")
     return [complex(r) for r in roots]
 
 
-def _residual(poly: np.ndarray, y: complex) -> float:
-    return abs(_horner(poly, y)[0])
-
-
-def _residual_scale(poly: np.ndarray, y: complex) -> float:
-    return 1.0 + float(np.sum(np.abs(poly[1:]) * np.abs(y) ** np.arange(1, len(poly))))
-
-
-def _horner(poly: np.ndarray, y: complex) -> tuple[complex, complex]:
-    # value and derivative, coefficients in ascending order
-    p = 0.0 + 0j
-    dp = 0.0 + 0j
+def _horner(poly: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # value and derivative at every y at once, coefficients in ascending order
+    p = np.zeros_like(y)
+    dp = np.zeros_like(y)
     for a in poly[::-1]:
         dp = dp * y + p
         p = p * y + a
     return p, dp
-
-
-def _aberth(poly: np.ndarray) -> np.ndarray:
-    n = len(poly) - 1
-    # start on the unit circle with an asymmetric offset so no initial guess
-    # coincides with a symmetric root pattern
-    z = np.exp(2j * np.pi * (np.arange(n) + 0.3) / n)
-    for _ in range(_MAX_ITER):
-        vals = np.array([_horner(poly, zk) for zk in z])
-        p, dp = vals[:, 0], vals[:, 1]
-        if np.all(
-            np.abs(p)
-            <= 1e-14 * np.array([_residual_scale(poly, zk) for zk in z])
-        ):
-            return z
-        # Newton correction with repulsion from the other iterates
-        dp = np.where(dp == 0, np.finfo(float).eps, dp)
-        w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulse = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - w * repulse
-        denom = np.where(denom == 0, np.finfo(float).eps, denom)
-        step = w / denom
-        z = z - step
-        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(z))):
-            return z
-    raise ConvergenceFailure(f"Aberth iteration exceeded {_MAX_ITER} steps")
 
 
 def _canonical_key(r: complex) -> tuple[float, float]:

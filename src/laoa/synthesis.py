@@ -141,6 +141,20 @@ def _check_separation(values: np.ndarray, label: str) -> None:
                 )
 
 
+def separated_angle_sets(src: SourceSet, cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-source (psi, xi) arrays, checked for MIN_ELECTRICAL_SEPARATION.
+
+    Raises
+    ------
+    ValueError
+        If two sources are closer than MIN_ELECTRICAL_SEPARATION in psi or in xi.
+    """
+    psis, xis = electrical_angle_sets(src, cfg)
+    _check_separation(psis, "psi")
+    _check_separation(xis, "xi")
+    return psis, xis
+
+
 def synthesize(
     src: SourceSet,
     cfg: ArrayConfig,
@@ -153,9 +167,7 @@ def synthesize(
     Both subarrays observe the same source matrix S; the noise draws are
     independent.  S is returned so tests can use it as an oracle.
     """
-    psis, xis = electrical_angle_sets(src, cfg)
-    _check_separation(psis, "psi")
-    _check_separation(xis, "xi")
+    psis, xis = separated_angle_sets(src, cfg)
 
     S = generate_sources(src, snapshots, rng)
     A_z = np.column_stack([steering_vector(p, cfg.m) for p in psis])

@@ -37,6 +37,22 @@ def test_simulate(config_file, capsys):
     assert abs(float(fields[3])) < 1e-6  # theta error at SNR 300 dB
 
 
+def test_simulate_rejects_snr_outside_the_list(config_file, capsys):
+    path, _ = config_file
+    assert main(["simulate", "--config", str(path), "--snr-db", "20"]) == 1
+    assert "snr_db_list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+def test_unusable_scenario_fails_before_any_trial(config_file, command, capsys):
+    path, out = config_file
+    path.write_text(path.read_text().replace("m = 8", "m = 4").replace("q = 1", "q = 3")
+                    .replace("sources = 60/45", "sources = 30/40, 70/120, 110/60"))
+    assert main([command, "--config", str(path)]) == 2
+    assert "q <= m - 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_montecarlo_writes_csv(config_file):
     path, out = config_file
     assert main(["montecarlo", "--config", str(path)]) == 0

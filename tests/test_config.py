@@ -69,3 +69,18 @@ def test_bad_mode():
 def test_seed_override():
     cfg = parse_config(GOOD)
     assert cfg.with_seed(99).seed == 99
+
+
+@pytest.mark.parametrize(
+    "old, new, match",
+    [
+        ("m = 8", "m = 3", "q <= m - 2"),
+        ("M = 200", "M = 6", "M >= max"),
+        ("sources = 30/40, 70/120", "sources = 30/40, 31/41", "psi"),
+        ("sources = 30/40, 70/120", "sources = 60/90, 120/90", "xi"),
+    ],
+    ids=["q_too_large", "too_few_snapshots", "psi_too_close", "xi_too_close"],
+)
+def test_rejects_scenarios_the_estimator_cannot_handle(old, new, match):
+    with pytest.raises(ParseError, match=match):
+        parse_config(GOOD.replace(old, new))

@@ -5,7 +5,7 @@ from laoa import (
     ArrayConfig,
     CoefficientVector,
     DirectionPair,
-    SolveMode,
+    EstimatorMode,
     SourceSet,
     build_lp_system,
     solve_coeffs,
@@ -125,21 +125,21 @@ class TestSolveCoeffs:
         src = SourceSet(directions=(DirectionPair(60, 90),))
         cfg = ArrayConfig(m=2, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 5, 0.0, np.random.default_rng(26))
-        c = solve_coeffs(build_lp_system(Z), 1, SolveMode.TRUNCATED_SVD)
+        c = solve_coeffs(build_lp_system(Z), 1, EstimatorMode.TRUNCATED_SVD)
         np.testing.assert_allclose(c.c, [1j], atol=1e-12)
 
     def test_identity_system(self):
         rng = np.random.default_rng(27)
         P1 = random_complex(rng, 4, 1)[:, 0]
         sys_ = LpSystem(P=np.eye(4, dtype=complex), P1=P1)
-        c = solve_coeffs(sys_, 4, SolveMode.TRUNCATED_SVD)
+        c = solve_coeffs(sys_, 4, EstimatorMode.TRUNCATED_SVD)
         np.testing.assert_allclose(c.c, P1, atol=1e-12)
 
     def test_noiseless_polynomial_annihilates_roots(self):
         src = SourceSet(directions=(DirectionPair(40, 30), DirectionPair(110, 100)))
         cfg = ArrayConfig(m=6, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 40, 0.0, np.random.default_rng(28))
-        c = solve_coeffs(build_lp_system(Z), 2, SolveMode.TRUNCATED_SVD)
+        c = solve_coeffs(build_lp_system(Z), 2, EstimatorMode.TRUNCATED_SVD)
         from laoa.synthesis import electrical_angle_sets
 
         psis, _ = electrical_angle_sets(src, cfg)
@@ -154,8 +154,8 @@ class TestSolveCoeffs:
         cfg = ArrayConfig(m=4, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 40, 0.0, np.random.default_rng(29))
         sys_ = build_lp_system(Z)
-        a = solve_coeffs(sys_, 2, SolveMode.TRUNCATED_SVD)
-        b = solve_coeffs(sys_, 2, SolveMode.PLAIN_LEAST_SQUARES)
+        a = solve_coeffs(sys_, 2, EstimatorMode.TRUNCATED_SVD)
+        b = solve_coeffs(sys_, 2, EstimatorMode.NOISELESS)
         # q = 2 equals the rank of the noiseless system here
         np.testing.assert_allclose(a.c, b.c, rtol=1e-8, atol=1e-10)
 
@@ -166,9 +166,9 @@ class TestSolveCoeffs:
         sys_ = build_lp_system(Z)
         # noiseless single source: rank 1, requesting q=3 must warn and reduce
         with pytest.warns(RankDeficiencyWarning):
-            solve_coeffs(sys_, 3, SolveMode.TRUNCATED_SVD)
+            solve_coeffs(sys_, 3, EstimatorMode.TRUNCATED_SVD)
 
     def test_q_out_of_range(self):
         sys_ = LpSystem(P=np.eye(3, dtype=complex), P1=np.ones(3, dtype=complex))
         with pytest.raises(RankOutOfRange):
-            solve_coeffs(sys_, 4, SolveMode.TRUNCATED_SVD)
+            solve_coeffs(sys_, 4, EstimatorMode.TRUNCATED_SVD)

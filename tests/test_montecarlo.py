@@ -59,6 +59,16 @@ class TestRunTrial:
             else:
                 assert isinstance(r.failure, str)
 
+    def test_lapack_failure_is_a_counted_failure(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        cfg = _cfg(trials=3)
+        assert run_trial(cfg, 20.0, 0, 0).failure == "ConvergenceFailure"
+        (row,) = monte_carlo(cfg, workers=1).rows
+        assert row["failure_count"] == 3 and row["rmse_theta_deg"] is None
+
 
 class TestMonteCarlo:
     def test_single_trial_rmse_is_abs_error(self):

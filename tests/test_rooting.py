@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from laoa import CoefficientVector, electrical_angles_from_roots, find_roots, select_unit_roots
-from laoa.errors import DegreeZero, NotEnoughRoots
+from laoa.errors import ConvergenceFailure, DegreeZero, NotEnoughRoots
 
 
 class TestFindRoots:
@@ -23,6 +23,14 @@ class TestFindRoots:
     def test_all_zero_coefficients(self):
         with pytest.raises(DegreeZero):
             find_roots(CoefficientVector(np.array([0.0, 0.0])))
+
+    def test_eigenvalue_failure_is_convergence_failure(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np, "roots", no_convergence)
+        with pytest.raises(ConvergenceFailure):
+            find_roots(CoefficientVector(np.array([1j, 0.5])))
 
     def test_random_polynomials_vieta(self):
         rng = np.random.default_rng(31)
