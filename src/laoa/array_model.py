@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DegenerateElevation, OutOfRange
 
-DEFAULT_CLAMP_TOL = 1e-9
-DEFAULT_GUARD_DEG = 1.0
+CLAMP_TOL = 1e-9  # arccos arguments this far past [-1, 1] are clamped, not rejected
+GUARD_DEG = 1.0   # theta this close to 0 or 180 degrees leaves phi undefined
 
 
 @dataclass(frozen=True)
@@ -95,60 +95,53 @@ def xi_from_direction(direction: DirectionPair, cfg: ArrayConfig) -> float:
     return 2.0 * np.pi * cfg.spacing_ratio * np.sin(t) * np.cos(p)
 
 
-def steering_vector(electrical_angle: float, m: int) -> np.ndarray:
+def steering_vector(electrical_angle: float | np.ndarray, m: int) -> np.ndarray:
     """Unit-modulus steering vector [1, e^{j*a}, ..., e^{j*(m-1)*a}].
 
     Parameters
     ----------
-    electrical_angle : float
-        Per-element phase increment in radians (psi or xi).
+    electrical_angle : float or 1-D array-like
+        Per-element phase increment in radians (psi or xi).  For q angles
+        the result is the (m, q) steering matrix, one column per angle.
     m : int
         Number of elements, m >= 2.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    return np.exp(1j * electrical_angle * np.arange(m))
+    return np.exp(1j * np.multiply.outer(np.arange(m), electrical_angle))
 
 
-def direction_from_electrical(
-    ea: ElectricalAngles,
-    cfg: ArrayConfig,
-    clamp_tol: float = DEFAULT_CLAMP_TOL,
-    guard_deg: float = DEFAULT_GUARD_DEG,
-) -> DirectionPair:
+def direction_from_electrical(ea: ElectricalAngles, cfg: ArrayConfig) -> DirectionPair:
     """Invert (psi, xi) back to a physical direction in degrees.
 
         theta = arccos( psi / (2*pi*d/lambda) )
         phi   = arccos( xi  / (2*pi*(d/lambda)*sin(theta)) )
 
-    Arguments slightly outside [-1, 1] (by at most clamp_tol) are clamped;
+    Arguments slightly outside [-1, 1] (by at most CLAMP_TOL) are clamped;
     beyond that the pair is inconsistent and OutOfRange is raised.  When
-    theta lands within guard_deg of 0 or 180 degrees, sin(theta) is too
+    theta lands within GUARD_DEG of 0 or 180 degrees, sin(theta) is too
     small to recover phi and DegenerateElevation is raised.
     """
-    if clamp_tol < 0:
-        raise ValueError("clamp_tol must be >= 0")
     scale = 2.0 * np.pi * cfg.spacing_ratio
 
-    cos_theta = _clamped(ea.psi / scale, clamp_tol, "psi")
+    cos_theta = _clamped(ea.psi / scale, "psi")
     theta = np.arccos(cos_theta)
 
-    sin_guard = np.sin(np.deg2rad(guard_deg))
-    if np.sin(theta) < sin_guard:
+    if np.sin(theta) < np.sin(np.deg2rad(GUARD_DEG)):
         raise DegenerateElevation(
-            f"theta = {np.rad2deg(theta):.6g} deg is within {guard_deg} deg of an "
+            f"theta = {np.rad2deg(theta):.6g} deg is within {GUARD_DEG} deg of an "
             "array axis; azimuth is undefined"
         )
 
-    cos_phi = _clamped(ea.xi / (scale * np.sin(theta)), clamp_tol, "xi")
+    cos_phi = _clamped(ea.xi / (scale * np.sin(theta)), "xi")
     phi = np.arccos(cos_phi)
     return DirectionPair(theta=float(np.rad2deg(theta)), phi=float(np.rad2deg(phi)))
 
 
-def _clamped(x: float, tol: float, label: str) -> float:
-    if abs(x) > 1.0 + tol:
+def _clamped(x: float, label: str) -> float:
+    if abs(x) > 1.0 + CLAMP_TOL:
         raise OutOfRange(
             f"arccos argument {x!r} derived from {label} exceeds [-1, 1] "
-            f"beyond clamp_tol={tol}"
+            f"beyond CLAMP_TOL={CLAMP_TOL}"
         )
     return min(1.0, max(-1.0, x))

@@ -11,11 +11,13 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 import argparse
 import sys
 
+from .array_model import ArrayConfig
 from .config import load_config
 from .errors import AoaError
 from .estimator import EstimatorMode, estimate_2d_aoa
 from .matio import read_matrix_file
 from .montecarlo import monte_carlo, run_trial
+from .synthesis import Subarray
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,11 +83,16 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     Z = read_matrix_file(args.z_file)
     X = read_matrix_file(args.x_file)
+    for flag, snap, tag in (("--z-file", Z, Subarray.Z), ("--x-file", X, Subarray.X)):
+        if snap.subarray is not tag:
+            print(f"{flag} holds a matrix tagged {snap.subarray.value}, expected {tag.value}", file=sys.stderr)
+            return 2
     if Z.m != X.m:
         print(f"subarray sizes differ: {Z.m} vs {X.m}", file=sys.stderr)
         return 2
-    from .array_model import ArrayConfig
-
+    if Z.snapshots != X.snapshots:
+        print(f"snapshot counts differ: {Z.snapshots} vs {X.snapshots} columns", file=sys.stderr)
+        return 2
     cfg = ArrayConfig(m=Z.m, spacing_ratio=args.spacing_ratio)
     est = estimate_2d_aoa(Z, X, args.q, cfg, EstimatorMode(args.mode))
     _print_estimate(est)

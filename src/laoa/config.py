@@ -17,11 +17,12 @@ Example::
 ``sources`` entries are theta/phi in degrees.  ``#`` starts a comment line.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 from .array_model import ArrayConfig, DirectionPair
 from .errors import ParseError
-from .estimator import EstimatorMode
+from .estimator import PERMUTATION_BUDGET, EstimatorMode
 from .synthesis import SignalModel, SourceSet, separated_angle_sets
 
 _REQUIRED = (
@@ -58,6 +59,10 @@ class ExperimentConfig:
         # Reject scenarios the estimator cannot handle before any trial runs.
         if self.q > self.m - 2:
             raise ValueError(f"need q <= m - 2 = {self.m - 2} for stable root selection, got q={self.q}")
+        if math.factorial(self.q) > PERMUTATION_BUDGET:
+            raise ValueError(
+                f"need q! <= {PERMUTATION_BUDGET} pairings, got q={self.q} ({math.factorial(self.q)} pairings)"
+            )
         if self.M < max(self.q, self.m - 1):
             raise ValueError(f"need M >= max(q, m - 1) = {max(self.q, self.m - 1)} snapshots, got M={self.M}")
         separated_angle_sets(self.source_set(), self.array_config())

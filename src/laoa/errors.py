@@ -22,7 +22,7 @@ class TooFewSnapshots(AoaError):
 
 
 class ConvergenceFailure(AoaError):
-    """An iterative solver exhausted its iteration budget."""
+    """LAPACK did not converge (SVD or eigenvalues), or a root missed the residual bound."""
 
 
 class DegreeZero(AoaError):

@@ -16,7 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .array_model import ArrayConfig, DirectionPair, direction_from_electrical, ElectricalAngles, steering_vector
+from .array_model import ArrayConfig, direction_from_electrical, ElectricalAngles, steering_vector
 from .errors import PairingBudgetExceeded, QTooLarge, PairingAmbiguousWarning
 from .linalg import EstimatorMode, solve_coeffs
 from .rooting import electrical_angles_from_roots, find_roots, select_unit_roots
@@ -40,7 +40,6 @@ class SourceEstimate:
 class AoaEstimate:
     sources: tuple[SourceEstimate, ...]
     pairing_residual: float
-    mode: EstimatorMode
     pairing_ambiguous: bool = False
 
 
@@ -61,9 +60,9 @@ def estimate_electrical(
     roots = find_roots(coeffs)
     selected = select_unit_roots(roots, q)
     angles = electrical_angles_from_roots(roots, selected)
-    mags = [abs(roots[i]) for i in selected]
     order = np.argsort(angles, kind="stable")
-    return [angles[i] for i in order], [mags[i] for i in order]
+    # Python floats keep SourceEstimate fields printing as plain numbers
+    return angles[order].tolist(), np.abs(roots[selected[order]]).tolist()
 
 
 def pair_and_recover(
@@ -72,7 +71,6 @@ def pair_and_recover(
     Z: SnapshotMatrix,
     X: SnapshotMatrix,
     cfg: ArrayConfig,
-    mode: EstimatorMode = EstimatorMode.TRUNCATED_SVD,
     root_mags_z: list[float] | None = None,
     root_mags_x: list[float] | None = None,
 ) -> AoaEstimate:
@@ -93,13 +91,13 @@ def pair_and_recover(
     root_mags_x = root_mags_x if root_mags_x is not None else [float("nan")] * q
 
     Y = np.vstack([Z.data, X.data])
-    A_z = np.column_stack([steering_vector(p, cfg.m) for p in psi_hats])
+    A_z = steering_vector(psi_hats, cfg.m)
+    A_x = steering_vector(xi_hats, cfg.m)
 
     best_perm = None
     best = second = np.inf
     for perm in permutations(range(q)):
-        A_x = np.column_stack([steering_vector(xi_hats[i], cfg.m) for i in perm])
-        A = np.vstack([A_z, A_x])
+        A = np.vstack([A_z, A_x[:, perm]])
         S, *_ = np.linalg.lstsq(A, Y, rcond=None)
         resid = float(np.linalg.norm(Y - A @ S))
         if resid < best:
@@ -136,7 +134,6 @@ def pair_and_recover(
     return AoaEstimate(
         sources=tuple(sources),
         pairing_residual=best,
-        mode=mode,
         pairing_ambiguous=ambiguous,
     )
 
@@ -151,6 +148,4 @@ def estimate_2d_aoa(
     """Full 2D AOA pipeline on one pair of subarray snapshot matrices."""
     psi_hats, mags_z = estimate_electrical(Z, q, mode)
     xi_hats, mags_x = estimate_electrical(X, q, mode)
-    return pair_and_recover(
-        psi_hats, xi_hats, Z, X, cfg, mode, root_mags_z=mags_z, root_mags_x=mags_x
-    )
+    return pair_and_recover(psi_hats, xi_hats, Z, X, cfg, root_mags_z=mags_z, root_mags_x=mags_x)

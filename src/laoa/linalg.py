@@ -1,10 +1,10 @@
 """Complex dense SVD, truncated pseudoinverse, and the coefficient solve.
 
-The SVD is LAPACK's (through ``np.linalg.svd``), with a fixed phase
-convention on the singular vectors so results do not depend on the phases
-LAPACK happens to pick.  The coefficient solve inverts the q largest
-singular values (truncated SVD) or every numerically nonzero one (plain
-minimum-norm least squares).
+The SVD is LAPACK's (through ``np.linalg.svd``).  The coefficient solve
+inverts the q largest singular values (truncated SVD) or every numerically
+nonzero one (plain minimum-norm least squares).  Both the solve and the
+pseudoinverse sum u_k v_k^H / sigma_k, which does not depend on the phase
+LAPACK picks for each singular pair.
 """
 
 import warnings
@@ -17,7 +17,6 @@ from .errors import ConvergenceFailure, RankOutOfRange, RankDeficiencyWarning
 from .synthesis import LpSystem
 
 REL_RANK_TOL = 1e-10  # singular values below this fraction of sigma_1 count as zero
-_PHASE_EPS = 1e-12    # magnitude below which a vector entry counts as zero
 
 
 class EstimatorMode(Enum):
@@ -59,9 +58,7 @@ class CoefficientVector:
 def svd(A: np.ndarray) -> SvdResult:
     """Thin singular value decomposition (LAPACK via numpy).
 
-    Deterministic: the same input gives bit-identical factors, and the phase
-    convention makes the first nonzero entry of each V column real
-    non-negative.
+    Deterministic: the same input gives bit-identical factors.
 
     Raises
     ------
@@ -78,22 +75,7 @@ def svd(A: np.ndarray) -> SvdResult:
         U, s, Vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
-    U, V = _fix_phases(U, Vh.conj().T)
-    return SvdResult(U=U, sigma=s, V=V)
-
-
-def _fix_phases(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    U = U.copy()
-    V = V.copy()
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        idx = np.flatnonzero(np.abs(col) > _PHASE_EPS)
-        if idx.size == 0:
-            continue
-        alpha = np.conj(col[idx[0]] / abs(col[idx[0]]))
-        V[:, j] *= alpha
-        U[:, j] *= alpha
-    return U, V
+    return SvdResult(U=U, sigma=s, V=Vh.conj().T)
 
 
 def truncated_pseudoinverse(A: np.ndarray, rank: int) -> np.ndarray:

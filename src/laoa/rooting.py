@@ -16,11 +16,11 @@ DEFLATION_TOL = 1e-12      # relative cutoff for stripping tiny leading coeffici
 RESIDUAL_TOL = 1e-8        # relative residual every returned root must satisfy
 
 
-def find_roots(coeffs: CoefficientVector) -> list[complex]:
+def find_roots(coeffs: CoefficientVector) -> np.ndarray:
     """All roots of 1 + c_1 y + ... + c_{m-1} y^{m-1}.
 
     Near-zero high-order coefficients are stripped first (degree deflation),
-    so the returned list has length equal to the effective degree.
+    so the returned array has length equal to the effective degree.
 
     Raises
     ------
@@ -51,7 +51,7 @@ def find_roots(coeffs: CoefficientVector) -> list[complex]:
     bad = ~(residual <= RESIDUAL_TOL * np.polyval(np.abs(poly[::-1]), np.abs(roots)))
     if np.any(bad):
         raise ConvergenceFailure(f"root {roots[np.argmax(bad)]} fails the residual bound")
-    return [complex(r) for r in roots]
+    return roots
 
 
 def _horner(poly: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,32 +64,22 @@ def _horner(poly: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, dp
 
 
-def _canonical_key(r: complex) -> tuple[float, float]:
-    return (float(np.angle(r)), abs(r))
-
-
-def select_unit_roots(roots: list[complex], q: int) -> list[int]:
+def select_unit_roots(roots: np.ndarray, q: int) -> np.ndarray:
     """Indices of the q roots whose magnitudes are nearest unity.
 
     Ties are broken by the canonical root order (principal angle ascending,
     then magnitude), so the selected VALUES are independent of the input
     ordering.
     """
+    roots = np.asarray(roots, dtype=complex)
     if q > len(roots):
         raise NotEnoughRoots(f"requested {q} signal roots from {len(roots)} available")
-    order = sorted(
-        range(len(roots)),
-        key=lambda i: (abs(abs(roots[i]) - 1.0),) + _canonical_key(roots[i]),
-    )
-    return order[:q]
+    mags = np.abs(roots)
+    # lexsort's last key is the primary one
+    return np.lexsort((mags, np.angle(roots), np.abs(mags - 1.0)))[:q]
 
 
-def electrical_angles_from_roots(roots: list[complex], selected: list[int]) -> list[float]:
+def electrical_angles_from_roots(roots: np.ndarray, selected: np.ndarray) -> np.ndarray:
     """Principal arguments in (-pi, pi] of the selected roots, order preserved."""
-    out = []
-    for i in selected:
-        ang = float(np.angle(roots[i]))
-        if ang <= -np.pi:
-            ang += 2.0 * np.pi
-        out.append(ang)
-    return out
+    ang = np.angle(np.asarray(roots, dtype=complex)[selected])
+    return np.where(ang <= -np.pi, ang + 2.0 * np.pi, ang)

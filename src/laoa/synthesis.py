@@ -170,8 +170,8 @@ def synthesize(
     psis, xis = separated_angle_sets(src, cfg)
 
     S = generate_sources(src, snapshots, rng)
-    A_z = np.column_stack([steering_vector(p, cfg.m) for p in psis])
-    A_x = np.column_stack([steering_vector(x, cfg.m) for x in xis])
+    A_z = steering_vector(psis, cfg.m)
+    A_x = steering_vector(xis, cfg.m)
     Z = A_z @ S + generate_noise(cfg.m, snapshots, sigma2, rng)
     X = A_x @ S + generate_noise(cfg.m, snapshots, sigma2, rng)
     return (

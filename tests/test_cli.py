@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from laoa import ArrayConfig, DirectionPair, SourceSet, synthesize, write_matrix_file
+from laoa import ArrayConfig, DirectionPair, SnapshotMatrix, SourceSet, Subarray, synthesize, write_matrix_file
 from laoa.cli import main
 
 CONFIG = """\
@@ -53,6 +53,17 @@ def test_unusable_scenario_fails_before_any_trial(config_file, command, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+def test_pairing_budget_fails_before_any_trial(config_file, command, capsys):
+    path, out = config_file
+    path.write_text(path.read_text().replace("m = 8", "m = 10").replace("q = 1", "q = 8")
+                    .replace("sources = 60/45", "sources = 41/166, 145/142, 87/47, 132/158, "
+                             "57/96, 82/159, 26/127, 106/15"))
+    assert main([command, "--config", str(path)]) == 2
+    assert "pairings" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_montecarlo_writes_csv(config_file):
     path, out = config_file
     assert main(["montecarlo", "--config", str(path)]) == 0
@@ -71,22 +82,44 @@ def test_montecarlo_seed_override_changes_output(config_file, tmp_path):
     assert out.read_text() != first
 
 
-def test_estimate_from_files(tmp_path, capsys):
+def _write_pair(tmp_path, x_snapshots=50):
     cfg = ArrayConfig(m=8, spacing_ratio=0.5)
     src = SourceSet(directions=(DirectionPair(60, 45),))
     Z, X, _ = synthesize(src, cfg, 50, 0.0, np.random.default_rng(1))
     zf, xf = tmp_path / "z.mat", tmp_path / "x.mat"
     write_matrix_file(Z, zf)
-    write_matrix_file(X, xf)
+    write_matrix_file(SnapshotMatrix(X.data[:, :x_snapshots], Subarray.X), xf)
+    return zf, xf
+
+
+def test_estimate_from_files(tmp_path, capsys):
+    zf, xf = _write_pair(tmp_path)
     rc = main([
         "estimate", "--z-file", str(zf), "--x-file", str(xf),
         "--q", "1", "--spacing-ratio", "0.5", "--mode", "noiseless",
     ])
     assert rc == 0
     out = capsys.readouterr().out
-    fields = out.strip().split("\n")[1].split(",")
-    assert float(fields[1]) == pytest.approx(60.0, abs=1e-6)
-    assert float(fields[2]) == pytest.approx(45.0, abs=1e-6)
+    # every field must parse, so no numpy repr such as np.float64(...) leaks out
+    values = [float(f) for f in out.strip().split("\n")[1].split(",")]
+    assert values[1] == pytest.approx(60.0, abs=1e-6)
+    assert values[2] == pytest.approx(45.0, abs=1e-6)
+
+
+def test_estimate_rejects_swapped_files(tmp_path, capsys):
+    zf, xf = _write_pair(tmp_path)
+    rc = main(["estimate", "--z-file", str(xf), "--x-file", str(zf), "--q", "1", "--spacing-ratio", "0.5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--z-file holds a matrix tagged X" in captured.err
+    assert captured.out == ""
+
+
+def test_estimate_rejects_unequal_snapshot_counts(tmp_path, capsys):
+    zf, xf = _write_pair(tmp_path, x_snapshots=40)
+    rc = main(["estimate", "--z-file", str(zf), "--x-file", str(xf), "--q", "1", "--spacing-ratio", "0.5"])
+    assert rc == 2
+    assert "snapshot counts differ: 50 vs 40" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

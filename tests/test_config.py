@@ -84,3 +84,12 @@ def test_seed_override():
 def test_rejects_scenarios_the_estimator_cannot_handle(old, new, match):
     with pytest.raises(ParseError, match=match):
         parse_config(GOOD.replace(old, new))
+
+
+def test_rejects_more_sources_than_the_pairing_budget():
+    # separated for m = 10, but 8! pairings exceed the permutation budget
+    text = (GOOD.replace("m = 8", "m = 10").replace("q = 2", "q = 8")
+            .replace("sources = 30/40, 70/120",
+                     "sources = 41/166, 145/142, 87/47, 132/158, 57/96, 82/159, 26/127, 106/15"))
+    with pytest.raises(ParseError, match="pairings"):
+        parse_config(text)

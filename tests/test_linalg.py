@@ -68,14 +68,6 @@ class TestSvd:
         assert np.array_equal(r1.sigma, r2.sigma)
         assert np.array_equal(r1.V, r2.V)
 
-    def test_phase_convention(self):
-        A = random_complex(np.random.default_rng(22), 6, 4)
-        r = svd(A)
-        for j in range(4):
-            first = r.V[np.flatnonzero(np.abs(r.V[:, j]) > 1e-12)[0], j]
-            assert first.imag == pytest.approx(0.0, abs=1e-13)
-            assert first.real >= 0
-
 
 class TestTruncatedPseudoinverse:
     def test_diagonal_rank_one(self):
@@ -172,3 +164,24 @@ class TestSolveCoeffs:
         sys_ = LpSystem(P=np.eye(3, dtype=complex), P1=np.ones(3, dtype=complex))
         with pytest.raises(RankOutOfRange):
             solve_coeffs(sys_, 4, EstimatorMode.TRUNCATED_SVD)
+
+    def test_solution_ignores_singular_vector_phases(self, monkeypatch):
+        src = SourceSet(directions=(DirectionPair(30, 40), DirectionPair(70, 120)))
+        cfg = ArrayConfig(m=8, spacing_ratio=0.5)
+        Z, _, _ = synthesize(src, cfg, 200, 0.1, np.random.default_rng(35))
+        sys_ = build_lp_system(Z)
+        modes = (EstimatorMode.TRUNCATED_SVD, EstimatorMode.NOISELESS)
+        expected = [solve_coeffs(sys_, 2, mode).c for mode in modes]
+
+        lapack_svd = np.linalg.svd
+        rng = np.random.default_rng(36)
+
+        def rotated_svd(A, *args, **kwargs):
+            U, s, Vh = lapack_svd(A, *args, **kwargs)
+            # u_k -> u_k e^{jt}, v_k -> v_k e^{jt} leaves each u_k sigma_k v_k^H unchanged
+            phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, s.size))
+            return U * phase, s, Vh * phase.conj()[:, None]
+
+        monkeypatch.setattr(np.linalg, "svd", rotated_svd)
+        for mode, c in zip(modes, expected):
+            np.testing.assert_allclose(solve_coeffs(sys_, 2, mode).c, c, rtol=1e-12, atol=0)
