@@ -5,25 +5,44 @@ prediction-polynomial pipeline.  The paper-level method stops there; with
 more than one source the psi set (from Z) and the xi set (from X) must still
 be associated per physical source.  Both subarrays observe the same source
 waveforms, so the correct association is the permutation under which one
-common source matrix explains the stacked data best; we search permutations
-exhaustively and keep the minimum joint least-squares residual.
+common source matrix explains the stacked data best.
+
+All q! permutations are scored in a few batched numpy calls instead of one
+least-squares solve each.  The stacked data Y = [Z; X] (2m x M) is first
+compressed to its triangular factor L = R^H from Y^H = QR, a 2m x min(M, 2m)
+matrix: Q has orthonormal columns, so every residual (I - P_A) Y has the same
+Frobenius norm as (I - P_A) L and M drops out of the search.  For each stacked
+steering matrix A = [A_z; A_x P] the q x q normal equations A^H A S = A^H L
+are solved together, in blocks of (q-1)! permutations (one per first xi index)
+to keep the temporaries small.  The residual is then formed directly as
+||L - A S||_F: the shortcut ||L||^2 - <A^H L, S> loses everything below
+~1e-8 of ||L|| to cancellation, which would hide a near-exact fit.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
 from .array_model import ArrayConfig, direction_from_electrical, ElectricalAngles, steering_vector
-from .errors import PairingBudgetExceeded, QTooLarge, PairingAmbiguousWarning
+from .errors import ConvergenceFailure, PairingBudgetExceeded, QTooLarge, PairingAmbiguousWarning
 from .linalg import EstimatorMode, solve_coeffs
 from .rooting import electrical_angles_from_roots, find_roots, select_unit_roots
 from .synthesis import SnapshotMatrix, build_lp_system
 
 PERMUTATION_BUDGET = 5040  # 7!
 PAIRING_AMBIGUITY_REL_TOL = 1e-6
+
+
+@lru_cache(maxsize=8)  # q <= 7 under PERMUTATION_BUDGET
+def permutation_table(q: int) -> np.ndarray:
+    """All q! permutations of range(q), one per row, in itertools order (read-only)."""
+    table = np.array(list(permutations(range(q))), dtype=np.intp).reshape(math.factorial(q), q)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -76,9 +95,18 @@ def pair_and_recover(
 ) -> AoaEstimate:
     """Associate psi and xi estimates across subarrays and recover angles.
 
-    For every permutation of the xi set, fit one common source matrix S to
-    the stacked data [Z; X] with the stacked steering matrix [A_z; A_x] and
-    keep the permutation with the smallest Frobenius residual.
+    For every permutation P of the xi set, fit one common source matrix S to
+    the stacked data [Z; X] with the stacked steering matrix [A_z; A_x P] and
+    keep the permutation with the smallest Frobenius residual; ties go to the
+    first permutation in itertools order.  The search runs on the QR-compressed
+    data and batched q x q normal equations (see the module docstring); the
+    reported ``pairing_residual`` is the winner's ||(I - P_A)[Z; X]||_F.
+
+    Raises
+    ------
+    ConvergenceFailure
+        If LAPACK finds some permutation's normal equations exactly
+        singular, as when two (psi, xi) pairs are identical.
     """
     q = len(psi_hats)
     if len(xi_hats) != q:
@@ -91,20 +119,33 @@ def pair_and_recover(
     root_mags_x = root_mags_x if root_mags_x is not None else [float("nan")] * q
 
     Y = np.vstack([Z.data, X.data])
+    L = np.linalg.qr(Y.conj().T, mode="r").conj().T
     A_z = steering_vector(psi_hats, cfg.m)
     A_x = steering_vector(xi_hats, cfg.m)
 
-    best_perm = None
-    best = second = np.inf
-    for perm in permutations(range(q)):
-        A = np.vstack([A_z, A_x[:, perm]])
-        S, *_ = np.linalg.lstsq(A, Y, rcond=None)
-        resid = float(np.linalg.norm(Y - A @ S))
-        if resid < best:
-            best, second = resid, best
-            best_perm = perm
-        elif resid < second:
-            second = resid
+    # the Gram matrix and right-hand side of permutation P are gathered from
+    # those of the two halves: A^H A = Gz + P^T Gx P, A^H L = Bz + P^T Bx
+    m = cfg.m
+    Gz, Gx = A_z.conj().T @ A_z, A_x.conj().T @ A_x
+    Bz, Bx = A_z.conj().T @ L[:m], A_x.conj().T @ L[m:]
+    table = permutation_table(q)
+    block = math.factorial(max(q - 1, 0))
+    resid = np.empty(len(table))
+    for start in range(0, len(table), block):
+        perms = table[start:start + block]
+        try:
+            S = np.linalg.solve(Gz + Gx[perms[:, :, None], perms[:, None, :]], Bz + Bx[perms])
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"singular pairing normal equations: {exc}") from exc
+        A = np.concatenate(
+            [np.broadcast_to(A_z, (len(perms), m, q)), A_x[:, perms].transpose(1, 0, 2)], axis=1
+        )
+        resid[start:start + block] = np.linalg.norm(L - A @ S, axis=(1, 2))
+
+    order = np.argsort(resid, kind="stable")
+    best_perm = table[order[0]]
+    best = float(resid[order[0]])
+    second = float(resid[order[1]]) if q > 1 else np.inf
 
     ambiguous = False
     if q > 1 and np.isfinite(second):

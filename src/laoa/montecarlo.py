@@ -10,13 +10,12 @@ is itself a result.
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from .errors import AoaError
 from .config import ExperimentConfig
-from .estimator import estimate_2d_aoa
+from .estimator import estimate_2d_aoa, permutation_table
 from .synthesis import synthesize
 
 CSV_HEADER = "snr_db,source_index,rmse_theta_deg,rmse_phi_deg,bias_theta_deg,bias_phi_deg,failure_count,trials"
@@ -75,21 +74,19 @@ class MonteCarloReport:
 
 
 def _match_to_truth(est_sources, truth) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # assign estimates to ground-truth sources by minimum total angular error
+    # assign estimates to ground-truth sources by minimum total angular error;
+    # cost[l, j] is the error of estimate j against source l, and ties go to
+    # the first permutation in itertools order
     q = len(truth)
-    best = None
-    best_cost = np.inf
-    for perm in permutations(range(q)):
-        cost = sum(
-            abs(est_sources[perm[l]].theta_deg - truth[l].theta)
-            + abs(est_sources[perm[l]].phi_deg - truth[l].phi)
-            for l in range(q)
-        )
-        if cost < best_cost:
-            best_cost = cost
-            best = perm
-    theta_err = tuple(est_sources[best[l]].theta_deg - truth[l].theta for l in range(q))
-    phi_err = tuple(est_sources[best[l]].phi_deg - truth[l].phi for l in range(q))
+    est_theta = np.array([s.theta_deg for s in est_sources])
+    est_phi = np.array([s.phi_deg for s in est_sources])
+    cost = np.abs(est_theta - np.array([[t.theta] for t in truth])) + np.abs(
+        est_phi - np.array([[t.phi] for t in truth])
+    )
+    table = permutation_table(q)
+    best = table[np.argmin(cost[np.arange(q), table].sum(axis=1))]
+    theta_err = tuple(est_sources[j].theta_deg - t.theta for j, t in zip(best, truth))
+    phi_err = tuple(est_sources[j].phi_deg - t.phi for j, t in zip(best, truth))
     return theta_err, phi_err
 
 

@@ -1,3 +1,7 @@
+import math
+import warnings
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -12,7 +16,9 @@ from laoa import (
     pair_and_recover,
     synthesize,
 )
-from laoa.errors import QTooLarge
+from laoa.array_model import steering_vector
+from laoa.errors import ConvergenceFailure, PairingAmbiguousWarning, QTooLarge
+from laoa.estimator import PAIRING_AMBIGUITY_REL_TOL, permutation_table
 from laoa.synthesis import Subarray, electrical_angle_sets
 
 
@@ -24,8 +30,6 @@ def _setup(pairs, m=8, M=50, sigma2=0.0, seed=0, spacing=0.5):
 
 
 def _stacked_residual(psis, xis, Z, X, cfg):
-    from laoa.array_model import steering_vector
-
     A = np.vstack(
         [
             np.column_stack([steering_vector(p, cfg.m) for p in psis]),
@@ -84,6 +88,71 @@ class TestPairing:
         got = sorted((s.theta_deg, s.phi_deg) for s in est.sources)
         np.testing.assert_allclose(got, [(60, 60), (66, 120)], atol=1e-6)
         assert not est.pairing_ambiguous
+
+    def test_tie_keeps_the_first_permutation(self):
+        # duplicated xi estimates: both pairings give the same stacked matrix
+        cfg, src, Z, X = _setup([(30, 40), (70, 120)], m=8, M=50, sigma2=0.01)
+        with pytest.warns(PairingAmbiguousWarning):
+            est = pair_and_recover([0.3, 1.3], [0.5, 0.5], Z, X, cfg, root_mags_x=[1.0, 2.0])
+        assert est.pairing_ambiguous
+        assert est.sources[0].root_magnitude_x == 1.0
+
+    def test_identical_pairs_are_a_convergence_failure(self):
+        cfg, src, Z, X = _setup([(30, 40), (70, 120)], m=8, M=50, sigma2=0.01)
+        with pytest.raises(ConvergenceFailure):
+            pair_and_recover([0.3, 0.3], [0.5, 0.5], Z, X, cfg)
+
+
+FIVE_SOURCES = [(30, 40), (60, 100), (100, 60), (140, 130), (80, 150)]
+
+
+def _lstsq_pairing(psis, xis, Z, X, cfg):
+    """Brute-force reference: one lstsq per permutation, first minimum wins."""
+    A_z = np.column_stack([steering_vector(p, cfg.m) for p in psis])
+    A_x = np.column_stack([steering_vector(x, cfg.m) for x in xis])
+    Y = np.vstack([Z.data, X.data])
+    perms = list(permutations(range(len(psis))))
+    resid = []
+    for perm in perms:
+        A = np.vstack([A_z, A_x[:, perm]])
+        S, *_ = np.linalg.lstsq(A, Y, rcond=None)
+        resid.append(float(np.linalg.norm(Y - A @ S)))
+    order = sorted(range(len(resid)), key=resid.__getitem__)
+    best = resid[order[0]]
+    second = resid[order[1]] if len(resid) > 1 else np.inf
+    ambiguous = bool(np.isfinite(second) and second - best < PAIRING_AMBIGUITY_REL_TOL * second)
+    return perms[order[0]], best, ambiguous
+
+
+class TestPairingOracle:
+    # exact angles with sigma2=1e-12 leave a residual ~1e-7 of ||Y||, which a
+    # residual taken as ||Y||^2 - ||P_A Y||^2 would lose to cancellation
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("M_of_q", [lambda q: q, lambda q: 10, lambda q: 200], ids=["M=q", "M<2m", "M=200"])
+    @pytest.mark.parametrize("sigma2, jitter", [(0.1, 0.02), (1e-12, 0.0)])
+    def test_matches_lstsq_per_permutation(self, q, M_of_q, sigma2, jitter):
+        M = M_of_q(q)
+        cfg, src, Z, X = _setup(FIVE_SOURCES[:q], m=8, M=M, sigma2=sigma2, seed=10 * q + M)
+        psis, xis = electrical_angle_sets(src, cfg)
+        rng = np.random.default_rng(q)
+        # estimate-like inputs: perturbed and each set sorted on its own
+        psis = sorted(np.asarray(psis) + rng.normal(0, jitter, q))
+        xis = sorted(np.asarray(xis) + rng.normal(0, jitter, q))
+        perm, resid, ambiguous = _lstsq_pairing(psis, xis, Z, X, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PairingAmbiguousWarning)
+            est = pair_and_recover(psis, xis, Z, X, cfg)
+        assert [s.xi_hat for s in est.sources] == [xis[j] for j in perm]
+        assert est.pairing_ambiguous == ambiguous
+        assert est.pairing_residual == pytest.approx(resid, rel=1e-9)
+
+    @pytest.mark.parametrize("q", [0, 1, 3, 5])
+    def test_permutation_table(self, q):
+        table = permutation_table(q)
+        assert table.shape == (math.factorial(q), q)
+        assert [tuple(row) for row in table] == list(permutations(range(q)))
+        assert not table.flags.writeable
+        assert permutation_table(q) is table
 
 
 class TestEstimate2dAoa:

@@ -1,9 +1,14 @@
+from itertools import permutations
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from laoa import parse_config
+import laoa.estimator
+from laoa import DirectionPair, parse_config
 from laoa.montecarlo import (
     CSV_HEADER,
+    _match_to_truth,
     monte_carlo,
     run_trial,
     splitmix64,
@@ -68,6 +73,43 @@ class TestRunTrial:
         assert run_trial(cfg, 20.0, 0, 0).failure == "ConvergenceFailure"
         (row,) = monte_carlo(cfg, workers=1).rows
         assert row["failure_count"] == 3 and row["rmse_theta_deg"] is None
+
+    def test_singular_pairing_is_a_counted_failure(self, monkeypatch):
+        # identical (psi, xi) pairs make the pairing normal equations singular
+        monkeypatch.setattr(laoa.estimator, "estimate_electrical", lambda *a: ([0.3, 0.3], [1.0, 1.0]))
+        cfg = _cfg(trials=2, q=2, sources="30/40, 70/120")
+        assert run_trial(cfg, 20.0, 0, 0).failure == "ConvergenceFailure"
+        row = monte_carlo(cfg, workers=1).rows[0]
+        assert row["failure_count"] == 2 and row["rmse_theta_deg"] is None
+
+
+def _loop_match(est, truth):
+    # reference: first minimum-cost assignment in itertools order
+    perms = list(permutations(range(len(truth))))
+    costs = [
+        sum(abs(est[j].theta_deg - t.theta) + abs(est[j].phi_deg - t.phi) for j, t in zip(p, truth))
+        for p in perms
+    ]
+    best = perms[costs.index(min(costs))]
+    return tuple(est[j].theta_deg - t.theta for j, t in zip(best, truth)), tuple(
+        est[j].phi_deg - t.phi for j, t in zip(best, truth)
+    )
+
+
+class TestMatchToTruth:
+    def test_agrees_with_the_permutation_loop(self):
+        rng = np.random.default_rng(3)
+        for q in (1, 2, 3, 5):
+            truth = [DirectionPair(float(t), float(p)) for t, p in rng.uniform(20, 160, (q, 2))]
+            est = [SimpleNamespace(theta_deg=t.theta + rng.normal(0, 30), phi_deg=t.phi + rng.normal(0, 30)) for t in truth]
+            est = [est[j] for j in rng.permutation(q)]
+            assert _match_to_truth(est, truth) == _loop_match(est, truth)
+
+    def test_tie_keeps_the_first_permutation(self):
+        # both assignments cost 30 degrees; the identity comes first
+        truth = [DirectionPair(50.0, 60.0), DirectionPair(70.0, 60.0)]
+        est = [SimpleNamespace(theta_deg=60.0, phi_deg=60.0), SimpleNamespace(theta_deg=60.0, phi_deg=70.0)]
+        assert _match_to_truth(est, truth) == ((10.0, -10.0), (0.0, 10.0))
 
 
 class TestMonteCarlo:
