@@ -17,12 +17,11 @@ Example::
 ``sources`` entries are theta/phi in degrees.  ``#`` starts a comment line.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 from .array_model import ArrayConfig, DirectionPair
 from .errors import ParseError
-from .estimator import PERMUTATION_BUDGET, EstimatorMode
+from .estimator import EstimatorMode, check_scenario
 from .synthesis import SignalModel, SourceSet, separated_angle_sets
 
 _REQUIRED = (
@@ -51,21 +50,26 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.snr_db_list:
             raise ValueError("snr_db_list must be nonempty")
+        # +inf dB is noiseless; nan, -inf, an overflowing SNR or a nan/inf power is not
+        try:
+            finite = all(self.noise_variance(snr) < float("inf") for snr in self.snr_db_list)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"snr_db_list {list(self.snr_db_list)} and power {self.power!r} "
+                             "give a non-finite noise variance")
         if self.q != len(self.sources):
             raise ValueError(f"q={self.q} does not match {len(self.sources)} sources")
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         self.array_config()  # validates m and spacing_ratio
         # Reject scenarios the estimator cannot handle before any trial runs.
-        if self.q > self.m - 2:
-            raise ValueError(f"need q <= m - 2 = {self.m - 2} for stable root selection, got q={self.q}")
-        if math.factorial(self.q) > PERMUTATION_BUDGET:
-            raise ValueError(
-                f"need q! <= {PERMUTATION_BUDGET} pairings, got q={self.q} ({math.factorial(self.q)} pairings)"
-            )
-        if self.M < max(self.q, self.m - 1):
-            raise ValueError(f"need M >= max(q, m - 1) = {max(self.q, self.m - 1)} snapshots, got M={self.M}")
+        check_scenario(self.m, self.M, self.q)
         separated_angle_sets(self.source_set(), self.array_config())
+
+    def noise_variance(self, snr_db: float) -> float:
+        """Per-element noise variance sigma^2 = power * 10^(-snr_db / 10)."""
+        return self.power * 10.0 ** (-snr_db / 10.0)
 
     def array_config(self) -> ArrayConfig:
         return ArrayConfig(m=self.m, spacing_ratio=self.spacing_ratio)

@@ -1,4 +1,12 @@
-"""Exception hierarchy and warnings for the AOA toolkit."""
+"""Exception hierarchy and warnings for the AOA toolkit.
+
+Two kinds of error.  ``OutOfRange``, ``DegenerateElevation``,
+``ConvergenceFailure`` and ``NotEnoughRoots`` can strike any single noisy
+trial; ``run_trial`` counts them as trial failures, since the failure rate is
+itself a result.  ``UnsupportedScenario`` (the (m, M, q) shape rules and the
+source-separation rule) and ``ParseError`` (malformed config or matrix files)
+reject the input up front, before any trial or estimate runs.
+"""
 
 
 class AoaError(Exception):
@@ -13,36 +21,16 @@ class DegenerateElevation(AoaError):
     """Elevation too close to 0 or 180 degrees; azimuth is undefined."""
 
 
-class InsufficientSnapshots(AoaError):
-    """Fewer snapshots than sources."""
-
-
-class TooFewSnapshots(AoaError):
-    """Not enough snapshots to form an overdetermined prediction system."""
-
-
 class ConvergenceFailure(AoaError):
     """LAPACK did not converge (SVD or eigenvalues), or a root missed the residual bound."""
 
 
-class DegreeZero(AoaError):
-    """All polynomial coefficients vanish; the constant polynomial has no roots."""
-
-
 class NotEnoughRoots(AoaError):
-    """Requested more signal roots than the polynomial provides."""
+    """The polynomial has fewer roots than the requested signal roots (possibly none)."""
 
 
-class RankOutOfRange(AoaError):
-    """Truncation rank outside [1, min(matrix dims)]."""
-
-
-class QTooLarge(AoaError):
-    """Source count too large for the subarray size (need q <= m - 2)."""
-
-
-class PairingBudgetExceeded(AoaError):
-    """Too many sources for exhaustive permutation pairing."""
+class UnsupportedScenario(AoaError, ValueError):
+    """A shape or geometry the estimator cannot handle (see ``estimator.check_scenario``)."""
 
 
 class ParseError(AoaError):
@@ -58,10 +46,6 @@ class ParseError(AoaError):
         super().__init__(message + loc)
         self.line = line
         self.column = column
-
-
-class DimensionMismatch(AoaError):
-    """Declared matrix dimensions disagree with the data."""
 
 
 class RankDeficiencyWarning(UserWarning):

@@ -28,13 +28,33 @@ from itertools import permutations
 import numpy as np
 
 from .array_model import ArrayConfig, direction_from_electrical, ElectricalAngles, steering_vector
-from .errors import ConvergenceFailure, PairingBudgetExceeded, QTooLarge, PairingAmbiguousWarning
+from .errors import ConvergenceFailure, PairingAmbiguousWarning, UnsupportedScenario
 from .linalg import EstimatorMode, solve_coeffs
 from .rooting import electrical_angles_from_roots, find_roots, select_unit_roots
 from .synthesis import SnapshotMatrix, build_lp_system
 
 PERMUTATION_BUDGET = 5040  # 7!
 PAIRING_AMBIGUITY_REL_TOL = 1e-6
+
+
+def check_scenario(m: int, M: int, q: int) -> None:
+    """Raise UnsupportedScenario unless subarray size m, snapshots M and sources q are usable.
+
+    Root selection needs spurious roots to reject (1 <= q <= m - 2), pairing
+    tries all q! permutations (at most PERMUTATION_BUDGET), and each prediction
+    system must be overdetermined with a full-rank source matrix (M >= max(q, m - 1)).
+    """
+    if not 1 <= q <= m - 2:
+        raise UnsupportedScenario(f"need 1 <= q <= m - 2 = {m - 2} for stable root selection, got q={q}")
+    _check_pairing_budget(q)
+    if M < max(q, m - 1):
+        raise UnsupportedScenario(f"need M >= max(q, m - 1) = {max(q, m - 1)} snapshots, got M={M}")
+
+
+def _check_pairing_budget(q: int) -> None:
+    pairings = math.factorial(q)
+    if pairings > PERMUTATION_BUDGET:
+        raise UnsupportedScenario(f"need q! <= {PERMUTATION_BUDGET} pairings, got q={q} ({pairings} pairings)")
 
 
 @lru_cache(maxsize=8)  # q <= 7 under PERMUTATION_BUDGET
@@ -70,10 +90,7 @@ def estimate_electrical(
     Runs the full chain: linear-prediction system, coefficient solve, root
     finding, and unit-circle root selection.
     """
-    if q > snap.m - 2:
-        raise QTooLarge(
-            f"need q <= m - 2 for stable root selection, got q={q}, m={snap.m}"
-        )
+    check_scenario(snap.m, snap.snapshots, q)
     system = build_lp_system(snap)
     coeffs = solve_coeffs(system, q, mode)
     roots = find_roots(coeffs)
@@ -104,6 +121,8 @@ def pair_and_recover(
 
     Raises
     ------
+    UnsupportedScenario
+        If q! exceeds PERMUTATION_BUDGET.
     ConvergenceFailure
         If LAPACK finds some permutation's normal equations exactly
         singular, as when two (psi, xi) pairs are identical.
@@ -111,10 +130,7 @@ def pair_and_recover(
     q = len(psi_hats)
     if len(xi_hats) != q:
         raise ValueError("psi and xi sets must have equal length")
-    if math.factorial(q) > PERMUTATION_BUDGET:
-        raise PairingBudgetExceeded(
-            f"{q}! permutations exceed the budget of {PERMUTATION_BUDGET}"
-        )
+    _check_pairing_budget(q)
     root_mags_z = root_mags_z if root_mags_z is not None else [float("nan")] * q
     root_mags_x = root_mags_x if root_mags_x is not None else [float("nan")] * q
 

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConvergenceFailure, RankOutOfRange, RankDeficiencyWarning
+from .errors import ConvergenceFailure, RankDeficiencyWarning, UnsupportedScenario
 from .synthesis import LpSystem
 
 REL_RANK_TOL = 1e-10  # singular values below this fraction of sigma_1 count as zero
@@ -86,7 +86,7 @@ def truncated_pseudoinverse(A: np.ndarray, rank: int) -> np.ndarray:
     """
     A = np.asarray(A, dtype=complex)
     if not (1 <= rank <= min(A.shape)):
-        raise RankOutOfRange(f"rank must be in [1, {min(A.shape)}], got {rank}")
+        raise UnsupportedScenario(f"rank must be in [1, {min(A.shape)}], got {rank}")
     res = svd(A)
     inv = np.zeros_like(res.sigma)
     cutoff = REL_RANK_TOL * res.sigma[0]
@@ -106,7 +106,7 @@ def solve_coeffs(system: LpSystem, q: int, mode: EstimatorMode) -> CoefficientVe
     """
     n_coeffs = system.P.shape[1]
     if not (1 <= q <= n_coeffs):
-        raise RankOutOfRange(f"q must be in [1, {n_coeffs}], got {q}")
+        raise UnsupportedScenario(f"q must be in [1, {n_coeffs}], got {q}")
     res = svd(system.P)
     cutoff = REL_RANK_TOL * res.sigma[0] if res.sigma[0] > 0 else 0.0
 

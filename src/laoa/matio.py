@@ -8,7 +8,7 @@ Lines starting with ``#`` are comments.  Write -> read is bit-exact.
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError
+from .errors import ParseError
 from .synthesis import SnapshotMatrix, Subarray
 
 _MAGIC = "aoa-matrix"
@@ -47,7 +47,7 @@ def read_matrix_file(path) -> SnapshotMatrix:
 
     body = content[1:]
     if len(body) != rows:
-        raise DimensionMismatch(f"header declares {rows} rows, file has {len(body)}")
+        raise ParseError(f"header declares {rows} rows, file has {len(body)}", line=lineno)
 
     data = np.empty((rows, cols), dtype=complex)
     for r, (lineno, line) in enumerate(body):

@@ -42,8 +42,6 @@ def trial_seed(seed: int, snr_index: int, trial_index: int) -> int:
 
 @dataclass(frozen=True)
 class TrialResult:
-    snr_index: int
-    trial_index: int
     theta_errors: tuple[float, ...] | None  # None on failure
     phi_errors: tuple[float, ...] | None
     failure: str | None = None
@@ -92,15 +90,15 @@ def _match_to_truth(est_sources, truth) -> tuple[tuple[float, ...], tuple[float,
 
 def run_trial(cfg: ExperimentConfig, snr_db: float, snr_index: int, trial_index: int) -> TrialResult:
     """One synthesis + estimation trial; estimator errors become failure records."""
-    sigma2 = cfg.power * 10.0 ** (-snr_db / 10.0)
+    sigma2 = cfg.noise_variance(snr_db)
     rng = np.random.default_rng(trial_seed(cfg.seed, snr_index, trial_index))
     try:
         Z, X, _ = synthesize(cfg.source_set(), cfg.array_config(), cfg.M, sigma2, rng)
         est = estimate_2d_aoa(Z, X, cfg.q, cfg.array_config(), cfg.mode)
         theta_err, phi_err = _match_to_truth(est.sources, cfg.sources)
-        return TrialResult(snr_index, trial_index, theta_err, phi_err)
+        return TrialResult(theta_err, phi_err)
     except AoaError as exc:
-        return TrialResult(snr_index, trial_index, None, None, failure=type(exc).__name__)
+        return TrialResult(None, None, failure=type(exc).__name__)
 
 
 def _run_trial_star(args):
@@ -123,8 +121,9 @@ def default_workers() -> int:
 def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarloReport:
     """Run trials x SNR points and aggregate RMSE/bias per source per SNR.
 
-    The aggregation is order-independent (per-trial seeding plus a final
-    sort), so any worker count yields the same report.
+    Each trial seeds its own stream and both the serial loop and
+    ``pool.map`` return results in task order, so any worker count yields the
+    same report.
     """
     if workers is None:
         workers = default_workers()
@@ -139,13 +138,9 @@ def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarlo
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_trial_star, tasks, chunksize=16))
 
-    by_point: dict[int, list[TrialResult]] = {}
-    for r in results:
-        by_point.setdefault(r.snr_index, []).append(r)
-
     rows = []
     for si, snr_db in enumerate(cfg.snr_db_list):
-        trials = sorted(by_point.get(si, []), key=lambda r: r.trial_index)
+        trials = results[si * cfg.trials:(si + 1) * cfg.trials]
         ok = [t for t in trials if t.failure is None]
         failures = len(trials) - len(ok)
         for source_index in range(cfg.q):

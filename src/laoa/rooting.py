@@ -9,7 +9,7 @@ step on P itself and then checked against a relative residual bound.
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DegreeZero, NotEnoughRoots
+from .errors import ConvergenceFailure, NotEnoughRoots
 from .linalg import CoefficientVector
 
 DEFLATION_TOL = 1e-12      # relative cutoff for stripping tiny leading coefficients
@@ -24,7 +24,7 @@ def find_roots(coeffs: CoefficientVector) -> np.ndarray:
 
     Raises
     ------
-    DegreeZero
+    NotEnoughRoots
         If every coefficient is negligible (the constant 1 has no roots).
     ConvergenceFailure
         If the eigenvalue solver fails or a root misses the residual bound.
@@ -35,7 +35,7 @@ def find_roots(coeffs: CoefficientVector) -> np.ndarray:
     while degree > 0 and abs(poly[degree]) < DEFLATION_TOL * scale:
         degree -= 1
     if degree == 0:
-        raise DegreeZero("all polynomial coefficients are negligible; no roots exist")
+        raise NotEnoughRoots("all polynomial coefficients are negligible; no roots exist")
     poly = poly[: degree + 1]
 
     try:

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .array_model import ArrayConfig, DirectionPair, psi_from_direction, xi_from_direction, steering_vector
-from .errors import InsufficientSnapshots, TooFewSnapshots
+from .errors import UnsupportedScenario
 
 MIN_ELECTRICAL_SEPARATION = 0.1  # radians, circular distance
 
@@ -98,7 +98,7 @@ def generate_sources(src: SourceSet, snapshots: int, rng: np.random.Generator) -
     """
     q = src.q
     if snapshots < q:
-        raise InsufficientSnapshots(f"need M >= q for full-rank S, got M={snapshots}, q={q}")
+        raise UnsupportedScenario(f"need M >= q for full-rank S, got M={snapshots}, q={q}")
     amp = np.sqrt(src.power)
     if src.signal_model is SignalModel.UNIT_POWER_RANDOM_PHASE:
         phase = rng.uniform(0.0, 2.0 * np.pi, size=(q, snapshots))
@@ -135,7 +135,7 @@ def _check_separation(values: np.ndarray, label: str) -> None:
             delta = abs(values[i] - values[k]) % (2.0 * np.pi)
             delta = min(delta, 2.0 * np.pi - delta)
             if delta < MIN_ELECTRICAL_SEPARATION:
-                raise ValueError(
+                raise UnsupportedScenario(
                     f"sources {i} and {k} have {label} separated by only {delta:.4g} rad "
                     f"(< {MIN_ELECTRICAL_SEPARATION}); steering matrix would be near rank-deficient"
                 )
@@ -146,7 +146,7 @@ def separated_angle_sets(src: SourceSet, cfg: ArrayConfig) -> tuple[np.ndarray, 
 
     Raises
     ------
-    ValueError
+    UnsupportedScenario
         If two sources are closer than MIN_ELECTRICAL_SEPARATION in psi or in xi.
     """
     psis, xis = electrical_angle_sets(src, cfg)
@@ -185,7 +185,7 @@ def build_lp_system(snap: SnapshotMatrix) -> LpSystem:
     """Rearrange a snapshot matrix into P C = P1 (no arithmetic beyond negation)."""
     m, M = snap.m, snap.snapshots
     if M < m - 1:
-        raise TooFewSnapshots(
+        raise UnsupportedScenario(
             f"need M >= m - 1 snapshots for an overdetermined system, got M={M}, m={m}"
         )
     P = snap.data[1:, :].T.copy()

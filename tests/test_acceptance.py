@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  The full module takes roughly a minute, dominated by the Monte Carlo
-criteria.
+lines.  The full module takes ~7 s, dominated by the Monte Carlo criteria.
 """
 
 import time

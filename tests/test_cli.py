@@ -82,8 +82,8 @@ def test_montecarlo_seed_override_changes_output(config_file, tmp_path):
     assert out.read_text() != first
 
 
-def _write_pair(tmp_path, x_snapshots=50):
-    cfg = ArrayConfig(m=8, spacing_ratio=0.5)
+def _write_pair(tmp_path, x_snapshots=50, m=8):
+    cfg = ArrayConfig(m=m, spacing_ratio=0.5)
     src = SourceSet(directions=(DirectionPair(60, 45),))
     Z, X, _ = synthesize(src, cfg, 50, 0.0, np.random.default_rng(1))
     zf, xf = tmp_path / "z.mat", tmp_path / "x.mat"
@@ -120,6 +120,33 @@ def test_estimate_rejects_unequal_snapshot_counts(tmp_path, capsys):
     rc = main(["estimate", "--z-file", str(zf), "--x-file", str(xf), "--q", "1", "--spacing-ratio", "0.5"])
     assert rc == 2
     assert "snapshot counts differ: 50 vs 40" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q, rule", [("8", "pairings"), ("0", "q <= m - 2")])
+def test_estimate_rejects_an_unsupported_q_before_any_svd(tmp_path, capsys, monkeypatch, q, rule):
+    zf, xf = _write_pair(tmp_path, m=10)
+    svd_calls, real_svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(a) or real_svd(*a, **k))
+    rc = main(["estimate", "--z-file", str(zf), "--x-file", str(xf), "--q", q, "--spacing-ratio", "0.5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert rule in captured.err
+    assert captured.out == ""
+    assert svd_calls == []
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("snr_db_list = 300", "snr_db_list = 300, nan"), ("snr_db_list = 300", "snr_db_list = -inf"),
+     ("trials = 2", "trials = 2\npower = nan"), ("trials = 2", "trials = 2\npower = inf")],
+    ids=["snr_nan", "snr_minus_inf", "power_nan", "power_inf"],
+)
+def test_montecarlo_rejects_non_finite_noise_before_any_trial(config_file, capsys, old, new):
+    path, out = config_file
+    path.write_text(path.read_text().replace(old, new))
+    assert main(["montecarlo", "--config", str(path)]) == 2
+    assert "non-finite noise variance" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_exit_code():

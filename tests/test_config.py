@@ -78,12 +78,23 @@ def test_seed_override():
         ("M = 200", "M = 6", "M >= max"),
         ("sources = 30/40, 70/120", "sources = 30/40, 31/41", "psi"),
         ("sources = 30/40, 70/120", "sources = 60/90, 120/90", "xi"),
+        ("snr_db_list = 0, 10, 20, 30", "snr_db_list = 0, nan", "non-finite noise"),
+        ("snr_db_list = 0, 10, 20, 30", "snr_db_list = -inf, 10", "non-finite noise"),
+        ("snr_db_list = 0, 10, 20, 30", "snr_db_list = 0, -4000", "non-finite noise"),
+        ("trials = 500", "trials = 500\npower = nan", "power nan"),
+        ("trials = 500", "trials = 500\npower = inf", "power inf"),
     ],
-    ids=["q_too_large", "too_few_snapshots", "psi_too_close", "xi_too_close"],
+    ids=["q_too_large", "too_few_snapshots", "psi_too_close", "xi_too_close",
+         "snr_nan", "snr_minus_inf", "snr_overflows", "power_nan", "power_inf"],
 )
 def test_rejects_scenarios_the_estimator_cannot_handle(old, new, match):
     with pytest.raises(ParseError, match=match):
         parse_config(GOOD.replace(old, new))
+
+
+def test_plus_inf_db_is_the_noiseless_case():
+    cfg = parse_config(GOOD.replace("snr_db_list = 0, 10, 20, 30", "snr_db_list = 0, inf"))
+    assert cfg.snr_db_list == (0.0, float("inf"))
 
 
 def test_rejects_more_sources_than_the_pairing_budget():

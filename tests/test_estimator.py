@@ -17,7 +17,7 @@ from laoa import (
     synthesize,
 )
 from laoa.array_model import steering_vector
-from laoa.errors import ConvergenceFailure, PairingAmbiguousWarning, QTooLarge
+from laoa.errors import ConvergenceFailure, PairingAmbiguousWarning, UnsupportedScenario
 from laoa.estimator import PAIRING_AMBIGUITY_REL_TOL, permutation_table
 from laoa.synthesis import Subarray, electrical_angle_sets
 
@@ -57,7 +57,7 @@ class TestEstimateElectrical:
 
     def test_q_too_large(self):
         cfg, src, Z, _ = _setup([(60, 90)], m=4, M=10)
-        with pytest.raises(QTooLarge):
+        with pytest.raises(UnsupportedScenario, match="q <= m - 2"):
             estimate_electrical(Z, 3, EstimatorMode.NOISELESS)
 
 
@@ -101,6 +101,13 @@ class TestPairing:
         cfg, src, Z, X = _setup([(30, 40), (70, 120)], m=8, M=50, sigma2=0.01)
         with pytest.raises(ConvergenceFailure):
             pair_and_recover([0.3, 0.3], [0.5, 0.5], Z, X, cfg)
+
+    def test_more_sources_than_the_pairing_budget(self):
+        # rejected before any data is touched: 8! pairings exceed the budget
+        cfg, src, Z, X = _setup([(30, 40)], m=10, M=50)
+        angles = list(np.linspace(-2.0, 2.0, 8))
+        with pytest.raises(UnsupportedScenario, match="pairings"):
+            pair_and_recover(angles, angles, Z, X, cfg)
 
 
 FIVE_SOURCES = [(30, 40), (60, 100), (100, 60), (140, 130), (80, 150)]

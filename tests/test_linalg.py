@@ -13,7 +13,7 @@ from laoa import (
     synthesize,
     truncated_pseudoinverse,
 )
-from laoa.errors import RankDeficiencyWarning, RankOutOfRange
+from laoa.errors import RankDeficiencyWarning, UnsupportedScenario
 from laoa.synthesis import LpSystem
 
 
@@ -89,7 +89,7 @@ class TestTruncatedPseudoinverse:
     def test_rank_out_of_range(self):
         A = np.eye(3, dtype=complex)
         for bad in (0, 4):
-            with pytest.raises(RankOutOfRange):
+            with pytest.raises(UnsupportedScenario, match=r"rank must be in \[1, 3\]"):
                 truncated_pseudoinverse(A, rank=bad)
 
     def test_projection_identity(self):
@@ -162,7 +162,7 @@ class TestSolveCoeffs:
 
     def test_q_out_of_range(self):
         sys_ = LpSystem(P=np.eye(3, dtype=complex), P1=np.ones(3, dtype=complex))
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(UnsupportedScenario, match=r"q must be in \[1, 3\]"):
             solve_coeffs(sys_, 4, EstimatorMode.TRUNCATED_SVD)
 
     def test_solution_ignores_singular_vector_phases(self, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from laoa import SnapshotMatrix, read_matrix_file, write_matrix_file
-from laoa.errors import DimensionMismatch, ParseError
+from laoa.errors import ParseError
 from laoa.synthesis import Subarray
 
 
@@ -42,7 +42,7 @@ def test_short_row_reports_line(tmp_path):
 def test_row_count_mismatch(tmp_path):
     path = tmp_path / "m.mat"
     path.write_text("aoa-matrix 1 3 1 Z\n1:0\n2:0\n")
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ParseError, match=r"header declares 3 rows, file has 2 \(line 1\)"):
         read_matrix_file(path)
 
 

@@ -131,6 +131,14 @@ class TestMonteCarlo:
         keys = [tuple(map(float, ln.split(",")[:2])) for ln in lines[1:]]
         assert keys == sorted(keys)
 
+    def test_each_row_aggregates_the_trials_of_its_snr_point(self):
+        cfg = _cfg(trials=3, snr_db_list="20, 10")
+        rows = {row["snr_db"]: row for row in monte_carlo(cfg).rows}
+        for si, snr_db in enumerate(cfg.snr_db_list):
+            te = np.array([run_trial(cfg, snr_db, si, ti).theta_errors[0] for ti in range(cfg.trials)])
+            assert rows[snr_db]["rmse_theta_deg"] == float(np.sqrt(np.mean(te**2)))
+            assert rows[snr_db]["bias_theta_deg"] == float(np.mean(te))
+
     def test_workers_do_not_change_bytes(self):
         cfg = _cfg(trials=6, snr_db_list="20, 10")
         serial = monte_carlo(cfg, workers=1).to_csv()

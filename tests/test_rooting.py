@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from laoa import CoefficientVector, electrical_angles_from_roots, find_roots, select_unit_roots
-from laoa.errors import ConvergenceFailure, DegreeZero, NotEnoughRoots
+from laoa.errors import ConvergenceFailure, NotEnoughRoots
 
 
 class TestFindRoots:
@@ -21,7 +21,7 @@ class TestFindRoots:
         np.testing.assert_allclose(roots, [1j], atol=1e-10)
 
     def test_all_zero_coefficients(self):
-        with pytest.raises(DegreeZero):
+        with pytest.raises(NotEnoughRoots, match="no roots exist"):
             find_roots(CoefficientVector(np.array([0.0, 0.0])))
 
     def test_eigenvalue_failure_is_convergence_failure(self, monkeypatch):

@@ -13,7 +13,7 @@ from laoa import (
     generate_sources,
     synthesize,
 )
-from laoa.errors import InsufficientSnapshots, TooFewSnapshots
+from laoa.errors import UnsupportedScenario
 
 CFG = ArrayConfig(m=6, spacing_ratio=0.5)
 
@@ -48,7 +48,7 @@ class TestGenerateSources:
         assert np.max(dist) < 1e-12
 
     def test_too_few_snapshots(self):
-        with pytest.raises(InsufficientSnapshots):
+        with pytest.raises(UnsupportedScenario, match="M >= q"):
             generate_sources(_sources((60, 45), (100, 120)), 1, np.random.default_rng(0))
 
 
@@ -131,5 +131,5 @@ class TestBuildLpSystem:
         np.testing.assert_allclose(sys_.P[:, 0] * 1j, sys_.P1, atol=1e-12)
 
     def test_too_few_snapshots(self):
-        with pytest.raises(TooFewSnapshots):
+        with pytest.raises(UnsupportedScenario, match="M >= m - 1"):
             build_lp_system(SnapshotMatrix(np.ones((5, 3)), Subarray.Z))
