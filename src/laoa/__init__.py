@@ -7,7 +7,6 @@ solve, synthetic snapshot generation, and a seeded Monte Carlo harness.
 from .array_model import (
     ArrayConfig,
     DirectionPair,
-    ElectricalAngles,
     direction_from_electrical,
     psi_from_direction,
     steering_vector,
@@ -22,12 +21,11 @@ from .estimator import (
     estimate_electrical,
     pair_and_recover,
 )
-from .linalg import CoefficientVector, SvdResult, solve_coeffs, svd, truncated_pseudoinverse
+from .linalg import solve_coeffs, svd
 from .matio import read_matrix_file, write_matrix_file
 from .montecarlo import MonteCarloReport, monte_carlo, run_trial, trial_seed
 from .rooting import electrical_angles_from_roots, find_roots, select_unit_roots
 from .synthesis import (
-    LpSystem,
     SignalModel,
     SnapshotMatrix,
     SourceSet,

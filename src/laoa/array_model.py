@@ -66,23 +66,6 @@ class DirectionPair:
             raise ValueError(f"phi must be in [0, 180], got {self.phi}")
 
 
-@dataclass(frozen=True)
-class ElectricalAngles:
-    """Per-element phase increments (radians) for the two subarrays."""
-
-    psi: float
-    xi: float
-
-    # Slack admits values a few ulps past pi, as produced by floating-point
-    # principal-argument extraction at the branch cut.
-    _SLACK = 1e-6
-
-    def __post_init__(self):
-        for name, v in (("psi", self.psi), ("xi", self.xi)):
-            if not (-np.pi - self._SLACK < v <= np.pi + self._SLACK):
-                raise ValueError(f"{name} must lie in (-pi, pi], got {v}")
-
-
 def psi_from_direction(direction: DirectionPair, cfg: ArrayConfig) -> float:
     """Electrical angle of the Z-subarray: 2*pi*(d/lambda)*cos(theta)."""
     return 2.0 * np.pi * cfg.spacing_ratio * np.cos(np.deg2rad(direction.theta))
@@ -111,7 +94,7 @@ def steering_vector(electrical_angle: float | np.ndarray, m: int) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(np.arange(m), electrical_angle))
 
 
-def direction_from_electrical(ea: ElectricalAngles, cfg: ArrayConfig) -> DirectionPair:
+def direction_from_electrical(psi: float, xi: float, cfg: ArrayConfig) -> DirectionPair:
     """Invert (psi, xi) back to a physical direction in degrees.
 
         theta = arccos( psi / (2*pi*d/lambda) )
@@ -124,7 +107,7 @@ def direction_from_electrical(ea: ElectricalAngles, cfg: ArrayConfig) -> Directi
     """
     scale = 2.0 * np.pi * cfg.spacing_ratio
 
-    cos_theta = _clamped(ea.psi / scale, "psi")
+    cos_theta = _clamped(psi / scale, "psi")
     theta = np.arccos(cos_theta)
 
     if np.sin(theta) < np.sin(np.deg2rad(GUARD_DEG)):
@@ -133,13 +116,13 @@ def direction_from_electrical(ea: ElectricalAngles, cfg: ArrayConfig) -> Directi
             "array axis; azimuth is undefined"
         )
 
-    cos_phi = _clamped(ea.xi / (scale * np.sin(theta)), "xi")
+    cos_phi = _clamped(xi / (scale * np.sin(theta)), "xi")
     phi = np.arccos(cos_phi)
     return DirectionPair(theta=float(np.rad2deg(theta)), phi=float(np.rad2deg(phi)))
 
 
 def _clamped(x: float, label: str) -> float:
-    if abs(x) > 1.0 + CLAMP_TOL:
+    if not abs(x) <= 1.0 + CLAMP_TOL:  # written as "not <=" so NaN is out of range too
         raise OutOfRange(
             f"arccos argument {x!r} derived from {label} exceeds [-1, 1] "
             f"beyond CLAMP_TOL={CLAMP_TOL}"

@@ -22,7 +22,12 @@ class DegenerateElevation(AoaError):
 
 
 class ConvergenceFailure(AoaError):
-    """LAPACK did not converge (SVD or eigenvalues), or a root missed the residual bound."""
+    """A numerical step failed.
+
+    LAPACK did not converge (SVD or eigenvalues), the solved prediction
+    coefficients are not finite, a root missed the residual bound, or a
+    pairing's normal equations are singular.
+    """
 
 
 class NotEnoughRoots(AoaError):

@@ -27,7 +27,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .array_model import ArrayConfig, direction_from_electrical, ElectricalAngles, steering_vector
+from .array_model import ArrayConfig, direction_from_electrical, steering_vector
 from .errors import ConvergenceFailure, PairingAmbiguousWarning, UnsupportedScenario
 from .linalg import EstimatorMode, solve_coeffs
 from .rooting import electrical_angles_from_roots, find_roots, select_unit_roots
@@ -91,9 +91,8 @@ def estimate_electrical(
     finding, and unit-circle root selection.
     """
     check_scenario(snap.m, snap.snapshots, q)
-    system = build_lp_system(snap)
-    coeffs = solve_coeffs(system, q, mode)
-    roots = find_roots(coeffs)
+    P, P1 = build_lp_system(snap)
+    roots = find_roots(solve_coeffs(P, P1, q, mode))
     selected = select_unit_roots(roots, q)
     angles = electrical_angles_from_roots(roots, selected)
     order = np.argsort(angles, kind="stable")
@@ -177,7 +176,7 @@ def pair_and_recover(
     for l in range(q):
         psi = psi_hats[l]
         xi = xi_hats[best_perm[l]]
-        d = direction_from_electrical(ElectricalAngles(psi=psi, xi=xi), cfg)
+        d = direction_from_electrical(psi, xi, cfg)
         sources.append(
             SourceEstimate(
                 theta_deg=d.theta,

@@ -1,20 +1,18 @@
-"""Complex dense SVD, truncated pseudoinverse, and the coefficient solve.
+"""Complex dense SVD and the truncated-SVD coefficient solve.
 
 The SVD is LAPACK's (through ``np.linalg.svd``).  The coefficient solve
 inverts the q largest singular values (truncated SVD) or every numerically
-nonzero one (plain minimum-norm least squares).  Both the solve and the
-pseudoinverse sum u_k v_k^H / sigma_k, which does not depend on the phase
-LAPACK picks for each singular pair.
+nonzero one (plain minimum-norm least squares).  The solve sums
+u_k v_k^H / sigma_k, which does not depend on the phase LAPACK picks for
+each singular pair.
 """
 
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ConvergenceFailure, RankDeficiencyWarning, UnsupportedScenario
-from .synthesis import LpSystem
 
 REL_RANK_TOL = 1e-10  # singular values below this fraction of sigma_1 count as zero
 
@@ -31,34 +29,12 @@ class EstimatorMode(Enum):
     TRUNCATED_SVD = "truncated_svd"
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD A = U diag(sigma) V^H with sigma sorted non-increasing."""
+def svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD A = U diag(sigma) V^H as (U, sigma, V), sigma non-increasing (LAPACK via numpy).
 
-    U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Prediction-polynomial coefficients (c_1, ..., c_{m-1}); constant term is 1."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=complex)
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("coefficient vector must be 1-D and nonempty")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficient vector contains non-finite entries")
-        object.__setattr__(self, "c", c)
-
-
-def svd(A: np.ndarray) -> SvdResult:
-    """Thin singular value decomposition (LAPACK via numpy).
-
-    Deterministic: the same input gives bit-identical factors.
+    Deterministic: the same input gives bit-identical factors.  Non-finite
+    input is rejected before LAPACK sees it (an ``inf`` entry can keep
+    LAPACK iterating for minutes).
 
     Raises
     ------
@@ -75,54 +51,49 @@ def svd(A: np.ndarray) -> SvdResult:
         U, s, Vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
-    return SvdResult(U=U, sigma=s, V=Vh.conj().T)
+    return U, s, Vh.conj().T
 
 
-def truncated_pseudoinverse(A: np.ndarray, rank: int) -> np.ndarray:
-    """Pseudoinverse keeping only the `rank` largest singular values.
+def solve_coeffs(P: np.ndarray, P1: np.ndarray, q: int, mode: EstimatorMode) -> np.ndarray:
+    """Solve P C = P1 for the prediction coefficients (c_1, ..., c_{m-1}).
 
-    Kept singular values below REL_RANK_TOL * sigma_1 are still zeroed, since
-    dividing by a numerically zero singular value destroys the solution.
+    TRUNCATED_SVD applies the paper's truncated pseudoinverse
+    V_q Sigma_q^{-1} U_q^H to P1, inverting only the q largest singular
+    values to suppress noise-dominated directions.  NOISELESS is the plain
+    minimum-norm least-squares solution with tolerance-based rank detection
+    (the explicit normal-equations pseudoinverse is singular whenever
+    q < m - 1 in the noiseless case, so both modes go through the SVD).
+
+    Raises
+    ------
+    ConvergenceFailure
+        If the data overflow the solve: sigma_1 or a solved coefficient is
+        not finite.
     """
-    A = np.asarray(A, dtype=complex)
-    if not (1 <= rank <= min(A.shape)):
-        raise UnsupportedScenario(f"rank must be in [1, {min(A.shape)}], got {rank}")
-    res = svd(A)
-    inv = np.zeros_like(res.sigma)
-    cutoff = REL_RANK_TOL * res.sigma[0]
-    keep = res.sigma[:rank] > cutoff
-    inv[:rank][keep] = 1.0 / res.sigma[:rank][keep]
-    return (res.V * inv) @ res.U.conj().T
-
-
-def solve_coeffs(system: LpSystem, q: int, mode: EstimatorMode) -> CoefficientVector:
-    """Solve P C = P1 for the prediction coefficients.
-
-    TRUNCATED_SVD inverts only the q largest singular values, suppressing
-    noise-dominated directions.  NOISELESS is the plain minimum-norm
-    least-squares solution with tolerance-based rank detection (the explicit
-    normal-equations pseudoinverse is singular whenever q < m - 1 in the
-    noiseless case, so both modes go through the SVD).
-    """
-    n_coeffs = system.P.shape[1]
+    n_coeffs = P.shape[1]
     if not (1 <= q <= n_coeffs):
         raise UnsupportedScenario(f"q must be in [1, {n_coeffs}], got {q}")
-    res = svd(system.P)
-    cutoff = REL_RANK_TOL * res.sigma[0] if res.sigma[0] > 0 else 0.0
+    U, sigma, V = svd(P)
+    # finite data can still overflow: sigma_1 = inf would zero the rank and hide it
+    if not np.isfinite(sigma[0]):
+        raise ConvergenceFailure("coefficient solve overflowed: the largest singular value of P is not finite")
+    cutoff = REL_RANK_TOL * sigma[0] if sigma[0] > 0 else 0.0
 
     if mode is EstimatorMode.TRUNCATED_SVD:
         rank = q
-        if res.sigma[q - 1] <= cutoff:
-            rank = int(np.sum(res.sigma[:q] > cutoff))
+        if sigma[q - 1] <= cutoff:
+            rank = int(np.sum(sigma[:q] > cutoff))
             warnings.warn(
                 f"requested truncation rank {q} exceeds numerical rank {rank}; reducing",
                 RankDeficiencyWarning,
                 stacklevel=2,
             )
     else:
-        rank = int(np.sum(res.sigma > cutoff))
+        rank = int(np.sum(sigma > cutoff))
 
-    inv = np.zeros_like(res.sigma)
-    inv[:rank] = 1.0 / res.sigma[:rank]
-    c = (res.V * inv) @ (res.U.conj().T @ system.P1)
-    return CoefficientVector(c=c)
+    inv = np.zeros_like(sigma)
+    inv[:rank] = 1.0 / sigma[:rank]
+    c = (V * inv) @ (U.conj().T @ P1)
+    if not np.all(np.isfinite(c)):
+        raise ConvergenceFailure("coefficient solve gave non-finite coefficients")
+    return c

@@ -106,6 +106,11 @@ def _run_trial_star(args):
 
 
 def default_workers() -> int:
+    """Worker count from ``AOA_THREADS`` (default 1), capped at the CPU count.
+
+    With the ``fork`` start method the pool starts every worker at the first
+    task, so an uncapped value would fork that many processes.
+    """
     env = os.environ.get("AOA_THREADS")
     if env is not None:
         try:
@@ -114,7 +119,7 @@ def default_workers() -> int:
             raise ValueError(f"AOA_THREADS must be an integer, got {env!r}")
         if n < 1:
             raise ValueError("AOA_THREADS must be >= 1")
-        return n
+        return min(n, os.cpu_count() or 1)
     return 1
 
 

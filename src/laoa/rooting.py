@@ -10,14 +10,13 @@ step on P itself and then checked against a relative residual bound.
 import numpy as np
 
 from .errors import ConvergenceFailure, NotEnoughRoots
-from .linalg import CoefficientVector
 
 DEFLATION_TOL = 1e-12      # relative cutoff for stripping tiny leading coefficients
 RESIDUAL_TOL = 1e-8        # relative residual every returned root must satisfy
 
 
-def find_roots(coeffs: CoefficientVector) -> np.ndarray:
-    """All roots of 1 + c_1 y + ... + c_{m-1} y^{m-1}.
+def find_roots(c: np.ndarray) -> np.ndarray:
+    """All roots of 1 + c_1 y + ... + c_{m-1} y^{m-1}, given c = (c_1, ..., c_{m-1}).
 
     Near-zero high-order coefficients are stripped first (degree deflation),
     so the returned array has length equal to the effective degree.
@@ -29,7 +28,7 @@ def find_roots(coeffs: CoefficientVector) -> np.ndarray:
     ConvergenceFailure
         If the eigenvalue solver fails or a root misses the residual bound.
     """
-    poly = np.concatenate(([1.0 + 0j], coeffs.c))
+    poly = np.concatenate(([1.0 + 0j], c))
     scale = np.max(np.abs(poly))
     degree = len(poly) - 1
     while degree > 0 and abs(poly[degree]) < DEFLATION_TOL * scale:

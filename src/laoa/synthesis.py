@@ -74,21 +74,6 @@ class SnapshotMatrix:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
-class LpSystem:
-    """The linear-prediction system P C = P1.
-
-    Row k of P is [z_2(t_k), ..., z_m(t_k)]; entry k of P1 is -z_1(t_k).
-    """
-
-    P: np.ndarray
-    P1: np.ndarray
-
-    def __post_init__(self):
-        if self.P.ndim != 2 or self.P1.ndim != 1 or self.P.shape[0] != self.P1.shape[0]:
-            raise ValueError("inconsistent linear-prediction system dimensions")
-
-
 def generate_sources(src: SourceSet, snapshots: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the q x M source-sample matrix S.
 
@@ -181,13 +166,15 @@ def synthesize(
     )
 
 
-def build_lp_system(snap: SnapshotMatrix) -> LpSystem:
-    """Rearrange a snapshot matrix into P C = P1 (no arithmetic beyond negation)."""
+def build_lp_system(snap: SnapshotMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Rearrange a snapshot matrix into P C = P1 (no arithmetic beyond negation).
+
+    Row k of P is [z_2(t_k), ..., z_m(t_k)] and entry k of P1 is -z_1(t_k);
+    P is a view of the snapshot data.
+    """
     m, M = snap.m, snap.snapshots
     if M < m - 1:
         raise UnsupportedScenario(
             f"need M >= m - 1 snapshots for an overdetermined system, got M={M}, m={m}"
         )
-    P = snap.data[1:, :].T.copy()
-    P1 = -snap.data[0, :].copy()
-    return LpSystem(P=P, P1=P1)
+    return snap.data[1:, :].T, -snap.data[0, :]

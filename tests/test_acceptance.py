@@ -11,7 +11,6 @@ import pytest
 
 from laoa import (
     ArrayConfig,
-    CoefficientVector,
     DirectionPair,
     EstimatorMode,
     SourceSet,
@@ -125,15 +124,15 @@ def test_criterion_4_svd_oracle_equivalence():
         rows = int(rng.integers(1, 13))
         cols = int(rng.integers(1, 9))
         A = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        r = svd(A)
+        U, sigma, V = svd(A)
         # independent oracle: eigendecomposition of the Gram matrix
         w = np.linalg.eigvalsh(A.conj().T @ A)
-        ref = np.sqrt(np.clip(w[::-1], 0.0, None))[: len(r.sigma)]
-        worst = max(worst, float(np.max(np.abs(r.sigma - ref)) / max(ref[0], 1e-300)))
-        k = len(r.sigma)
-        worst = max(worst, float(np.linalg.norm(r.U.conj().T @ r.U - np.eye(k), 2)))
-        worst = max(worst, float(np.linalg.norm(r.V.conj().T @ r.V - np.eye(k), 2)))
-        rec = r.U @ np.diag(r.sigma) @ r.V.conj().T
+        ref = np.sqrt(np.clip(w[::-1], 0.0, None))[: len(sigma)]
+        worst = max(worst, float(np.max(np.abs(sigma - ref)) / max(ref[0], 1e-300)))
+        k = len(sigma)
+        worst = max(worst, float(np.linalg.norm(U.conj().T @ U - np.eye(k), 2)))
+        worst = max(worst, float(np.linalg.norm(V.conj().T @ V - np.eye(k), 2)))
+        rec = U @ np.diag(sigma) @ V.conj().T
         worst = max(worst, float(np.linalg.norm(rec - A) / max(np.linalg.norm(A), 1e-300)))
     _report(f"criterion 4: svd vs Gram-eigendecomposition, worst deviation {worst:.2e}", worst < 1e-8)
 
@@ -144,7 +143,7 @@ def test_criterion_5_root_finder_oracle():
     for _ in range(200):
         n = int(rng.integers(1, 11))
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        roots = np.array(find_roots(CoefficientVector(c)))
+        roots = np.array(find_roots(c))
         poly = np.concatenate(([1.0], c))
         for r in roots:
             scale = 1.0 + np.sum(np.abs(c) * np.abs(r) ** np.arange(1, n + 1))

@@ -4,7 +4,6 @@ import pytest
 from laoa import (
     ArrayConfig,
     DirectionPair,
-    ElectricalAngles,
     direction_from_electrical,
     psi_from_direction,
     steering_vector,
@@ -97,32 +96,33 @@ class TestSteeringVector:
 
 class TestInverseMapping:
     def test_broadside(self):
-        d = direction_from_electrical(ElectricalAngles(0.0, 0.0), HALF)
+        d = direction_from_electrical(0.0, 0.0, HALF)
         assert d.theta == pytest.approx(90.0, abs=1e-12)
         assert d.phi == pytest.approx(90.0, abs=1e-12)
 
     def test_sixty_sixty(self):
-        ea = ElectricalAngles(np.pi / 2, np.pi * np.sqrt(3) / 4)
-        d = direction_from_electrical(ea, HALF)
+        d = direction_from_electrical(np.pi / 2, np.pi * np.sqrt(3) / 4, HALF)
         assert d.theta == pytest.approx(60.0, abs=1e-9)
         assert d.phi == pytest.approx(60.0, abs=1e-9)
 
     def test_boundary_psi_out_of_range(self):
-        ea = ElectricalAngles(np.pi * (1 + 1e-7), 0.0)
         with pytest.raises(OutOfRange):
-            direction_from_electrical(ea, HALF)
+            direction_from_electrical(np.pi * (1 + 1e-7), 0.0, HALF)
+
+    @pytest.mark.parametrize("psi, xi", [(np.nan, 0.0), (0.0, np.nan)])
+    def test_nan_is_out_of_range(self, psi, xi):
+        with pytest.raises(OutOfRange):
+            direction_from_electrical(psi, xi, HALF)
 
     def test_boundary_psi_clamped_then_degenerate(self):
-        ea = ElectricalAngles(np.pi * (1 + 1e-12), 0.0)
         with pytest.raises(DegenerateElevation):
-            direction_from_electrical(ea, HALF)
+            direction_from_electrical(np.pi * (1 + 1e-12), 0.0, HALF)
 
     def test_round_trip(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             cfg = ArrayConfig(m=3, spacing_ratio=float(rng.uniform(0.05, 0.5)))
             d = DirectionPair(float(rng.uniform(1.5, 178.5)), float(rng.uniform(0.0, 180.0)))
-            ea = ElectricalAngles(psi_from_direction(d, cfg), xi_from_direction(d, cfg))
-            back = direction_from_electrical(ea, cfg)
+            back = direction_from_electrical(psi_from_direction(d, cfg), xi_from_direction(d, cfg), cfg)
             assert back.theta == pytest.approx(d.theta, abs=1e-9)
             assert back.phi == pytest.approx(d.phi, abs=1e-9)

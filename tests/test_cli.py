@@ -135,6 +135,36 @@ def test_estimate_rejects_an_unsupported_q_before_any_svd(tmp_path, capsys, monk
     assert svd_calls == []
 
 
+def test_estimate_reports_an_overflowing_solve_as_a_data_error(tmp_path, capsys):
+    cfg = ArrayConfig(m=8, spacing_ratio=0.5)
+    src = SourceSet(directions=(DirectionPair(30, 40), DirectionPair(70, 120)))
+    Z, X, _ = synthesize(src, cfg, 200, 0.01, np.random.default_rng(2))
+    zf, xf = tmp_path / "z.mat", tmp_path / "x.mat"
+    write_matrix_file(SnapshotMatrix(1e307 * Z.data, Subarray.Z), zf)
+    write_matrix_file(SnapshotMatrix(1e307 * X.data, Subarray.X), xf)
+    rc = main(["estimate", "--z-file", str(zf), "--x-file", str(xf), "--q", "2", "--spacing-ratio", "0.5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "coefficient solve" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("entry", ["inf:0", "nan:0"])
+def test_estimate_rejects_a_non_finite_entry_before_any_svd(tmp_path, capsys, monkeypatch, entry):
+    zf, xf = _write_pair(tmp_path)
+    lines = zf.read_text().split("\n")
+    lines[2] = " ".join([entry] + lines[2].split()[1:])
+    zf.write_text("\n".join(lines))
+    svd_calls, real_svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(a) or real_svd(*a, **k))
+    rc = main(["estimate", "--z-file", str(zf), "--x-file", str(xf), "--q", "1", "--spacing-ratio", "0.5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert captured.out == ""
+    assert svd_calls == []
+
+
 @pytest.mark.parametrize(
     "old, new",
     [("snr_db_list = 300", "snr_db_list = 300, nan"), ("snr_db_list = 300", "snr_db_list = -inf"),

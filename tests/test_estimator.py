@@ -209,6 +209,15 @@ class TestEstimate2dAoa:
             assert sa.theta_deg == pytest.approx(sb.theta_deg, abs=1e-8)
             assert sa.phi_deg == pytest.approx(sb.phi_deg, abs=1e-8)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_overflowing_data_is_a_convergence_failure(self, seed):
+        # every entry is finite, but the SVD of P overflows to sigma_1 = inf
+        cfg, src, Z, X = _setup([(30, 40), (70, 120)], m=8, M=200, sigma2=0.01, seed=seed)
+        Zs = SnapshotMatrix(1e307 * Z.data, Subarray.Z)
+        Xs = SnapshotMatrix(1e307 * X.data, Subarray.X)
+        with pytest.raises(ConvergenceFailure, match="coefficient solve"):
+            estimate_2d_aoa(Zs, Xs, 2, cfg)
+
     def test_source_order_invariance(self):
         pairs = [(30, 40), (70, 120)]
         cfg, src, Z, X = _setup(pairs, m=8, M=50, seed=5)

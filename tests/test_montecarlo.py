@@ -9,6 +9,7 @@ from laoa import DirectionPair, parse_config
 from laoa.montecarlo import (
     CSV_HEADER,
     _match_to_truth,
+    default_workers,
     monte_carlo,
     run_trial,
     splitmix64,
@@ -81,6 +82,27 @@ class TestRunTrial:
         assert run_trial(cfg, 20.0, 0, 0).failure == "ConvergenceFailure"
         row = monte_carlo(cfg, workers=1).rows[0]
         assert row["failure_count"] == 2 and row["rmse_theta_deg"] is None
+
+
+class TestDefaultWorkers:
+    # os.cpu_count is patched, so no test here depends on the machine or starts a pool
+
+    @pytest.mark.parametrize(
+        "env, cpus, expected", [(None, 3, 1), ("2", 3, 2), ("1000000", 3, 3), ("4", None, 1)]
+    )
+    def test_aoa_threads_is_capped_at_the_cpu_count(self, monkeypatch, env, cpus, expected):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        if env is None:
+            monkeypatch.delenv("AOA_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("AOA_THREADS", env)
+        assert default_workers() == expected
+
+    @pytest.mark.parametrize("env, message", [("0", ">= 1"), ("two", "integer")])
+    def test_invalid_values_are_rejected(self, monkeypatch, env, message):
+        monkeypatch.setenv("AOA_THREADS", env)
+        with pytest.raises(ValueError, match=message):
+            default_workers()
 
 
 def _loop_match(est, truth):

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from laoa import (
     ArrayConfig,
-    CoefficientVector,
     DirectionPair,
     EstimatorMode,
     SourceSet,
@@ -53,7 +52,7 @@ def test_find_roots_round_trips_clustered_unit_roots(start, n_unit, interior):
     roots = np.concatenate([unit, inner])
 
     poly = np.poly(roots)[::-1]  # ascending
-    got = np.array(find_roots(CoefficientVector(poly[1:] / poly[0])))
+    got = np.array(find_roots(poly[1:] / poly[0]))
 
     assert len(got) == len(roots)
     dist = np.abs(got[:, None] - roots[None, :])

@@ -1,28 +1,28 @@
 import numpy as np
 import pytest
 
-from laoa import CoefficientVector, electrical_angles_from_roots, find_roots, select_unit_roots
+from laoa import electrical_angles_from_roots, find_roots, select_unit_roots
 from laoa.errors import ConvergenceFailure, NotEnoughRoots
 
 
 class TestFindRoots:
     def test_linear(self):
-        roots = find_roots(CoefficientVector(np.array([1j])))
+        roots = find_roots(np.array([1j]))
         np.testing.assert_allclose(roots, [1j], atol=1e-12)
 
     def test_difference_of_squares(self):
-        roots = sorted(find_roots(CoefficientVector(np.array([0.0, -1.0]))), key=lambda r: r.real)
+        roots = sorted(find_roots(np.array([0.0, -1.0])), key=lambda r: r.real)
         np.testing.assert_allclose(roots, [-1.0, 1.0], atol=1e-12)
 
     def test_degree_deflation(self):
         # trailing near-zero coefficients are stripped before solving
-        roots = find_roots(CoefficientVector(np.array([1j, 1e-15, 1e-16])))
+        roots = find_roots(np.array([1j, 1e-15, 1e-16]))
         assert len(roots) == 1
         np.testing.assert_allclose(roots, [1j], atol=1e-10)
 
     def test_all_zero_coefficients(self):
         with pytest.raises(NotEnoughRoots, match="no roots exist"):
-            find_roots(CoefficientVector(np.array([0.0, 0.0])))
+            find_roots(np.array([0.0, 0.0]))
 
     def test_eigenvalue_failure_is_convergence_failure(self, monkeypatch):
         def no_convergence(*args, **kwargs):
@@ -30,14 +30,14 @@ class TestFindRoots:
 
         monkeypatch.setattr(np, "roots", no_convergence)
         with pytest.raises(ConvergenceFailure):
-            find_roots(CoefficientVector(np.array([1j, 0.5])))
+            find_roots(np.array([1j, 0.5]))
 
     def test_random_polynomials_vieta(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             n = int(rng.integers(1, 11))
             c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            roots = np.array(find_roots(CoefficientVector(c)))
+            roots = np.array(find_roots(c))
             assert len(roots) == n
             # residual bound
             poly = np.concatenate(([1.0], c))
@@ -61,7 +61,7 @@ class TestFindRoots:
                     break
             poly = np.poly(roots)[::-1]  # ascending, leading 1 at the end
             c = (poly / poly[0])[1:]
-            got = np.array(find_roots(CoefficientVector(c)))
+            got = np.array(find_roots(c))
             np.testing.assert_allclose(
                 np.sort_complex(got), np.sort_complex(roots), rtol=1e-7, atol=1e-7
             )

@@ -113,13 +113,13 @@ class TestSynthesize:
 class TestBuildLpSystem:
     def test_structural_rearrangement(self):
         data = np.array([[1, 2], [3, 4], [5, 6]], dtype=complex)
-        sys_ = build_lp_system(SnapshotMatrix(data, Subarray.Z))
-        np.testing.assert_array_equal(sys_.P, [[3, 5], [4, 6]])
-        np.testing.assert_array_equal(sys_.P1, [-1, -2])
+        P, P1 = build_lp_system(SnapshotMatrix(data, Subarray.Z))
+        np.testing.assert_array_equal(P, [[3, 5], [4, 6]])
+        np.testing.assert_array_equal(P1, [-1, -2])
 
     def test_zero_matrix(self):
-        sys_ = build_lp_system(SnapshotMatrix(np.zeros((3, 4)), Subarray.Z))
-        assert not sys_.P.any() and not sys_.P1.any()
+        P, P1 = build_lp_system(SnapshotMatrix(np.zeros((3, 4)), Subarray.Z))
+        assert not P.any() and not P1.any()
 
     def test_single_source_exact_coefficient(self):
         # m=2, psi=pi/2: z2 = j*z1, so c1 = j solves P c = P1... with sign:
@@ -127,8 +127,8 @@ class TestBuildLpSystem:
         src = SourceSet(directions=(DirectionPair(60, 90),))
         cfg = ArrayConfig(m=2, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 5, 0.0, np.random.default_rng(12))
-        sys_ = build_lp_system(Z)
-        np.testing.assert_allclose(sys_.P[:, 0] * 1j, sys_.P1, atol=1e-12)
+        P, P1 = build_lp_system(Z)
+        np.testing.assert_allclose(P[:, 0] * 1j, P1, atol=1e-12)
 
     def test_too_few_snapshots(self):
         with pytest.raises(UnsupportedScenario, match="M >= m - 1"):
