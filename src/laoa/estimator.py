@@ -1,6 +1,15 @@
 """End-to-end 2D angle-of-arrival estimation.
 
-Each subarray independently yields a set of electrical angles via the
+The data are compressed once, at the entry.  ``estimate_2d_aoa`` stacks the
+two subarrays as Y = [Z; X] (2m x M) and takes the triangular factor R of
+Y^T = QR, at most 2m x 2m; every later step reads R, never the raw data, so M
+drops out after that one QR.  Q has orthonormal columns, so the prediction
+system of Z, R[:, 1:m] c = -R[:, 0], has the same singular values and the
+same (truncated-SVD) coefficients as the raw system built from Z, and so does
+X's, R[:, m+1:] c = -R[:, m].  L = R^T satisfies L L^H = Y Y^H, which is all
+the pairing needs.
+
+Each subarray then independently yields a set of electrical angles via the
 prediction-polynomial pipeline.  The paper-level method stops there; with
 more than one source the psi set (from Z) and the xi set (from X) must still
 be associated per physical source.  Both subarrays observe the same source
@@ -8,10 +17,8 @@ waveforms, so the correct association is the permutation under which one
 common source matrix explains the stacked data best.
 
 All q! permutations are scored in a few batched numpy calls instead of one
-least-squares solve each.  The stacked data Y = [Z; X] (2m x M) is first
-compressed to its triangular factor L = R^H from Y^H = QR, a 2m x min(M, 2m)
-matrix: Q has orthonormal columns, so every residual (I - P_A) Y has the same
-Frobenius norm as (I - P_A) L and M drops out of the search.  For each stacked
+least-squares solve each.  Any L with L L^H = Y Y^H gives every residual
+(I - P_A) Y the same Frobenius norm as (I - P_A) L.  For each stacked
 steering matrix A = [A_z; A_x P] the q x q normal equations A^H A S = A^H L
 are solved together, in blocks of (q-1)! permutations (one per first xi index)
 to keep the temporaries small.  The residual is then formed directly as
@@ -82,16 +89,15 @@ class AoaEstimate:
     pairing_ambiguous: bool = False
 
 
-def estimate_electrical(
-    snap: SnapshotMatrix, q: int, mode: EstimatorMode
-) -> tuple[list[float], list[float]]:
+def estimate_electrical(B: np.ndarray, q: int, mode: EstimatorMode) -> tuple[list[float], list[float]]:
     """Electrical angles of one subarray, ascending, plus root magnitudes.
 
-    Runs the full chain: linear-prediction system, coefficient solve, root
-    finding, and unit-circle root selection.
+    B holds the subarray's sensors as columns: the raw data transposed, or
+    the subarray's columns of the triangular factor (see the module
+    docstring).  Runs the full chain: linear-prediction system, coefficient
+    solve, root finding, and unit-circle root selection.
     """
-    check_scenario(snap.m, snap.snapshots, q)
-    P, P1 = build_lp_system(snap)
+    P, P1 = build_lp_system(B)
     roots = find_roots(solve_coeffs(P, P1, q, mode))
     selected = select_unit_roots(roots, q)
     angles = electrical_angles_from_roots(roots, selected)
@@ -103,20 +109,22 @@ def estimate_electrical(
 def pair_and_recover(
     psi_hats: list[float],
     xi_hats: list[float],
-    Z: SnapshotMatrix,
-    X: SnapshotMatrix,
+    L: np.ndarray,
     cfg: ArrayConfig,
     root_mags_z: list[float] | None = None,
     root_mags_x: list[float] | None = None,
 ) -> AoaEstimate:
     """Associate psi and xi estimates across subarrays and recover angles.
 
-    For every permutation P of the xi set, fit one common source matrix S to
-    the stacked data [Z; X] with the stacked steering matrix [A_z; A_x P] and
-    keep the permutation with the smallest Frobenius residual; ties go to the
-    first permutation in itertools order.  The search runs on the QR-compressed
-    data and batched q x q normal equations (see the module docstring); the
-    reported ``pairing_residual`` is the winner's ||(I - P_A)[Z; X]||_F.
+    L is any 2m x k matrix with L L^H = Y Y^H for the stacked data Y = [Z; X]:
+    the transposed triangular factor that ``estimate_2d_aoa`` passes, or Y
+    itself.  For every permutation P of the xi set, fit one common source
+    matrix S to L with the stacked steering matrix [A_z; A_x P] and keep the
+    permutation with the smallest Frobenius residual; ties go to the first
+    permutation in itertools order.  The search runs on batched q x q normal
+    equations (see the module docstring) and on L scaled by a power of two,
+    so any finite data scale pairs alike; the reported ``pairing_residual``
+    is the winner's ||(I - P_A) L||_F = ||(I - P_A) Y||_F at the data's scale.
 
     Raises
     ------
@@ -133,8 +141,12 @@ def pair_and_recover(
     root_mags_z = root_mags_z if root_mags_z is not None else [float("nan")] * q
     root_mags_x = root_mags_x if root_mags_x is not None else [float("nan")] * q
 
-    Y = np.vstack([Z.data, X.data])
-    L = np.linalg.qr(Y.conj().T, mode="r").conj().T
+    # the search runs on L / 2^e, whose largest entry lies in [1/2, 1), so the
+    # squared residuals neither overflow nor underflow at any data scale; a
+    # power of two scales exactly, so wherever the unscaled search works it
+    # gives the same bits (ldexp: 2.0 ** -e would overflow for deeply subnormal L)
+    e = math.frexp(float(np.max(np.abs(L), initial=0.0)))[1]
+    L = np.ldexp(L.real, -e) + 1j * np.ldexp(L.imag, -e)
     A_z = steering_vector(psi_hats, cfg.m)
     A_x = steering_vector(xi_hats, cfg.m)
 
@@ -189,7 +201,7 @@ def pair_and_recover(
         )
     return AoaEstimate(
         sources=tuple(sources),
-        pairing_residual=best,
+        pairing_residual=float(np.ldexp(best, e)),
         pairing_ambiguous=ambiguous,
     )
 
@@ -201,7 +213,28 @@ def estimate_2d_aoa(
     cfg: ArrayConfig,
     mode: EstimatorMode = EstimatorMode.TRUNCATED_SVD,
 ) -> AoaEstimate:
-    """Full 2D AOA pipeline on one pair of subarray snapshot matrices."""
-    psi_hats, mags_z = estimate_electrical(Z, q, mode)
-    xi_hats, mags_x = estimate_electrical(X, q, mode)
-    return pair_and_recover(psi_hats, xi_hats, Z, X, cfg, root_mags_z=mags_z, root_mags_x=mags_x)
+    """Full 2D AOA pipeline on one pair of subarray snapshot matrices.
+
+    Checks the shapes and the scenario once, compresses [Z; X] to its
+    triangular factor R (see the module docstring) and runs both subarrays
+    and the pairing on R.
+
+    Raises
+    ------
+    ValueError
+        If Z and X are not both cfg.m x M: stacking them would mix sensors.
+    UnsupportedScenario
+        If (cfg.m, M, q) breaks a ``check_scenario`` rule.
+    ConvergenceFailure
+        If the data overflow R, which the coefficient solve cannot use.
+    """
+    m, M = cfg.m, Z.snapshots
+    if Z.data.shape != (m, M) or X.data.shape != (m, M):
+        raise ValueError(f"Z and X must both be cfg.m x M = {m} x M, got {Z.data.shape} and {X.data.shape}")
+    check_scenario(m, M, q)
+    R = np.linalg.qr(np.vstack([Z.data, X.data]).T, mode="r")
+    if not np.all(np.isfinite(R)):
+        raise ConvergenceFailure("coefficient solve overflowed: the triangular factor of the data is not finite")
+    psi_hats, mags_z = estimate_electrical(R[:, :m], q, mode)
+    xi_hats, mags_x = estimate_electrical(R[:, m:], q, mode)
+    return pair_and_recover(psi_hats, xi_hats, R.T, cfg, root_mags_z=mags_z, root_mags_x=mags_x)

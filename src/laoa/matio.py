@@ -3,7 +3,8 @@
 Line 1: ``aoa-matrix 1 <rows> <cols> <Z|X>``.  Then one line per row with
 ``cols`` whitespace-separated entries formatted ``<re>:<im>``, using the
 shortest decimal representation that round-trips to the identical float.
-Lines starting with ``#`` are comments.  Write -> read is bit-exact.
+Lines starting with ``#`` are comments.  Every entry must be finite.
+Write -> read is bit-exact.
 """
 
 import numpy as np
@@ -63,4 +64,8 @@ def read_matrix_file(path) -> SnapshotMatrix:
                 data[r, c] = complex(float(re_s), float(im_s))
             except ValueError:
                 raise ParseError(f"bad complex entry {tok!r}", line=lineno, column=c + 1)
+    if not np.all(np.isfinite(data)):
+        # one whole-array check; the position is looked up only on failure
+        r, c = np.argwhere(~np.isfinite(data))[0]
+        raise ParseError(f"non-finite entry {body[r][1].split()[c]!r}", line=body[r][0], column=c + 1)
     return SnapshotMatrix(data, subarray)

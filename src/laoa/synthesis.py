@@ -5,7 +5,7 @@ Builds the two data matrices
     Z = A_z S + N_z        X = A_x S + N_x
 
 where the steering matrices share one common source matrix S, the noise is
-circular complex AWGN, and rearranges a snapshot matrix into the
+circular complex AWGN, and rearranges one subarray's sensor columns into the
 overdetermined linear-prediction system P C = P1.
 """
 
@@ -166,15 +166,13 @@ def synthesize(
     )
 
 
-def build_lp_system(snap: SnapshotMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Rearrange a snapshot matrix into P C = P1 (no arithmetic beyond negation).
+def build_lp_system(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rearrange a block with one column per sensor into P C = P1 (no arithmetic beyond negation).
 
-    Row k of P is [z_2(t_k), ..., z_m(t_k)] and entry k of P1 is -z_1(t_k);
-    P is a view of the snapshot data.
+    For raw data B is the snapshot matrix transposed (M x m): row k of P is
+    [z_2(t_k), ..., z_m(t_k)] and entry k of P1 is -z_1(t_k).  The estimator
+    passes the subarray's columns of the triangular factor of the stacked
+    data instead, which gives the same coefficients.  P is a view of B; the
+    row-count rule M >= m - 1 is ``estimator.check_scenario``'s.
     """
-    m, M = snap.m, snap.snapshots
-    if M < m - 1:
-        raise UnsupportedScenario(
-            f"need M >= m - 1 snapshots for an overdetermined system, got M={M}, m={m}"
-        )
-    return snap.data[1:, :].T, -snap.data[0, :]
+    return B[:, 1:], -B[:, 0]

@@ -161,6 +161,7 @@ def test_estimate_rejects_a_non_finite_entry_before_any_svd(tmp_path, capsys, mo
     assert rc == 2
     captured = capsys.readouterr()
     assert "non-finite" in captured.err
+    assert "(line 3, column 1)" in captured.err
     assert captured.out == ""
     assert svd_calls == []
 

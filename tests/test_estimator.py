@@ -5,6 +5,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+import laoa.estimator
+
 from laoa import (
     ArrayConfig,
     DirectionPair,
@@ -29,14 +31,17 @@ def _setup(pairs, m=8, M=50, sigma2=0.0, seed=0, spacing=0.5):
     return cfg, src, Z, X
 
 
-def _stacked_residual(psis, xis, Z, X, cfg):
+def _stacked(Z, X):
+    return np.vstack([Z.data, X.data])
+
+
+def _stacked_residual(psis, xis, Y, cfg):
     A = np.vstack(
         [
             np.column_stack([steering_vector(p, cfg.m) for p in psis]),
             np.column_stack([steering_vector(x, cfg.m) for x in xis]),
         ]
     )
-    Y = np.vstack([Z.data, X.data])
     S, *_ = np.linalg.lstsq(A, Y, rcond=None)
     return float(np.linalg.norm(Y - A @ S))
 
@@ -44,7 +49,7 @@ def _stacked_residual(psis, xis, Z, X, cfg):
 class TestEstimateElectrical:
     def test_single_source(self):
         cfg, src, Z, _ = _setup([(60, 90)], m=4, M=10)
-        angles, mags = estimate_electrical(Z, 1, EstimatorMode.NOISELESS)
+        angles, mags = estimate_electrical(Z.data.T, 1, EstimatorMode.NOISELESS)
         assert angles[0] == pytest.approx(np.pi / 2, abs=1e-9)
         assert mags[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -52,39 +57,35 @@ class TestEstimateElectrical:
         # pick directions whose psi values are well separated
         thetas = [np.rad2deg(np.arccos(p / np.pi)) for p in (-1.2, 0.3, 2.0)]
         cfg2, src, Z, _ = _setup(list(zip(thetas, (150.0, 100.0, 40.0))), m=8, M=50)
-        angles, _ = estimate_electrical(Z, 3, EstimatorMode.NOISELESS)
+        angles, _ = estimate_electrical(Z.data.T, 3, EstimatorMode.NOISELESS)
         np.testing.assert_allclose(sorted(angles), [-1.2, 0.3, 2.0], atol=1e-8)
-
-    def test_q_too_large(self):
-        cfg, src, Z, _ = _setup([(60, 90)], m=4, M=10)
-        with pytest.raises(UnsupportedScenario, match="q <= m - 2"):
-            estimate_electrical(Z, 3, EstimatorMode.NOISELESS)
 
 
 class TestPairing:
     def test_single_source_identity(self):
         cfg, src, Z, X = _setup([(60, 45)], m=6, M=30)
         psis, xis = electrical_angle_sets(src, cfg)
-        est = pair_and_recover(list(psis), list(xis), Z, X, cfg)
+        est = pair_and_recover(list(psis), list(xis), _stacked(Z, X), cfg)
         assert est.sources[0].theta_deg == pytest.approx(60.0, abs=1e-9)
         assert est.pairing_residual == pytest.approx(0.0, abs=1e-9)
 
     def test_two_sources_correct_pairing(self):
         cfg, src, Z, X = _setup([(30, 40), (70, 120)], m=8, M=50)
         psis, xis = electrical_angle_sets(src, cfg)
-        est = pair_and_recover(list(psis), list(xis), Z, X, cfg)
+        Y = _stacked(Z, X)
+        est = pair_and_recover(list(psis), list(xis), Y, cfg)
         got = sorted((s.theta_deg, s.phi_deg) for s in est.sources)
         np.testing.assert_allclose(got, [(30, 40), (70, 120)], atol=1e-6)
         # the deliberately swapped association must fit far worse
-        good = _stacked_residual(psis, xis, Z, X, cfg)
-        bad = _stacked_residual(psis, xis[::-1], Z, X, cfg)
+        good = _stacked_residual(psis, xis, Y, cfg)
+        bad = _stacked_residual(psis, xis[::-1], Y, cfg)
         assert bad > 1e3 * max(good, 1e-300)
 
     def test_similar_elevations_still_unambiguous(self):
         # elevations as close as min_sep allows; only xi distinguishes the sources
         cfg, src, Z, X = _setup([(60, 60), (66, 120)], m=8, M=50)
         psis, xis = electrical_angle_sets(src, cfg)
-        est = pair_and_recover(list(psis), list(xis), Z, X, cfg)
+        est = pair_and_recover(list(psis), list(xis), _stacked(Z, X), cfg)
         got = sorted((s.theta_deg, s.phi_deg) for s in est.sources)
         np.testing.assert_allclose(got, [(60, 60), (66, 120)], atol=1e-6)
         assert not est.pairing_ambiguous
@@ -93,31 +94,30 @@ class TestPairing:
         # duplicated xi estimates: both pairings give the same stacked matrix
         cfg, src, Z, X = _setup([(30, 40), (70, 120)], m=8, M=50, sigma2=0.01)
         with pytest.warns(PairingAmbiguousWarning):
-            est = pair_and_recover([0.3, 1.3], [0.5, 0.5], Z, X, cfg, root_mags_x=[1.0, 2.0])
+            est = pair_and_recover([0.3, 1.3], [0.5, 0.5], _stacked(Z, X), cfg, root_mags_x=[1.0, 2.0])
         assert est.pairing_ambiguous
         assert est.sources[0].root_magnitude_x == 1.0
 
     def test_identical_pairs_are_a_convergence_failure(self):
         cfg, src, Z, X = _setup([(30, 40), (70, 120)], m=8, M=50, sigma2=0.01)
         with pytest.raises(ConvergenceFailure):
-            pair_and_recover([0.3, 0.3], [0.5, 0.5], Z, X, cfg)
+            pair_and_recover([0.3, 0.3], [0.5, 0.5], _stacked(Z, X), cfg)
 
     def test_more_sources_than_the_pairing_budget(self):
         # rejected before any data is touched: 8! pairings exceed the budget
         cfg, src, Z, X = _setup([(30, 40)], m=10, M=50)
         angles = list(np.linspace(-2.0, 2.0, 8))
         with pytest.raises(UnsupportedScenario, match="pairings"):
-            pair_and_recover(angles, angles, Z, X, cfg)
+            pair_and_recover(angles, angles, _stacked(Z, X), cfg)
 
 
 FIVE_SOURCES = [(30, 40), (60, 100), (100, 60), (140, 130), (80, 150)]
 
 
-def _lstsq_pairing(psis, xis, Z, X, cfg):
+def _lstsq_pairing(psis, xis, Y, cfg):
     """Brute-force reference: one lstsq per permutation, first minimum wins."""
     A_z = np.column_stack([steering_vector(p, cfg.m) for p in psis])
     A_x = np.column_stack([steering_vector(x, cfg.m) for x in xis])
-    Y = np.vstack([Z.data, X.data])
     perms = list(permutations(range(len(psis))))
     resid = []
     for perm in perms:
@@ -145,10 +145,10 @@ class TestPairingOracle:
         # estimate-like inputs: perturbed and each set sorted on its own
         psis = sorted(np.asarray(psis) + rng.normal(0, jitter, q))
         xis = sorted(np.asarray(xis) + rng.normal(0, jitter, q))
-        perm, resid, ambiguous = _lstsq_pairing(psis, xis, Z, X, cfg)
+        perm, resid, ambiguous = _lstsq_pairing(psis, xis, _stacked(Z, X), cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PairingAmbiguousWarning)
-            est = pair_and_recover(psis, xis, Z, X, cfg)
+            est = pair_and_recover(psis, xis, _stacked(Z, X), cfg)
         assert [s.xi_hat for s in est.sources] == [xis[j] for j in perm]
         assert est.pairing_ambiguous == ambiguous
         assert est.pairing_residual == pytest.approx(resid, rel=1e-9)
@@ -190,6 +190,18 @@ class TestEstimate2dAoa:
             got = sorted((s.theta_deg, s.phi_deg) for s in est.sources)
             np.testing.assert_allclose(got, sorted(pairs), atol=1e-6)
 
+    def test_q_too_large(self):
+        cfg, src, Z, X = _setup([(60, 90)], m=4, M=10)
+        with pytest.raises(UnsupportedScenario, match="q <= m - 2"):
+            estimate_2d_aoa(Z, X, 3, cfg, EstimatorMode.NOISELESS)
+
+    def test_too_few_snapshots(self):
+        # m=5 needs M >= m - 1 = 4 rows in each prediction system
+        cfg = ArrayConfig(m=5, spacing_ratio=0.5)
+        Z, X = SnapshotMatrix(np.ones((5, 3)), Subarray.Z), SnapshotMatrix(np.ones((5, 3)), Subarray.X)
+        with pytest.raises(UnsupportedScenario, match=r"M >= max\(q, m - 1\)"):
+            estimate_2d_aoa(Z, X, 1, cfg, EstimatorMode.NOISELESS)
+
     def test_mode_agreement_on_noiseless_data(self):
         cfg, src, Z, X = _setup([(30, 40), (70, 120)], m=8, M=50)
         a = estimate_2d_aoa(Z, X, 2, cfg, EstimatorMode.NOISELESS)
@@ -218,6 +230,28 @@ class TestEstimate2dAoa:
         with pytest.raises(ConvergenceFailure, match="coefficient solve"):
             estimate_2d_aoa(Zs, Xs, 2, cfg)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e306, 1e-200, 1e-300])
+    def test_pairing_does_not_depend_on_the_data_scale(self, scale):
+        # squared residuals of data this far from 1 overflow or underflow
+        cfg, src, Z, X = _setup([(30, 120), (70, 40)], m=8, M=200, sigma2=0.01, seed=3)
+        ref = estimate_2d_aoa(Z, X, 2, cfg)
+        Zs = SnapshotMatrix(scale * Z.data, Subarray.Z)
+        Xs = SnapshotMatrix(scale * X.data, Subarray.X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PairingAmbiguousWarning)
+            est = estimate_2d_aoa(Zs, Xs, 2, cfg)
+        for s, r in zip(est.sources, ref.sources):
+            assert (s.theta_deg, s.phi_deg) == pytest.approx((r.theta_deg, r.phi_deg), rel=1e-12)
+        assert est.pairing_residual / scale == pytest.approx(ref.pairing_residual, rel=1e-12)
+
+    @pytest.mark.parametrize("m, x_snapshots", [(10, 50), (8, 40)], ids=["more_sensors", "unequal_M"])
+    def test_shapes_other_than_m_by_M_are_rejected(self, m, x_snapshots):
+        # stacking them would silently mix sensors across the subarrays
+        cfg, src, Z, X = _setup([(30, 40), (70, 120)], m=m, M=50)
+        X = SnapshotMatrix(X.data[:, :x_snapshots], Subarray.X)
+        with pytest.raises(ValueError, match="8 x M"):
+            estimate_2d_aoa(Z, X, 2, ArrayConfig(m=8, spacing_ratio=0.5))
+
     def test_source_order_invariance(self):
         pairs = [(30, 40), (70, 120)]
         cfg, src, Z, X = _setup(pairs, m=8, M=50, seed=5)
@@ -233,3 +267,47 @@ class TestEstimate2dAoa:
         est = estimate_2d_aoa(Z, X, 1, cfg, EstimatorMode.TRUNCATED_SVD)
         assert abs(est.sources[0].theta_deg - 60) < 2.0
         assert abs(est.sources[0].phi_deg - 45) < 4.0
+
+
+class TestCompressOnce:
+    """The estimate on the triangular factor of [Z; X] is the estimate on the raw data."""
+
+    @pytest.mark.parametrize("q", [1, 2, 5])
+    @pytest.mark.parametrize("mode", list(EstimatorMode))
+    @pytest.mark.parametrize("M", [7, 15, 16, 200], ids=["M=m-1", "M=2m-1", "M=2m", "M=200"])
+    def test_matches_the_uncompressed_chain(self, q, mode, M):
+        # M < 2m gives a trapezoidal factor
+        cfg, src, Z, X = _setup(FIVE_SOURCES[:q], m=8, M=M, sigma2=0.01, seed=1)
+        got = estimate_2d_aoa(Z, X, q, cfg, mode)
+        psis, mags_z = estimate_electrical(Z.data.T, q, mode)
+        xis, mags_x = estimate_electrical(X.data.T, q, mode)
+        want = pair_and_recover(psis, xis, _stacked(Z, X), cfg, mags_z, mags_x)
+        for s, w in zip(got.sources, want.sources):
+            assert s.theta_deg == pytest.approx(w.theta_deg, abs=1e-12)
+            assert s.phi_deg == pytest.approx(w.phi_deg, abs=1e-12)
+        assert got.pairing_residual == pytest.approx(want.pairing_residual, rel=1e-9)
+
+    def test_one_qr_and_small_svds_per_call(self, monkeypatch):
+        cfg, src, Z, X = _setup([(30, 40), (70, 120)], m=8, M=2000, sigma2=0.01)
+        calls = {"qr": 0, "check_scenario": 0}
+        svd_rows = []
+        real_qr, real_svd, real_check = np.linalg.qr, np.linalg.svd, laoa.estimator.check_scenario
+
+        def qr(*a, **k):
+            calls["qr"] += 1
+            return real_qr(*a, **k)
+
+        def svd(A, *a, **k):
+            svd_rows.append(A.shape[0])
+            return real_svd(A, *a, **k)
+
+        def check_scenario(*a):
+            calls["check_scenario"] += 1
+            return real_check(*a)
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(laoa.estimator, "check_scenario", check_scenario)
+        estimate_2d_aoa(Z, X, 2, cfg)
+        assert calls == {"qr": 1, "check_scenario": 1}
+        assert len(svd_rows) == 2 and max(svd_rows) <= 2 * cfg.m

@@ -103,7 +103,7 @@ class TestSolveCoeffs:
         src = SourceSet(directions=(DirectionPair(60, 90),))
         cfg = ArrayConfig(m=2, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 5, 0.0, np.random.default_rng(26))
-        c = solve_coeffs(*build_lp_system(Z), 1, EstimatorMode.TRUNCATED_SVD)
+        c = solve_coeffs(*build_lp_system(Z.data.T), 1, EstimatorMode.TRUNCATED_SVD)
         np.testing.assert_allclose(c, [1j], atol=1e-12)
 
     def test_identity_system(self):
@@ -116,7 +116,7 @@ class TestSolveCoeffs:
         src = SourceSet(directions=(DirectionPair(40, 30), DirectionPair(110, 100)))
         cfg = ArrayConfig(m=6, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 40, 0.0, np.random.default_rng(28))
-        c = solve_coeffs(*build_lp_system(Z), 2, EstimatorMode.TRUNCATED_SVD)
+        c = solve_coeffs(*build_lp_system(Z.data.T), 2, EstimatorMode.TRUNCATED_SVD)
         from laoa.synthesis import electrical_angle_sets
 
         psis, _ = electrical_angle_sets(src, cfg)
@@ -130,7 +130,7 @@ class TestSolveCoeffs:
         src = SourceSet(directions=(DirectionPair(40, 30), DirectionPair(110, 100)))
         cfg = ArrayConfig(m=4, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 40, 0.0, np.random.default_rng(29))
-        P, P1 = build_lp_system(Z)
+        P, P1 = build_lp_system(Z.data.T)
         a = solve_coeffs(P, P1, 2, EstimatorMode.TRUNCATED_SVD)
         b = solve_coeffs(P, P1, 2, EstimatorMode.NOISELESS)
         # q = 2 equals the rank of the noiseless system here
@@ -140,7 +140,7 @@ class TestSolveCoeffs:
         src = SourceSet(directions=(DirectionPair(40, 30),))
         cfg = ArrayConfig(m=5, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 30, 0.0, np.random.default_rng(30))
-        P, P1 = build_lp_system(Z)
+        P, P1 = build_lp_system(Z.data.T)
         # noiseless single source: rank 1, requesting q=3 must warn and reduce
         with pytest.warns(RankDeficiencyWarning):
             solve_coeffs(P, P1, 3, EstimatorMode.TRUNCATED_SVD)
@@ -161,7 +161,7 @@ class TestSolveCoeffs:
         src = SourceSet(directions=(DirectionPair(30, 40), DirectionPair(70, 120)))
         cfg = ArrayConfig(m=8, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 200, 0.1, np.random.default_rng(35))
-        P, P1 = build_lp_system(Z)
+        P, P1 = build_lp_system(Z.data.T)
         modes = (EstimatorMode.TRUNCATED_SVD, EstimatorMode.NOISELESS)
         expected = [solve_coeffs(P, P1, 2, mode) for mode in modes]
 

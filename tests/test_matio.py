@@ -55,6 +55,14 @@ def test_bad_entry_reports_position(tmp_path):
     assert exc.value.column == 2
 
 
+@pytest.mark.parametrize("entry", ["inf:0", "0:-inf", "nan:0"])
+def test_non_finite_entry_reports_position(tmp_path, entry):
+    path = tmp_path / "m.mat"
+    path.write_text(f"aoa-matrix 1 2 3 Z\n# comment\n1:0 2:0 3:0\n1:0 {entry} 3:0\n")
+    with pytest.raises(ParseError, match=r"non-finite entry .* \(line 4, column 2\)"):
+        read_matrix_file(path)
+
+
 @pytest.mark.parametrize("header", ["wrong 1 2 2 Z", "aoa-matrix 9 2 2 Z", "aoa-matrix 1 2 2 Y", "aoa-matrix 1 a 2 Z"])
 def test_bad_headers(tmp_path, header):
     path = tmp_path / "m.mat"
