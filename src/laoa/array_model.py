@@ -83,15 +83,18 @@ def steering_vector(electrical_angle: float | np.ndarray, m: int) -> np.ndarray:
 
     Parameters
     ----------
-    electrical_angle : float or 1-D array-like
+    electrical_angle : float, 1-D or 2-D array-like
         Per-element phase increment in radians (psi or xi).  For q angles
-        the result is the (m, q) steering matrix, one column per angle.
+        the result is the (m, q) steering matrix, one column per angle; a
+        T x q stack of angle sets gives the T x m x q stack of matrices.
     m : int
         Number of elements, m >= 2.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    return np.exp(1j * np.multiply.outer(np.arange(m), electrical_angle))
+    a = np.asarray(electrical_angle, dtype=float)
+    phase = np.multiply.outer(np.arange(m), a) if a.ndim < 2 else np.arange(m)[:, None] * a[:, None, :]
+    return np.exp(1j * phase)
 
 
 def direction_from_electrical(psi: float, xi: float, cfg: ArrayConfig) -> DirectionPair:

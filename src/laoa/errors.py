@@ -2,8 +2,11 @@
 
 Two kinds of error.  ``OutOfRange``, ``DegenerateElevation``,
 ``ConvergenceFailure`` and ``NotEnoughRoots`` can strike any single noisy
-trial; ``run_trial`` counts them as trial failures, since the failure rate is
-itself a result.  ``UnsupportedScenario`` (the (m, M, q) shape rules and the
+trial; ``montecarlo.run_trials`` counts them as trial failures, since the
+failure rate is itself a result.  In a stack of trials they do not raise:
+each trial's error is kept in its slot of an ``errors`` list (see
+``laoa.linalg``), and ``raise_first`` raises it for a caller that passed
+none.  ``UnsupportedScenario`` (the (m, M, q) shape rules and the
 source-separation rule) and ``ParseError`` (malformed config or matrix files)
 reject the input up front, before any trial or estimate runs.
 """
@@ -59,3 +62,10 @@ class RankDeficiencyWarning(UserWarning):
 
 class PairingAmbiguousWarning(UserWarning):
     """Two pairings of subarray angle sets fit the data almost equally well."""
+
+
+def raise_first(errors: list) -> None:
+    """Raise the first error in a stacked call's per-item error list, if any."""
+    for exc in errors:
+        if exc is not None:
+            raise exc

@@ -1,7 +1,16 @@
 """End-to-end 2D angle-of-arrival estimation.
 
-The data are compressed once, at the entry.  ``estimate_2d_aoa`` stacks the
-two subarrays as Y = [Z; X] (2m x M) and takes the triangular factor R of
+The estimator runs on a stack of trials: ``estimate_stack`` takes T trials'
+data at once and makes each step one batched numpy/LAPACK call over the
+stack, which spreads numpy's per-call cost over the trials.
+``estimate_2d_aoa`` is a stack of one.  Each trial's result, failure and
+warnings do not depend on the other trials in its stack: numpy runs each
+item of a stacked call on its own, and a trial that fails is skipped by
+every later step (see ``laoa.linalg`` for the ``errors`` lists that carry
+the failures).
+
+The data are compressed once, at the entry.  A trial's two subarrays are
+stacked as Y = [Z; X] (2m x M), and one QR gives the triangular factor R of
 Y^T = QR, at most 2m x 2m; every later step reads R, never the raw data, so M
 drops out after that one QR.  Q has orthonormal columns, so the prediction
 system of Z, R[:, 1:m] c = -R[:, 0], has the same singular values and the
@@ -20,9 +29,9 @@ All q! permutations are scored in a few batched numpy calls instead of one
 least-squares solve each.  Any L with L L^H = Y Y^H gives every residual
 (I - P_A) Y the same Frobenius norm as (I - P_A) L.  For each stacked
 steering matrix A = [A_z; A_x P] the q x q normal equations A^H A S = A^H L
-are solved together, in blocks of (q-1)! permutations (one per first xi index)
-to keep the temporaries small.  The residual is then formed directly as
-||L - A S||_F: the shortcut ||L||^2 - <A^H L, S> loses everything below
+are solved together, for all permutations of several trials at once, in
+blocks of at most PAIRING_BLOCK systems to keep the temporaries small.  The
+residual is then formed directly as ||L - A S||_F: the shortcut ||L||^2 - <A^H L, S> loses everything below
 ~1e-8 of ||L|| to cancellation, which would hide a near-exact fit.
 """
 
@@ -35,13 +44,22 @@ from itertools import permutations
 import numpy as np
 
 from .array_model import ArrayConfig, direction_from_electrical, steering_vector
-from .errors import ConvergenceFailure, PairingAmbiguousWarning, UnsupportedScenario
-from .linalg import EstimatorMode, solve_coeffs
+from .errors import (
+    AoaError,
+    ConvergenceFailure,
+    DegenerateElevation,
+    OutOfRange,
+    PairingAmbiguousWarning,
+    UnsupportedScenario,
+    raise_first,
+)
+from .linalg import EstimatorMode, lapack_stack, solve_coeffs
 from .rooting import electrical_angles_from_roots, find_roots, select_unit_roots
 from .synthesis import SnapshotMatrix, build_lp_system
 
 PERMUTATION_BUDGET = 5040  # 7!
 PAIRING_AMBIGUITY_REL_TOL = 1e-6
+PAIRING_BLOCK = 24  # pairing systems per stacked solve: bounds the temporaries, a q=2 stack of 10 fits
 
 
 def check_scenario(m: int, M: int, q: int) -> None:
@@ -89,31 +107,36 @@ class AoaEstimate:
     pairing_ambiguous: bool = False
 
 
-def estimate_electrical(B: np.ndarray, q: int, mode: EstimatorMode) -> tuple[list[float], list[float]]:
+def estimate_electrical(
+    B: np.ndarray, q: int, mode: EstimatorMode, errors: list | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Electrical angles of one subarray, ascending, plus root magnitudes.
 
     B holds the subarray's sensors as columns: the raw data transposed, or
     the subarray's columns of the triangular factor (see the module
-    docstring).  Runs the full chain: linear-prediction system, coefficient
-    solve, root finding, and unit-circle root selection.
+    docstring).  A stack of blocks (T x n x m) gives one row of angles and
+    magnitudes per block; see ``laoa.linalg`` for ``errors``.  Runs the full
+    chain: linear-prediction system, coefficient solve, root finding, and
+    unit-circle root selection.
     """
     P, P1 = build_lp_system(B)
-    roots = find_roots(solve_coeffs(P, P1, q, mode))
-    selected = select_unit_roots(roots, q)
+    roots = find_roots(solve_coeffs(P, P1, q, mode, errors), errors)
+    selected = select_unit_roots(roots, q, errors)
     angles = electrical_angles_from_roots(roots, selected)
-    order = np.argsort(angles, kind="stable")
-    # Python floats keep SourceEstimate fields printing as plain numbers
-    return angles[order].tolist(), np.abs(roots[selected[order]]).tolist()
+    order = np.argsort(angles, axis=-1, kind="stable")
+    selected = np.take_along_axis(selected, order, axis=-1)
+    return np.take_along_axis(angles, order, axis=-1), np.abs(np.take_along_axis(roots, selected, axis=-1))
 
 
 def pair_and_recover(
-    psi_hats: list[float],
-    xi_hats: list[float],
+    psi_hats: np.ndarray,
+    xi_hats: np.ndarray,
     L: np.ndarray,
     cfg: ArrayConfig,
-    root_mags_z: list[float] | None = None,
-    root_mags_x: list[float] | None = None,
-) -> AoaEstimate:
+    root_mags_z: np.ndarray | None = None,
+    root_mags_x: np.ndarray | None = None,
+    errors: list | None = None,
+) -> AoaEstimate | list:
     """Associate psi and xi estimates across subarrays and recover angles.
 
     L is any 2m x k matrix with L L^H = Y Y^H for the stacked data Y = [Z; X]:
@@ -126,6 +149,10 @@ def pair_and_recover(
     so any finite data scale pairs alike; the reported ``pairing_residual``
     is the winner's ||(I - P_A) L||_F = ||(I - P_A) Y||_F at the data's scale.
 
+    One trial's q angles per subarray give an AoaEstimate.  A stack (T x q
+    angles, T x 2m x k for L) gives a list with one AoaEstimate per trial,
+    None where the trial fails; see ``laoa.linalg`` for ``errors``.
+
     Raises
     ------
     UnsupportedScenario
@@ -133,77 +160,150 @@ def pair_and_recover(
     ConvergenceFailure
         If LAPACK finds some permutation's normal equations exactly
         singular, as when two (psi, xi) pairs are identical.
+    OutOfRange, DegenerateElevation
+        If a paired (psi, xi) maps to no direction
+        (``direction_from_electrical``).
     """
-    q = len(psi_hats)
-    if len(xi_hats) != q:
+    psi = np.asarray(psi_hats, dtype=float)
+    xi = np.asarray(xi_hats, dtype=float)
+    if xi.shape != psi.shape:
         raise ValueError("psi and xi sets must have equal length")
+    q = psi.shape[-1]
     _check_pairing_budget(q)
-    root_mags_z = root_mags_z if root_mags_z is not None else [float("nan")] * q
-    root_mags_x = root_mags_x if root_mags_x is not None else [float("nan")] * q
+    mags_z = np.full(psi.shape, np.nan) if root_mags_z is None else np.asarray(root_mags_z, dtype=float)
+    mags_x = np.full(psi.shape, np.nan) if root_mags_x is None else np.asarray(root_mags_x, dtype=float)
+    single = psi.ndim == 1
+    if single:
+        psi, xi, L, mags_z, mags_x = psi[None], xi[None], L[None], mags_z[None], mags_x[None]
+    errs = [None] * len(psi) if errors is None else errors
 
+    live = np.flatnonzero([exc is None for exc in errs])
+    live_errs = [None] * len(live)
+    resid, e = _pairing_residuals(psi[live], xi[live], L[live], cfg.m, live_errs)
+    table = permutation_table(q)
+    estimates = [None] * len(psi)
+    for j, t in enumerate(live):
+        if live_errs[j] is not None:
+            errs[t] = live_errs[j]
+            continue
+        order = np.argsort(resid[j], kind="stable")
+        best_perm = table[order[0]]
+        best = float(resid[j, order[0]])
+        second = float(resid[j, order[1]]) if q > 1 else np.inf
+        ambiguous = False
+        if q > 1 and np.isfinite(second):
+            if (second - best) < PAIRING_AMBIGUITY_REL_TOL * max(second, np.finfo(float).tiny):
+                ambiguous = True
+                warnings.warn(
+                    "two pairings fit the data almost equally well; keeping the best",
+                    PairingAmbiguousWarning,
+                    stacklevel=2,
+                )
+        try:
+            sources = tuple(
+                _source(float(psi[t, l]), float(xi[t, k]), float(mags_z[t, l]), float(mags_x[t, k]), cfg)
+                for l, k in enumerate(best_perm)
+            )
+        except (OutOfRange, DegenerateElevation) as exc:
+            # without its traceback, the kept exception does not keep this frame's arrays alive
+            errs[t] = exc.with_traceback(None)
+            continue
+        estimates[t] = AoaEstimate(
+            sources=sources,
+            pairing_residual=float(np.ldexp(best, e[j])),
+            pairing_ambiguous=ambiguous,
+        )
+    if errors is None:
+        raise_first(errs)
+    return estimates[0] if single else estimates
+
+
+def _source(psi: float, xi: float, mag_z: float, mag_x: float, cfg: ArrayConfig) -> SourceEstimate:
+    d = direction_from_electrical(psi, xi, cfg)
+    return SourceEstimate(
+        theta_deg=d.theta, phi_deg=d.phi, psi_hat=psi, xi_hat=xi, root_magnitude_z=mag_z, root_magnitude_x=mag_x
+    )
+
+
+def _pairing_residuals(
+    psi: np.ndarray, xi: np.ndarray, L: np.ndarray, m: int, errors: list
+) -> tuple[np.ndarray, np.ndarray]:
+    # every permutation's residual per trial (T x q!), on L / 2^e, and the exponents e;
     # the search runs on L / 2^e, whose largest entry lies in [1/2, 1), so the
     # squared residuals neither overflow nor underflow at any data scale; a
     # power of two scales exactly, so wherever the unscaled search works it
     # gives the same bits (ldexp: 2.0 ** -e would overflow for deeply subnormal L)
-    e = math.frexp(float(np.max(np.abs(L), initial=0.0)))[1]
-    L = np.ldexp(L.real, -e) + 1j * np.ldexp(L.imag, -e)
-    A_z = steering_vector(psi_hats, cfg.m)
-    A_x = steering_vector(xi_hats, cfg.m)
+    e = np.frexp(np.max(np.abs(L), axis=(1, 2), initial=0.0))[1]
+    shift = -e[:, None, None]
+    L = np.ldexp(L.real, shift) + 1j * np.ldexp(L.imag, shift)
+    A_z = steering_vector(psi, m)
+    A_x = steering_vector(xi, m)
+    q = psi.shape[1]
 
     # the Gram matrix and right-hand side of permutation P are gathered from
     # those of the two halves: A^H A = Gz + P^T Gx P, A^H L = Bz + P^T Bx
-    m = cfg.m
-    Gz, Gx = A_z.conj().T @ A_z, A_x.conj().T @ A_x
-    Bz, Bx = A_z.conj().T @ L[:m], A_x.conj().T @ L[m:]
+    Gz, Gx = A_z.conj().swapaxes(1, 2) @ A_z, A_x.conj().swapaxes(1, 2) @ A_x
+    Bz, Bx = A_z.conj().swapaxes(1, 2) @ L[:, :m], A_x.conj().swapaxes(1, 2) @ L[:, m:]
     table = permutation_table(q)
-    block = math.factorial(max(q - 1, 0))
-    resid = np.empty(len(table))
-    for start in range(0, len(table), block):
-        perms = table[start:start + block]
-        try:
-            S = np.linalg.solve(Gz + Gx[perms[:, :, None], perms[:, None, :]], Bz + Bx[perms])
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"singular pairing normal equations: {exc}") from exc
-        A = np.concatenate(
-            [np.broadcast_to(A_z, (len(perms), m, q)), A_x[:, perms].transpose(1, 0, 2)], axis=1
-        )
-        resid[start:start + block] = np.linalg.norm(L - A @ S, axis=(1, 2))
-
-    order = np.argsort(resid, kind="stable")
-    best_perm = table[order[0]]
-    best = float(resid[order[0]])
-    second = float(resid[order[1]]) if q > 1 else np.inf
-
-    ambiguous = False
-    if q > 1 and np.isfinite(second):
-        if (second - best) < PAIRING_AMBIGUITY_REL_TOL * max(second, np.finfo(float).tiny):
-            ambiguous = True
-            warnings.warn(
-                "two pairings fit the data almost equally well; keeping the best",
-                PairingAmbiguousWarning,
-                stacklevel=2,
+    resid = np.full((len(psi), len(table)), np.nan)
+    trials_per_block = max(1, PAIRING_BLOCK // len(table))
+    for t0 in range(0, len(psi), trials_per_block):
+        ts = slice(t0, t0 + trials_per_block)
+        for p0 in range(0, len(table), PAIRING_BLOCK):
+            perms = table[p0:p0 + PAIRING_BLOCK]
+            block_errs = errors[ts]
+            S = lapack_stack(
+                np.linalg.solve,
+                (Gz[ts, None] + Gx[ts][:, perms[:, :, None], perms[:, None, :]], Bz[ts, None] + Bx[ts][:, perms]),
+                block_errs,
+                "singular pairing normal equations",
             )
-
-    sources = []
-    for l in range(q):
-        psi = psi_hats[l]
-        xi = xi_hats[best_perm[l]]
-        d = direction_from_electrical(psi, xi, cfg)
-        sources.append(
-            SourceEstimate(
-                theta_deg=d.theta,
-                phi_deg=d.phi,
-                psi_hat=psi,
-                xi_hat=xi,
-                root_magnitude_z=root_mags_z[l],
-                root_magnitude_x=root_mags_x[best_perm[l]],
+            errors[ts] = block_errs
+            if S is None:
+                continue
+            A = np.concatenate(
+                [np.broadcast_to(A_z[ts, None], S.shape[:2] + (m, q)), A_x[ts][:, :, perms].transpose(0, 2, 1, 3)],
+                axis=2,
             )
-        )
-    return AoaEstimate(
-        sources=tuple(sources),
-        pairing_residual=float(np.ldexp(best, e)),
-        pairing_ambiguous=ambiguous,
-    )
+            resid[ts, p0:p0 + len(perms)] = np.linalg.norm(L[ts, None] - A @ S, axis=(2, 3))
+    return resid, e
+
+
+def estimate_stack(
+    Y: np.ndarray,
+    q: int,
+    cfg: ArrayConfig,
+    mode: EstimatorMode = EstimatorMode.TRUNCATED_SVD,
+) -> list:
+    """The 2D AOA pipeline on a stack of trials, one pass per step.
+
+    Y is T x 2m x M, trial t's stacked data [Z_t; X_t].  Checks the scenario
+    once, compresses every trial with one stacked QR (see the module
+    docstring) and runs each step on the whole stack.  Returns one entry per
+    trial: its AoaEstimate, or the AoaError it fails with.  Each entry, and
+    each warning, is exactly what ``estimate_2d_aoa`` gives that trial alone.
+
+    Raises
+    ------
+    ValueError
+        If Y does not hold 2 * cfg.m rows per trial.
+    UnsupportedScenario
+        If (cfg.m, M, q) breaks a ``check_scenario`` rule.
+    """
+    m = cfg.m
+    if Y.ndim != 3 or Y.shape[1] != 2 * m:
+        raise ValueError(f"Y must be T x 2m x M with 2m = {2 * m}, got {Y.shape}")
+    check_scenario(m, Y.shape[2], q)
+    R = np.linalg.qr(Y.transpose(0, 2, 1), mode="r")
+    errors = [None] * len(Y)
+    for t in np.flatnonzero(~np.all(np.isfinite(R), axis=(1, 2))):
+        errors[t] = ConvergenceFailure("coefficient solve overflowed: the triangular factor of the data is not finite")
+        # zeros keep the later stacked calls finite; a failed trial gets no further checks or warnings
+        R[t] = 0.0
+    psi_hats, mags_z = estimate_electrical(R[:, :, :m], q, mode, errors)
+    xi_hats, mags_x = estimate_electrical(R[:, :, m:], q, mode, errors)
+    estimates = pair_and_recover(psi_hats, xi_hats, R.swapaxes(1, 2), cfg, mags_z, mags_x, errors)
+    return [est if exc is None else exc for est, exc in zip(estimates, errors)]
 
 
 def estimate_2d_aoa(
@@ -213,11 +313,11 @@ def estimate_2d_aoa(
     cfg: ArrayConfig,
     mode: EstimatorMode = EstimatorMode.TRUNCATED_SVD,
 ) -> AoaEstimate:
-    """Full 2D AOA pipeline on one pair of subarray snapshot matrices.
+    """Full 2D AOA pipeline on one pair of subarray snapshot matrices: a stack of one.
 
-    Checks the shapes and the scenario once, compresses [Z; X] to its
-    triangular factor R (see the module docstring) and runs both subarrays
-    and the pairing on R.
+    Checks the shapes, then runs ``estimate_stack`` on [Z; X], which checks
+    the scenario once, compresses [Z; X] to its triangular factor R (see the
+    module docstring) and runs both subarrays and the pairing on R.
 
     Raises
     ------
@@ -227,14 +327,13 @@ def estimate_2d_aoa(
         If (cfg.m, M, q) breaks a ``check_scenario`` rule.
     ConvergenceFailure
         If the data overflow R, which the coefficient solve cannot use.
+    AoaError
+        Whatever failure the trial meets on the way (see ``laoa.errors``).
     """
     m, M = cfg.m, Z.snapshots
     if Z.data.shape != (m, M) or X.data.shape != (m, M):
         raise ValueError(f"Z and X must both be cfg.m x M = {m} x M, got {Z.data.shape} and {X.data.shape}")
-    check_scenario(m, M, q)
-    R = np.linalg.qr(np.vstack([Z.data, X.data]).T, mode="r")
-    if not np.all(np.isfinite(R)):
-        raise ConvergenceFailure("coefficient solve overflowed: the triangular factor of the data is not finite")
-    psi_hats, mags_z = estimate_electrical(R[:, :m], q, mode)
-    xi_hats, mags_x = estimate_electrical(R[:, m:], q, mode)
-    return pair_and_recover(psi_hats, xi_hats, R.T, cfg, root_mags_z=mags_z, root_mags_x=mags_x)
+    (est,) = estimate_stack(np.vstack([Z.data, X.data])[None], q, cfg, mode)
+    if isinstance(est, AoaError):
+        raise est
+    return est

@@ -1,10 +1,14 @@
 """Seeded Monte Carlo experiment runner and CSV reporting.
 
 Every trial gets its own random stream derived from (master seed, SNR index,
-trial index) through a splitmix64-style avalanche, so the report is
-byte-identical no matter how trials are scheduled across workers.  Estimator
-failures at low SNR are counted per SNR point, not raised: the failure rate
-is itself a result.
+trial index) through a splitmix64-style avalanche.  The trials of one SNR
+point run in stacks of up to STACK_TRIALS: each stack, one task for the serial
+loop or the process pool, synthesizes its trials into one array and
+estimates them in one pass (``estimator.estimate_stack``).  A trial's result
+depends on neither its stack nor its worker, so the report is byte-identical
+for any worker count and any split into stacks.  Estimator failures at low
+SNR are counted per SNR point, not raised: the failure rate is itself a
+result.
 """
 
 import os
@@ -15,8 +19,13 @@ import numpy as np
 
 from .errors import AoaError
 from .config import ExperimentConfig
-from .estimator import estimate_2d_aoa, permutation_table
+from .estimator import estimate_stack, permutation_table
 from .synthesis import synthesize
+
+# trials per estimator pass and per pool task; the gain from stacking levels off here
+STACK_TRIALS = 10
+# snapshot bytes per stack, which the QR holds twice; a long trial has little per-call cost to spread
+STACK_BYTES = 1 << 20
 
 CSV_HEADER = "snr_db,source_index,rmse_theta_deg,rmse_phi_deg,bias_theta_deg,bias_phi_deg,failure_count,trials"
 
@@ -88,21 +97,34 @@ def _match_to_truth(est_sources, truth) -> tuple[tuple[float, ...], tuple[float,
     return theta_err, phi_err
 
 
-def run_trial(cfg: ExperimentConfig, snr_db: float, snr_index: int, trial_index: int) -> TrialResult:
-    """One synthesis + estimation trial; estimator errors become failure records."""
+def run_trials(cfg: ExperimentConfig, snr_db: float, snr_index: int, trials: range) -> list[TrialResult]:
+    """Trials of one SNR point as one stack: estimator errors become failure records.
+
+    Each trial is synthesized on its own stream straight into its slice of
+    one T x 2m x M stack, which ``estimate_stack`` runs in one pass; each
+    result is exactly the one the trial gets alone.
+    """
     sigma2 = cfg.noise_variance(snr_db)
-    rng = np.random.default_rng(trial_seed(cfg.seed, snr_index, trial_index))
-    try:
-        Z, X, _ = synthesize(cfg.source_set(), cfg.array_config(), cfg.M, sigma2, rng)
-        est = estimate_2d_aoa(Z, X, cfg.q, cfg.array_config(), cfg.mode)
-        theta_err, phi_err = _match_to_truth(est.sources, cfg.sources)
-        return TrialResult(theta_err, phi_err)
-    except AoaError as exc:
-        return TrialResult(None, None, failure=type(exc).__name__)
+    src, array = cfg.source_set(), cfg.array_config()
+    Y = np.empty((len(trials), 2 * cfg.m, cfg.M), dtype=complex)
+    for y, trial_index in zip(Y, trials):
+        synthesize(src, array, cfg.M, sigma2, np.random.default_rng(trial_seed(cfg.seed, snr_index, trial_index)), y)
+    return [
+        TrialResult(None, None, failure=type(est).__name__)
+        if isinstance(est, AoaError)
+        else TrialResult(*_match_to_truth(est.sources, cfg.sources))
+        for est in estimate_stack(Y, cfg.q, array, cfg.mode)
+    ]
 
 
-def _run_trial_star(args):
-    return run_trial(*args)
+def run_trial(cfg: ExperimentConfig, snr_db: float, snr_index: int, trial_index: int) -> TrialResult:
+    """One synthesis + estimation trial: a stack of one."""
+    (result,) = run_trials(cfg, snr_db, snr_index, range(trial_index, trial_index + 1))
+    return result
+
+
+def _run_trials_star(args):
+    return run_trials(*args)
 
 
 def default_workers() -> int:
@@ -126,22 +148,26 @@ def default_workers() -> int:
 def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarloReport:
     """Run trials x SNR points and aggregate RMSE/bias per source per SNR.
 
+    Each task is a stack of up to STACK_TRIALS trials of one SNR point,
+    fewer where their snapshots would exceed STACK_BYTES.
     Each trial seeds its own stream and both the serial loop and
-    ``pool.map`` return results in task order, so any worker count yields the
-    same report.
+    ``pool.map`` return the stacks in task order, so any worker count yields
+    the same report.
     """
     if workers is None:
         workers = default_workers()
+    per_stack = max(1, min(STACK_TRIALS, STACK_BYTES // (2 * cfg.m * cfg.M * np.dtype(complex).itemsize)))
     tasks = [
-        (cfg, snr_db, si, ti)
+        (cfg, snr_db, si, range(start, min(start + per_stack, cfg.trials)))
         for si, snr_db in enumerate(cfg.snr_db_list)
-        for ti in range(cfg.trials)
+        for start in range(0, cfg.trials, per_stack)
     ]
     if workers == 1:
-        results = [_run_trial_star(t) for t in tasks]
+        stacks = [_run_trials_star(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trial_star, tasks, chunksize=16))
+            stacks = list(pool.map(_run_trials_star, tasks))
+    results = [r for stack in stacks for r in stack]
 
     rows = []
     for si, snr_db in enumerate(cfg.snr_db_list):

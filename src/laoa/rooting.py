@@ -2,24 +2,32 @@
 
 The polynomial is P(y) = 1 + c_1 y + ... + c_{m-1} y^{m-1}; in the noiseless
 model its signal roots lie exactly on the unit circle at e^{j*psi_l}.  Roots
-are the eigenvalues of the companion matrix (``np.roots``), a backward-stable
-method (Edelman & Murakami, Math. Comp. 1995), each polished by one Newton
-step on P itself and then checked against a relative residual bound.
+are the eigenvalues of the companion matrix (as in ``np.roots``), a
+backward-stable method (Edelman & Murakami, Math. Comp. 1995), each polished
+by one Newton step on P itself and then checked against a relative residual
+bound.
+
+Each function takes one polynomial or root set, or a stack of them (one row
+per trial).  A stack's companion matrices are grouped by effective degree,
+one ``eigvals`` call per degree, and its root sets are padded with NaN past
+each set's own degree.  Stacks and ``errors`` work as in ``laoa.linalg``.
 """
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotEnoughRoots
+from .errors import ConvergenceFailure, NotEnoughRoots, raise_first
+from .linalg import lapack_stack
 
 DEFLATION_TOL = 1e-12      # relative cutoff for stripping tiny leading coefficients
 RESIDUAL_TOL = 1e-8        # relative residual every returned root must satisfy
 
 
-def find_roots(c: np.ndarray) -> np.ndarray:
+def find_roots(c: np.ndarray, errors: list | None = None) -> np.ndarray:
     """All roots of 1 + c_1 y + ... + c_{m-1} y^{m-1}, given c = (c_1, ..., c_{m-1}).
 
     Near-zero high-order coefficients are stripped first (degree deflation),
-    so the returned array has length equal to the effective degree.
+    so one polynomial's roots number its effective degree; a stack (T x
+    (m-1)) gives T x (m-1) roots, NaN past each row's degree.
 
     Raises
     ------
@@ -28,57 +36,93 @@ def find_roots(c: np.ndarray) -> np.ndarray:
     ConvergenceFailure
         If the eigenvalue solver fails or a root misses the residual bound.
     """
-    poly = np.concatenate(([1.0 + 0j], c))
-    scale = np.max(np.abs(poly))
-    degree = len(poly) - 1
-    while degree > 0 and abs(poly[degree]) < DEFLATION_TOL * scale:
-        degree -= 1
-    if degree == 0:
-        raise NotEnoughRoots("all polynomial coefficients are negligible; no roots exist")
-    poly = poly[: degree + 1]
+    c = np.asarray(c)
+    single = c.ndim == 1
+    C = c[None] if single else c
+    errs = [None] * len(C) if errors is None else errors
+    poly = np.concatenate((np.ones((len(C), 1), dtype=complex), C), axis=1)
+    mags = np.abs(poly)
+    # written as "not <" so a NaN coefficient is kept and fails in the eigensolver
+    kept = ~(mags[:, 1:] < DEFLATION_TOL * mags.max(axis=1, keepdims=True))
+    # the effective degree is the index of the last coefficient that is not negligible
+    degree = np.where(kept.any(axis=1), kept.shape[1] - np.argmax(kept[:, ::-1], axis=1), 0)
+    for i in np.flatnonzero(degree == 0):
+        if errs[i] is None:
+            errs[i] = NotEnoughRoots("all polynomial coefficients are negligible; no roots exist")
 
-    try:
-        roots = np.roots(poly[::-1])
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"companion-matrix eigenvalues did not converge: {exc}") from exc
-    # one Newton step on P polishes the eigenvalues to P's own roots
-    p, dp = _horner(poly, roots)
-    roots = roots - p / dp
-
-    residual = np.abs(np.polyval(poly[::-1], roots))
-    # relative to 1 + sum_k |c_k| |y|^k; written as "not <=" so NaN fails too
-    bad = ~(residual <= RESIDUAL_TOL * np.polyval(np.abs(poly[::-1]), np.abs(roots)))
-    if np.any(bad):
-        raise ConvergenceFailure(f"root {roots[np.argmax(bad)]} fails the residual bound")
-    return roots
+    roots = np.full(C.shape, np.nan + 0j)
+    live = np.array([exc is None for exc in errs])
+    for d in sorted(set(degree[live].tolist())):  # not np.unique, which imports numpy.ma
+        idx = np.flatnonzero(live & (degree == d))
+        a = poly[idx, :d + 1]
+        # companion matrix of the descending coefficients, built as np.roots builds it
+        p = a[:, ::-1]
+        companion = np.zeros((len(idx), d, d), dtype=complex)
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1
+        group_errs = [None] * len(idx)
+        r = lapack_stack(np.linalg.eigvals, (companion,), group_errs, "companion-matrix eigenvalues did not converge")
+        if r is not None:
+            # one Newton step on P polishes the eigenvalues to P's own roots
+            value, slope = _horner(a, r)
+            r = r - value / slope
+            residual = np.abs(_polyval(a, r))
+            # relative to 1 + sum_k |c_k| |y|^k; written as "not <=" so NaN fails too
+            bad = ~(residual <= RESIDUAL_TOL * _polyval(np.abs(a), np.abs(r)))
+            for j in np.flatnonzero(bad.any(axis=1)):
+                if group_errs[j] is None:
+                    group_errs[j] = ConvergenceFailure(f"root {r[j, np.argmax(bad[j])]} fails the residual bound")
+            roots[idx, :d] = r
+        for i, exc in zip(idx, group_errs):
+            errs[i] = exc
+    if errors is None:
+        raise_first(errs)
+    return roots[0, :degree[0]] if single else roots
 
 
 def _horner(poly: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # value and derivative at every y at once, coefficients in ascending order
+    # value and derivative at every y of each row's polynomial, coefficients ascending
     p = np.zeros_like(y)
     dp = np.zeros_like(y)
-    for a in poly[::-1]:
+    for k in range(poly.shape[1] - 1, -1, -1):
         dp = dp * y + p
-        p = p * y + a
+        p = p * y + poly[:, k:k + 1]
     return p, dp
 
 
-def select_unit_roots(roots: np.ndarray, q: int) -> np.ndarray:
+def _polyval(poly: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # the value alone, in the same steps as np.polyval
+    p = np.zeros_like(y)
+    for k in range(poly.shape[1] - 1, -1, -1):
+        p = p * y + poly[:, k:k + 1]
+    return p
+
+
+def select_unit_roots(roots: np.ndarray, q: int, errors: list | None = None) -> np.ndarray:
     """Indices of the q roots whose magnitudes are nearest unity.
 
     Ties are broken by the canonical root order (principal angle ascending,
     then magnitude), so the selected VALUES are independent of the input
-    ordering.
+    ordering.  A stack of root sets gives one row of indices per set; NaN
+    padding counts as no root and sorts last.
     """
     roots = np.asarray(roots, dtype=complex)
-    if q > len(roots):
-        raise NotEnoughRoots(f"requested {q} signal roots from {len(roots)} available")
-    mags = np.abs(roots)
+    single = roots.ndim == 1
+    R = roots[None] if single else roots
+    errs = [None] * len(R) if errors is None else errors
+    available = np.sum(~np.isnan(R), axis=1)
+    for i in np.flatnonzero(available < q):
+        if errs[i] is None:
+            errs[i] = NotEnoughRoots(f"requested {q} signal roots from {available[i]} available")
+    if errors is None:
+        raise_first(errs)
+    mags = np.abs(R)
     # lexsort's last key is the primary one
-    return np.lexsort((mags, np.angle(roots), np.abs(mags - 1.0)))[:q]
+    selected = np.lexsort((mags, np.angle(R), np.abs(mags - 1.0)), axis=-1)[:, :q]
+    return selected[0] if single else selected
 
 
 def electrical_angles_from_roots(roots: np.ndarray, selected: np.ndarray) -> np.ndarray:
-    """Principal arguments in (-pi, pi] of the selected roots, order preserved."""
-    ang = np.angle(np.asarray(roots, dtype=complex)[selected])
+    """Principal arguments in (-pi, pi] of the selected roots, order preserved (per row for stacks)."""
+    ang = np.angle(np.take_along_axis(np.asarray(roots, dtype=complex), np.asarray(selected), axis=-1))
     return np.where(ang <= -np.pi, ang + 2.0 * np.pi, ang)

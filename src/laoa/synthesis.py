@@ -146,19 +146,27 @@ def synthesize(
     snapshots: int,
     sigma2: float,
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> tuple[SnapshotMatrix, SnapshotMatrix, np.ndarray]:
     """Generate (Z, X, S) for one noise realization.
 
     Both subarrays observe the same source matrix S; the noise draws are
-    independent.  S is returned so tests can use it as an oracle.
+    independent.  S is returned so tests can use it as an oracle.  Z and X
+    are the two halves of one 2m x M array, [Z; X]: ``out`` if given (a
+    Monte Carlo stack writes each trial in place), else a new one.
     """
     psis, xis = separated_angle_sets(src, cfg)
 
     S = generate_sources(src, snapshots, rng)
     A_z = steering_vector(psis, cfg.m)
     A_x = steering_vector(xis, cfg.m)
-    Z = A_z @ S + generate_noise(cfg.m, snapshots, sigma2, rng)
-    X = A_x @ S + generate_noise(cfg.m, snapshots, sigma2, rng)
+    if out is None:
+        out = np.empty((2 * cfg.m, snapshots), dtype=complex)
+    Z, X = out[:cfg.m], out[cfg.m:]
+    np.matmul(A_z, S, out=Z)
+    Z += generate_noise(cfg.m, snapshots, sigma2, rng)
+    np.matmul(A_x, S, out=X)
+    X += generate_noise(cfg.m, snapshots, sigma2, rng)
     return (
         SnapshotMatrix(Z, Subarray.Z),
         SnapshotMatrix(X, Subarray.X),
@@ -172,7 +180,8 @@ def build_lp_system(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     For raw data B is the snapshot matrix transposed (M x m): row k of P is
     [z_2(t_k), ..., z_m(t_k)] and entry k of P1 is -z_1(t_k).  The estimator
     passes the subarray's columns of the triangular factor of the stacked
-    data instead, which gives the same coefficients.  P is a view of B; the
-    row-count rule M >= m - 1 is ``estimator.check_scenario``'s.
+    data instead, which gives the same coefficients.  A stack of blocks gives
+    a stack of systems.  P is a view of B; the row-count rule M >= m - 1 is
+    ``estimator.check_scenario``'s.
     """
-    return B[:, 1:], -B[:, 0]
+    return B[..., 1:], -B[..., 0]

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
@@ -19,8 +20,16 @@ from laoa import (
     synthesize,
 )
 from laoa.array_model import steering_vector
-from laoa.errors import ConvergenceFailure, PairingAmbiguousWarning, UnsupportedScenario
-from laoa.estimator import PAIRING_AMBIGUITY_REL_TOL, permutation_table
+from laoa.errors import (
+    AoaError,
+    ConvergenceFailure,
+    NotEnoughRoots,
+    OutOfRange,
+    PairingAmbiguousWarning,
+    RankDeficiencyWarning,
+    UnsupportedScenario,
+)
+from laoa.estimator import PAIRING_AMBIGUITY_REL_TOL, estimate_stack, permutation_table
 from laoa.synthesis import Subarray, electrical_angle_sets
 
 
@@ -298,7 +307,7 @@ class TestCompressOnce:
             return real_qr(*a, **k)
 
         def svd(A, *a, **k):
-            svd_rows.append(A.shape[0])
+            svd_rows.append(A.shape[-2])
             return real_svd(A, *a, **k)
 
         def check_scenario(*a):
@@ -311,3 +320,117 @@ class TestCompressOnce:
         estimate_2d_aoa(Z, X, 2, cfg)
         assert calls == {"qr": 1, "check_scenario": 1}
         assert len(svd_rows) == 2 and max(svd_rows) <= 2 * cfg.m
+
+
+class TestStackParity:
+    """Every trial of a stack gets exactly what it gets alone: result, failure class and warnings."""
+
+    CFG = ArrayConfig(m=8, spacing_ratio=0.5)
+    PAIRS = [(30, 40), (70, 120)]
+
+    def _data(self, pairs=PAIRS, sigma2=0.01, seed=0):
+        _, _, Z, X = _setup(pairs, m=8, M=64, sigma2=sigma2, seed=seed)
+        return np.vstack([Z.data, X.data])
+
+    def _alone(self, Y):
+        # estimate_2d_aoa on one trial: its estimate or the AoaError it raises, and its warnings
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = estimate_2d_aoa(SnapshotMatrix(Y[:8], Subarray.Z), SnapshotMatrix(Y[8:], Subarray.X), 2, self.CFG)
+            except AoaError as exc:
+                result = exc
+        return result, Counter(w.category for w in caught)
+
+    def _inputs(self, monkeypatch, module, name, Y):
+        # the first matrix of each call that module.name gets while Y's trial runs alone
+        real, seen = getattr(module, name), []
+
+        def record(a, *args, **kwargs):
+            seen.append(np.array(a[0]))
+            return real(a, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, record)
+            self._alone(Y)
+        return seen
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_failures_and_warnings_match_the_trials_alone(self, monkeypatch, order):
+        healthy = [self._data(seed=s) for s in range(4)]
+        deflating = self._data(seed=5)
+        deflating[0] = 0.0  # Z's first sensor is silent: P1 = 0, so every coefficient is 0
+        trials = {
+            "overflow": 1e307 * self._data(seed=4),
+            "deflation": deflating,
+            "residual": self._data(seed=6),
+            "out_of_range": self._data(sigma2=10.0, seed=8),  # -10 dB
+            "singular_pairing": self._data(seed=7),
+            "ambiguous_pairing": self._data(seed=9),
+            "rank_deficient": self._data(pairs=self.PAIRS[:1], sigma2=0.0, seed=10),
+            "lapack_raises": self._data(seed=11),
+        }
+
+        # LAPACK's SVD fails on one trial's Z system, which fails the whole stacked call
+        svd_target = self._inputs(monkeypatch, np.linalg, "svd", trials["lapack_raises"])[0]
+        real_svd = np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            if any(np.array_equal(item, svd_target) for item in a):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        # one trial's eigenvalues come back 0.1 off, too far for one Newton step
+        eig_target = self._inputs(monkeypatch, np.linalg, "eigvals", trials["residual"])[0]
+        real_eigvals = np.linalg.eigvals
+
+        def eigvals(a):
+            w = real_eigvals(a)
+            w[[np.array_equal(item, eig_target) for item in a]] += 0.1
+            return w
+
+        # identical (psi, xi) pairs make the pairing singular; equal xi make it ambiguous
+        singular = self._inputs(monkeypatch, laoa.estimator, "estimate_electrical", trials["singular_pairing"])
+        ambiguous = self._inputs(monkeypatch, laoa.estimator, "estimate_electrical", trials["ambiguous_pairing"])
+        forced = [(singular[0], [0.3, 0.3]), (singular[1], [1.0, 1.0]), (ambiguous[1], [0.5, 0.5])]
+        real_electrical = laoa.estimator.estimate_electrical
+
+        def estimate_electrical(B, *args):
+            angles, mags = real_electrical(B, *args)
+            for block, value in forced:
+                angles[[np.array_equal(item, block) for item in B]] = value
+            return angles, mags
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        monkeypatch.setattr(laoa.estimator, "estimate_electrical", estimate_electrical)
+
+        alone = {name: self._alone(Y) for name, Y in trials.items()}
+        expected = {
+            "overflow": ConvergenceFailure,
+            "deflation": NotEnoughRoots,
+            "residual": ConvergenceFailure,
+            "out_of_range": OutOfRange,
+            "singular_pairing": ConvergenceFailure,
+            "lapack_raises": ConvergenceFailure,
+        }
+        for name, cls in expected.items():
+            # a trial that fails warns about nothing, as no step after the failing one runs for it
+            assert type(alone[name][0]) is cls and not alone[name][1], name
+        assert alone["ambiguous_pairing"][0].pairing_ambiguous
+        assert alone["ambiguous_pairing"][1] == Counter({PairingAmbiguousWarning: 1})
+        assert alone["rank_deficient"][1][RankDeficiencyWarning] >= 1
+
+        stack = [healthy[0], *trials.values(), *healthy[1:]]
+        if order == "reversed":
+            stack = stack[::-1]
+        want = [self._alone(Y) for Y in stack]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = estimate_stack(np.stack(stack), 2, self.CFG)
+        for g, (w, _) in zip(got, want):
+            if isinstance(w, AoaError):
+                assert type(g) is type(w)
+            else:
+                assert g == w
+        assert Counter(w.category for w in caught) == sum((c for _, c in want), Counter())

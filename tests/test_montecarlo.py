@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import laoa.estimator
+import laoa.montecarlo
 from laoa import DirectionPair, parse_config
 from laoa.montecarlo import (
     CSV_HEADER,
@@ -77,7 +78,10 @@ class TestRunTrial:
 
     def test_singular_pairing_is_a_counted_failure(self, monkeypatch):
         # identical (psi, xi) pairs make the pairing normal equations singular
-        monkeypatch.setattr(laoa.estimator, "estimate_electrical", lambda *a: ([0.3, 0.3], [1.0, 1.0]))
+        # one row of angles and root magnitudes per trial of the stack
+        monkeypatch.setattr(
+            laoa.estimator, "estimate_electrical", lambda B, *a: (np.full((len(B), 2), 0.3), np.ones((len(B), 2)))
+        )
         cfg = _cfg(trials=2, q=2, sources="30/40, 70/120")
         assert run_trial(cfg, 20.0, 0, 0).failure == "ConvergenceFailure"
         row = monte_carlo(cfg, workers=1).rows[0]
@@ -160,6 +164,15 @@ class TestMonteCarlo:
             te = np.array([run_trial(cfg, snr_db, si, ti).theta_errors[0] for ti in range(cfg.trials)])
             assert rows[snr_db]["rmse_theta_deg"] == float(np.sqrt(np.mean(te**2)))
             assert rows[snr_db]["bias_theta_deg"] == float(np.mean(te))
+
+    @pytest.mark.parametrize("M, sizes", [(50, [10, 10, 3]), (5000, [1, 1, 1])])
+    def test_stacks_are_cut_by_trial_count_and_snapshot_bytes(self, monkeypatch, M, sizes):
+        # at M=5000 one trial's [Z; X] (1.28 MB) already exceeds STACK_BYTES
+        cfg = _cfg(M=M, trials=sum(sizes))
+        seen, real = [], laoa.montecarlo.run_trials
+        monkeypatch.setattr(laoa.montecarlo, "run_trials", lambda c, *a: seen.append(len(a[-1])) or real(c, *a))
+        monte_carlo(cfg, workers=1)
+        assert seen == sizes
 
     def test_workers_do_not_change_bytes(self):
         cfg = _cfg(trials=6, snr_db_list="20, 10")

@@ -3,6 +3,9 @@
 Examples are derandomized so every run checks the same cases.
 """
 
+import warnings
+from functools import lru_cache
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
@@ -10,13 +13,22 @@ from laoa import (
     ArrayConfig,
     DirectionPair,
     EstimatorMode,
+    ExperimentConfig,
+    SignalModel,
+    SnapshotMatrix,
     SourceSet,
+    Subarray,
     estimate_2d_aoa,
     find_roots,
+    parse_config,
     select_unit_roots,
+    serialize_config,
+    steering_vector,
     synthesize,
 )
-from laoa.synthesis import separated_angle_sets
+from laoa.errors import AoaError, UnsupportedScenario
+from laoa.montecarlo import run_trial, run_trials
+from laoa.synthesis import generate_noise, generate_sources, separated_angle_sets
 
 _directions = st.tuples(st.floats(5.0, 175.0), st.floats(2.0, 178.0))
 _interior_root = st.tuples(st.floats(0.2, 0.9), st.floats(-np.pi, np.pi))
@@ -60,3 +72,136 @@ def test_find_roots_round_trips_clustered_unit_roots(start, n_unit, interior):
     assert np.max(dist.min(axis=0)) < 1e-9
     selected = select_unit_roots(list(got), n_unit)
     np.testing.assert_allclose(np.abs(got[selected]), 1.0, rtol=0, atol=1e-9)
+
+
+# --- stacks of trials ----------------------------------------------------------
+
+_STACK_CONFIGS = {
+    "q2_M200": "M = 200\nq = 2\nsources = 30/40, 70/120",
+    "q5_M64": "M = 64\nq = 5\nsources = 30/40, 60/100, 100/60, 140/130, 80/150",
+}
+_STACK_TRIALS = 10
+
+
+def _stack_config(name: str, mode: str) -> ExperimentConfig:
+    return parse_config(
+        f"m = 8\nspacing_ratio = 0.5\n{_STACK_CONFIGS[name]}\nsignal_model = unit_power_random_phase\n"
+        f"snr_db_list = -10, 10, 30\ntrials = {_STACK_TRIALS}\nseed = 2024\nmode = {mode}\noutput_path = x.csv\n"
+    )
+
+
+@lru_cache(maxsize=None)
+def _trials_alone(name: str, mode: str, snr_index: int) -> tuple:
+    cfg = _stack_config(name, mode)
+    snr_db = cfg.snr_db_list[snr_index]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return tuple(run_trial(cfg, snr_db, snr_index, t) for t in range(cfg.trials))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(_STACK_CONFIGS)),
+    mode=st.sampled_from([m.value for m in EstimatorMode]),
+    snr_index=st.integers(0, 2),
+    sizes=st.lists(st.integers(1, _STACK_TRIALS), min_size=1, max_size=_STACK_TRIALS),
+)
+def test_any_split_into_stacks_gives_each_trial_its_own_result(name, mode, snr_index, sizes):
+    cfg = _stack_config(name, mode)
+    alone = _trials_alone(name, mode, snr_index)
+    if name == "q5_M64" and snr_index == 0:
+        assert any(r.failure is not None for r in alone)  # the split also cuts through failing trials
+    bounds = sorted({0, cfg.trials, *np.minimum(np.cumsum(sizes), cfg.trials).tolist()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = [
+            r
+            for start, stop in zip(bounds, bounds[1:])
+            for r in run_trials(cfg, cfg.snr_db_list[snr_index], snr_index, range(start, stop))
+        ]
+    assert got == list(alone)
+
+
+# --- source order and config round trip ----------------------------------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    pairs=st.lists(_directions, min_size=2, max_size=4),
+    order=st.randoms(use_true_random=False),
+    sigma2=st.sampled_from([0.0, 1e-4, 1e-2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_estimate_does_not_depend_on_the_order_of_the_sources(pairs, order, sigma2, seed):
+    # one scene listed in two orders: the sources' rows of S move with them, the noise stays
+    cfg = ArrayConfig(m=8, spacing_ratio=0.5)
+    src = SourceSet(directions=tuple(DirectionPair(t, p) for t, p in pairs))
+    try:
+        psis, xis = separated_angle_sets(src, cfg)
+    except UnsupportedScenario:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    S = generate_sources(src, 50, rng)
+    N = generate_noise(2 * cfg.m, 50, sigma2, rng)
+    perm = list(range(len(pairs)))
+    order.shuffle(perm)
+
+    def estimate(idx):
+        Y = np.vstack([steering_vector(psis[idx], cfg.m), steering_vector(xis[idx], cfg.m)]) @ S[idx] + N
+        try:
+            est = estimate_2d_aoa(SnapshotMatrix(Y[:8], Subarray.Z), SnapshotMatrix(Y[8:], Subarray.X), len(pairs), cfg)
+        except AoaError as exc:
+            return type(exc)
+        return sorted((s.theta_deg, s.phi_deg) for s in est.sources)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        a, b = estimate(list(range(len(pairs)))), estimate(perm)
+    if isinstance(a, type) or isinstance(b, type):
+        assert a == b
+    else:
+        # the two orders sum A S in different orders, so the data differ in the last bits
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-7)
+
+
+_paths = st.text(alphabet="abcdefghijklmnopqrstuvwxyzABCXYZ0123456789._-/", min_size=1, max_size=30)
+
+
+@st.composite
+def _configs(draw):
+    m = draw(st.integers(3, 12))
+    q = draw(st.integers(1, min(m - 2, 4)))
+    sources = draw(
+        st.lists(
+            st.builds(
+                DirectionPair,
+                st.floats(0.0, 180.0, exclude_min=True, exclude_max=True),
+                st.floats(0.0, 180.0),
+            ),
+            min_size=q,
+            max_size=q,
+        )
+    )
+    try:
+        return ExperimentConfig(
+            m=m,
+            spacing_ratio=draw(st.floats(0.0, 0.5, exclude_min=True)),
+            M=draw(st.integers(max(q, m - 1), 5000)),
+            q=q,
+            sources=tuple(sources),
+            signal_model=draw(st.sampled_from(list(SignalModel))),
+            snr_db_list=tuple(draw(st.lists(st.floats(-60.0, 120.0) | st.just(float("inf")), min_size=1, max_size=6))),
+            trials=draw(st.integers(1, 10**6)),
+            seed=draw(st.integers(0, 2**64 - 1)),
+            mode=draw(st.sampled_from(list(EstimatorMode))),
+            output_path=draw(_paths),
+            power=draw(st.floats(0.0, 1e6)),
+        )
+    except UnsupportedScenario:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cfg=_configs())
+def test_config_round_trips_through_its_text_form(cfg):
+    assert parse_config(serialize_config(cfg)) == cfg

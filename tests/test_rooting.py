@@ -28,7 +28,7 @@ class TestFindRoots:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np, "roots", no_convergence)
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
         with pytest.raises(ConvergenceFailure):
             find_roots(np.array([1j, 0.5]))
 
