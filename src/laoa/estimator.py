@@ -25,14 +25,37 @@ be associated per physical source.  Both subarrays observe the same source
 waveforms, so the correct association is the permutation under which one
 common source matrix explains the stacked data best.
 
-All q! permutations are scored in a few batched numpy calls instead of one
-least-squares solve each.  Any L with L L^H = Y Y^H gives every residual
-(I - P_A) Y the same Frobenius norm as (I - P_A) L.  For each stacked
-steering matrix A = [A_z; A_x P] the q x q normal equations A^H A S = A^H L
-are solved together, for all permutations of several trials at once, in
-blocks of at most PAIRING_BLOCK systems to keep the temporaries small.  The
-residual is then formed directly as ||L - A S||_F: the shortcut ||L||^2 - <A^H L, S> loses everything below
-~1e-8 of ||L|| to cancellation, which would hide a near-exact fit.
+Pairing searches the q! permutations in two stages of a few batched numpy
+calls each.  Any L with L L^H = Y Y^H gives every residual (I - P_A) Y the
+same Frobenius norm as (I - P_A) L.  Permutation P's stacked steering matrix
+A = [A_z; A_x P] has the q x q normal equations G_P S = B_P, with
+G_P = A^H A = Gz + P^T Gx P and B_P = A^H L = Bz + P^T Bx gathered from the
+two halves.
+
+The screen scores every permutation with q x q matrices only:
+cheap_P = ||L||^2 - Re tr(G_P^-1 H_P), with H_P = B_P B_P^H gathered from
+the three products Bz Bz^H, Bz Bx^H and Bx Bx^H.  In exact arithmetic that is
+the squared residual, but the subtraction cancels: rounding in B_P, H_P,
+||L||^2 and the LU of G_P moves cheap_P by O((m + q) eps kappa ||L||^2),
+since tr(G_P^-1 H_P) <= ||L||^2.  The stated bound is
+delta = C (m + q) eps kappa ||L||^2 (C = SCREEN_ERROR_FACTOR; measured gaps
+stay below 0.03 of it at C = 1), with kappa = 2mq / max(lambda_min(Gz),
+lambda_min(Gx)) >= cond(G_P) for every P: both terms of G_P are positive
+semidefinite and tr(G_P) = 2mq.  The bound is first order, so a trial whose
+delta reaches ||L||^2 keeps every permutation.
+
+The exact stage scores only the contenders: every P with
+cheap_P <= c2 + 2 delta, c2 the second-smallest screen score.  The two
+permutations with the smallest screen scores have squared residuals at most
+c2 + delta, so both of the exact best two are contenders.  For those, the
+residual is formed directly as ||L - A S||_F, in blocks of at most
+PAIRING_BLOCK systems; the shortcut the screen takes loses everything below
+~1e-8 of ||L|| to cancellation, which would hide a near-exact fit.  Every
+other permutation scores +inf.  The screen solves with the same LU of G_P, so
+an exactly singular pairing fails there with the same ConvergenceFailure,
+and the best and second-best permutations and residuals are bit for bit
+those of scoring all q! exactly.  With q! <= 2 there is nothing to prune and
+the screen is skipped.
 """
 
 import math
@@ -59,7 +82,10 @@ from .synthesis import SnapshotMatrix, build_lp_system
 
 PERMUTATION_BUDGET = 5040  # 7!
 PAIRING_AMBIGUITY_REL_TOL = 1e-6
-PAIRING_BLOCK = 24  # pairing systems per stacked solve: bounds the temporaries, a q=2 stack of 10 fits
+PAIRING_BLOCK = 24  # exact pairing systems per stacked solve: bounds the temporaries, a q=2 stack of 10 fits
+SCREEN_BLOCK = 120  # screen systems per stacked solve: q x q right-hand sides, so about PAIRING_BLOCK's temporaries
+SCREEN_ERROR_FACTOR = 16.0  # C in the screen's error bound (module docstring)
+SINGULAR_PAIRING = "singular pairing normal equations"
 
 
 def check_scenario(m: int, M: int, q: int) -> None:
@@ -144,8 +170,9 @@ def pair_and_recover(
     itself.  For every permutation P of the xi set, fit one common source
     matrix S to L with the stacked steering matrix [A_z; A_x P] and keep the
     permutation with the smallest Frobenius residual; ties go to the first
-    permutation in itertools order.  The search runs on batched q x q normal
-    equations (see the module docstring) and on L scaled by a power of two,
+    permutation in itertools order.  The search screens all permutations
+    with q x q scores and scores exactly only those the screen's error bound
+    cannot rule out (see the module docstring), on L scaled by a power of two,
     so any finite data scale pairs alike; the reported ``pairing_residual``
     is the winner's ||(I - P_A) L||_F = ||(I - P_A) Y||_F at the data's scale.
 
@@ -229,10 +256,11 @@ def _pairing_residuals(
     psi: np.ndarray, xi: np.ndarray, L: np.ndarray, m: int, errors: list
 ) -> tuple[np.ndarray, np.ndarray]:
     # every permutation's residual per trial (T x q!), on L / 2^e, and the exponents e;
-    # the search runs on L / 2^e, whose largest entry lies in [1/2, 1), so the
-    # squared residuals neither overflow nor underflow at any data scale; a
-    # power of two scales exactly, so wherever the unscaled search works it
-    # gives the same bits (ldexp: 2.0 ** -e would overflow for deeply subnormal L)
+    # a permutation the screen rules out reads +inf.  The search runs on
+    # L / 2^e, whose largest entry lies in [1/2, 1), so the squared residuals
+    # neither overflow nor underflow at any data scale; a power of two scales
+    # exactly, so wherever the unscaled search works it gives the same bits
+    # (ldexp: 2.0 ** -e would overflow for deeply subnormal L)
     e = np.frexp(np.max(np.abs(L), axis=(1, 2), initial=0.0))[1]
     shift = -e[:, None, None]
     L = np.ldexp(L.real, shift) + 1j * np.ldexp(L.imag, shift)
@@ -245,28 +273,77 @@ def _pairing_residuals(
     Gz, Gx = A_z.conj().swapaxes(1, 2) @ A_z, A_x.conj().swapaxes(1, 2) @ A_x
     Bz, Bx = A_z.conj().swapaxes(1, 2) @ L[:, :m], A_x.conj().swapaxes(1, 2) @ L[:, m:]
     table = permutation_table(q)
-    resid = np.full((len(psi), len(table)), np.nan)
-    trials_per_block = max(1, PAIRING_BLOCK // len(table))
-    for t0 in range(0, len(psi), trials_per_block):
+    if len(table) > 2:
+        cheap, delta = _screen(Gz, Gx, Bz, Bx, L, table, errors)
+        # any permutation among the exact best two has cheap <= c2 + 2 delta; a NaN score stays in
+        threshold = np.partition(cheap, 1, axis=1)[:, 1] + 2.0 * delta
+        contenders = ~(cheap > threshold[:, None])
+        contenders[[t for t, exc in enumerate(errors) if exc is not None]] = False
+    else:
+        contenders = np.ones((len(psi), len(table)), dtype=bool)
+
+    resid = np.full(contenders.shape, np.inf)
+    trial_of, perm_of = np.nonzero(contenders)
+    for b in range(0, len(trial_of), PAIRING_BLOCK):
+        ts, ps = trial_of[b:b + PAIRING_BLOCK], perm_of[b:b + PAIRING_BLOCK]
+        perms = table[ps]
+        block_errs = [None] * len(ts)
+        S = lapack_stack(
+            np.linalg.solve,
+            (Gz[ts] + Gx[ts[:, None, None], perms[:, :, None], perms[:, None, :]], Bz[ts] + Bx[ts[:, None], perms]),
+            block_errs,
+            SINGULAR_PAIRING,
+        )
+        for t, exc in zip(ts, block_errs):
+            if exc is not None and errors[t] is None:
+                errors[t] = exc
+        if S is None:
+            continue
+        A = np.concatenate([A_z[ts], A_x[ts[:, None], :, perms].swapaxes(1, 2)], axis=1)
+        resid[ts, ps] = np.linalg.norm(L[ts] - A @ S, axis=(1, 2))
+    return resid, e
+
+
+def _screen(
+    Gz: np.ndarray, Gx: np.ndarray, Bz: np.ndarray, Bx: np.ndarray, L: np.ndarray, table: np.ndarray, errors: list
+) -> tuple[np.ndarray, np.ndarray]:
+    # every permutation's screen score ||L||^2 - Re tr(G_P^-1 H_P) (T x q!) and
+    # each trial's bound delta on its distance from the exact squared residual;
+    # H_P = B_P B_P^H = Hzz + Hzx[:, P] + Hzx^H[P, :] + Hxx[P][:, P]
+    T, q = Gz.shape[:2]
+    m = L.shape[1] // 2
+    Hzz, Hzx, Hxx = (a @ b.conj().swapaxes(1, 2) for a, b in ((Bz, Bz), (Bz, Bx), (Bx, Bx)))
+    # flat indices into a q x q matrix: P^T M P is M[P[i], P[j]], M P is M[i, P[j]]
+    both = table[:, :, None] * q + table[:, None, :]
+    cols = np.arange(q)[:, None] * q + table[:, None, :]
+    gx, hzx, hxx = (a.reshape(T, q * q) for a in (Gx, Hzx, Hxx))
+    traces = np.full((T, len(table)), np.nan)
+    trials_per_block = max(1, SCREEN_BLOCK // len(table))
+    for t0 in range(0, T, trials_per_block):
         ts = slice(t0, t0 + trials_per_block)
-        for p0 in range(0, len(table), PAIRING_BLOCK):
-            perms = table[p0:p0 + PAIRING_BLOCK]
+        for p0 in range(0, len(table), SCREEN_BLOCK):
+            ps = slice(p0, p0 + SCREEN_BLOCK)
+            cross = np.take(hzx[ts], cols[ps], axis=1)
             block_errs = errors[ts]
-            S = lapack_stack(
+            X = lapack_stack(
                 np.linalg.solve,
-                (Gz[ts, None] + Gx[ts][:, perms[:, :, None], perms[:, None, :]], Bz[ts, None] + Bx[ts][:, perms]),
+                (
+                    Gz[ts, None] + np.take(gx[ts], both[ps], axis=1),
+                    Hzz[ts, None] + cross + cross.conj().swapaxes(2, 3) + np.take(hxx[ts], both[ps], axis=1),
+                ),
                 block_errs,
-                "singular pairing normal equations",
+                SINGULAR_PAIRING,
             )
             errors[ts] = block_errs
-            if S is None:
-                continue
-            A = np.concatenate(
-                [np.broadcast_to(A_z[ts, None], S.shape[:2] + (m, q)), A_x[ts][:, :, perms].transpose(0, 2, 1, 3)],
-                axis=2,
-            )
-            resid[ts, p0:p0 + len(perms)] = np.linalg.norm(L[ts, None] - A @ S, axis=(2, 3))
-    return resid, e
+            if X is not None:
+                traces[ts, ps] = np.trace(X, axis1=2, axis2=3).real
+    norm2 = np.sum(L.real**2 + L.imag**2, axis=(1, 2))
+    # lambda_max(G_P) <= tr(G_P) = 2mq, and lambda_min(G_P) >= max(lambda_min(Gz), lambda_min(Gx))
+    lam = np.max(np.linalg.eigvalsh(np.stack([Gz, Gx]))[..., 0], axis=0)
+    kappa = np.divide(2.0 * m * q, lam, out=np.full(T, np.inf), where=lam > 0)
+    delta = SCREEN_ERROR_FACTOR * (m + q) * np.finfo(float).eps * kappa * norm2
+    # a first-order bound: past ||L||^2, the whole range of residuals, it bounds nothing
+    return norm2[:, None] - traces, np.where(delta < norm2, delta, np.inf)
 
 
 def estimate_stack(

@@ -20,7 +20,7 @@ def write_matrix_file(snap: SnapshotMatrix, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{_MAGIC} {_VERSION} {snap.m} {snap.snapshots} {snap.subarray.value}\n")
         for row in snap.data:
-            fh.write(" ".join(f"{float(v.real)!r}:{float(v.imag)!r}" for v in row) + "\n")
+            fh.write(" ".join(f"{re!r}:{im!r}" for re, im in zip(row.real.tolist(), row.imag.tolist())) + "\n")
 
 
 def read_matrix_file(path) -> SnapshotMatrix:

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .array_model import steering_vector
 from .errors import AoaError
 from .config import ExperimentConfig
 from .estimator import estimate_stack, permutation_table
-from .synthesis import synthesize
+from .synthesis import _synthesize_into, separated_angle_sets
 
 # trials per estimator pass and per pool task; the gain from stacking levels off here
 STACK_TRIALS = 10
@@ -102,13 +103,17 @@ def run_trials(cfg: ExperimentConfig, snr_db: float, snr_index: int, trials: ran
 
     Each trial is synthesized on its own stream straight into its slice of
     one T x 2m x M stack, which ``estimate_stack`` runs in one pass; each
-    result is exactly the one the trial gets alone.
+    result is exactly the one the trial gets alone.  The source angles and
+    steering matrices depend only on the config, so the stack builds them
+    once; each slice holds exactly the data ``synthesize`` gives its stream.
     """
     sigma2 = cfg.noise_variance(snr_db)
     src, array = cfg.source_set(), cfg.array_config()
+    psis, xis = separated_angle_sets(src, array)
+    A_z, A_x = steering_vector(psis, cfg.m), steering_vector(xis, cfg.m)
     Y = np.empty((len(trials), 2 * cfg.m, cfg.M), dtype=complex)
     for y, trial_index in zip(Y, trials):
-        synthesize(src, array, cfg.M, sigma2, np.random.default_rng(trial_seed(cfg.seed, snr_index, trial_index)), y)
+        _synthesize_into(y, A_z, A_x, src, sigma2, np.random.default_rng(trial_seed(cfg.seed, snr_index, trial_index)))
     return [
         TrialResult(None, None, failure=type(est).__name__)
         if isinstance(est, AoaError)

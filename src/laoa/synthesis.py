@@ -152,26 +152,34 @@ def synthesize(
 
     Both subarrays observe the same source matrix S; the noise draws are
     independent.  S is returned so tests can use it as an oracle.  Z and X
-    are the two halves of one 2m x M array, [Z; X]: ``out`` if given (a
-    Monte Carlo stack writes each trial in place), else a new one.
+    are the two halves of one 2m x M array, [Z; X]: ``out`` if given, else a
+    new one.
     """
     psis, xis = separated_angle_sets(src, cfg)
-
-    S = generate_sources(src, snapshots, rng)
-    A_z = steering_vector(psis, cfg.m)
-    A_x = steering_vector(xis, cfg.m)
     if out is None:
         out = np.empty((2 * cfg.m, snapshots), dtype=complex)
-    Z, X = out[:cfg.m], out[cfg.m:]
-    np.matmul(A_z, S, out=Z)
-    Z += generate_noise(cfg.m, snapshots, sigma2, rng)
-    np.matmul(A_x, S, out=X)
-    X += generate_noise(cfg.m, snapshots, sigma2, rng)
+    S = _synthesize_into(out, steering_vector(psis, cfg.m), steering_vector(xis, cfg.m), src, sigma2, rng)
     return (
-        SnapshotMatrix(Z, Subarray.Z),
-        SnapshotMatrix(X, Subarray.X),
+        SnapshotMatrix(out[:cfg.m], Subarray.Z),
+        SnapshotMatrix(out[cfg.m:], Subarray.X),
         S,
     )
+
+
+def _synthesize_into(
+    out: np.ndarray, A_z: np.ndarray, A_x: np.ndarray, src: SourceSet, sigma2: float, rng: np.random.Generator
+) -> np.ndarray:
+    # one trial's draws, in the seeding contract's order (S, then Z's noise, then X's),
+    # written to out = [Z; X] (2m x M); returns S.  The steering matrices depend
+    # only on the config, so a Monte Carlo stack builds them once.
+    m, snapshots = A_z.shape[0], out.shape[1]
+    S = generate_sources(src, snapshots, rng)
+    Z, X = out[:m], out[m:]
+    np.matmul(A_z, S, out=Z)
+    Z += generate_noise(m, snapshots, sigma2, rng)
+    np.matmul(A_x, S, out=X)
+    X += generate_noise(m, snapshots, sigma2, rng)
+    return S
 
 
 def build_lp_system(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,10 @@
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laoa import SnapshotMatrix, read_matrix_file, write_matrix_file
 from laoa.errors import ParseError
@@ -15,6 +20,40 @@ def test_round_trip_bit_exact(tmp_path):
     back = read_matrix_file(path)
     assert np.array_equal(back.data, data)
     assert back.subarray is Subarray.X
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max, -sys.float_info.max,
+               0.1, 1.0, -2.5, 1e-05, 1e16, 123456789012345678.0, np.pi]
+_entries = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def test_writer_keeps_the_shortest_round_trip_format(tmp_path):
+    # the file is byte for byte what formatting each entry's parts with repr gives
+    values = np.array(EDGE_VALUES)
+    data = values + 1j * values[::-1]
+    snap = SnapshotMatrix(np.vstack([data, data[::-1]]), Subarray.Z)
+    path = tmp_path / "edge.mat"
+    write_matrix_file(snap, path)
+    rows = [" ".join(f"{float(v.real)!r}:{float(v.imag)!r}" for v in row) for row in snap.data]
+    assert path.read_text() == f"aoa-matrix 1 2 {len(values)} Z\n" + "".join(row + "\n" for row in rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    shape=st.tuples(st.integers(2, 4), st.integers(1, 6)),
+    data=st.data(),
+    subarray=st.sampled_from(list(Subarray)),
+)
+def test_write_then_read_is_bit_exact(shape, data, subarray):
+    parts = data.draw(st.lists(_entries, min_size=2 * shape[0] * shape[1], max_size=2 * shape[0] * shape[1]))
+    values = np.array(parts).view(complex).reshape(shape)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snap.mat"
+        write_matrix_file(SnapshotMatrix(values, subarray), path)
+        back = read_matrix_file(path)
+    # compares the bits, so -0.0 and 0.0 differ
+    assert back.data.tobytes() == values.tobytes()
+    assert back.subarray is subarray
 
 
 def test_explicit_format(tmp_path):
@@ -55,7 +94,8 @@ def test_bad_entry_reports_position(tmp_path):
     assert exc.value.column == 2
 
 
-@pytest.mark.parametrize("entry", ["inf:0", "0:-inf", "nan:0"])
+# 1.8e308 is past the largest double, so it parses to inf
+@pytest.mark.parametrize("entry", ["inf:0", "0:-inf", "nan:0", "1.8e308:0", "0:-1.8e308"])
 def test_non_finite_entry_reports_position(tmp_path, entry):
     path = tmp_path / "m.mat"
     path.write_text(f"aoa-matrix 1 2 3 Z\n# comment\n1:0 2:0 3:0\n1:0 {entry} 3:0\n")

@@ -16,6 +16,7 @@ from laoa.montecarlo import (
     splitmix64,
     trial_seed,
 )
+from laoa.synthesis import synthesize
 
 
 def _cfg(**overrides):
@@ -173,6 +174,18 @@ class TestMonteCarlo:
         monkeypatch.setattr(laoa.montecarlo, "run_trials", lambda c, *a: seen.append(len(a[-1])) or real(c, *a))
         monte_carlo(cfg, workers=1)
         assert seen == sizes
+
+    @pytest.mark.parametrize("signal_model", ["unit_power_random_phase", "qpsk"])
+    def test_each_slice_holds_what_synthesize_draws_on_the_trials_stream(self, monkeypatch, signal_model):
+        # the stack builds the steering matrices once, but every draw stays on the trial's stream
+        cfg = _cfg(q=2, sources="30/40, 70/120", signal_model=signal_model, trials=7, snr_db_list="0")
+        stacks, real = [], laoa.montecarlo.estimate_stack
+        monkeypatch.setattr(laoa.montecarlo, "estimate_stack", lambda Y, *a: stacks.append(Y.copy()) or real(Y, *a))
+        laoa.montecarlo.run_trials(cfg, 0.0, 0, range(2, 7))
+        for Y, trial_index in zip(stacks[0], range(2, 7)):
+            rng = np.random.default_rng(trial_seed(cfg.seed, 0, trial_index))
+            Z, X, _ = synthesize(cfg.source_set(), cfg.array_config(), cfg.M, cfg.noise_variance(0.0), rng)
+            assert np.array_equal(Y, np.vstack([Z.data, X.data]))
 
     def test_workers_do_not_change_bytes(self):
         cfg = _cfg(trials=6, snr_db_list="20, 10")
