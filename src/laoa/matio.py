@@ -1,10 +1,18 @@
 """Snapshot-matrix file format.
 
-Line 1: ``aoa-matrix 1 <rows> <cols> <Z|X>``.  Then one line per row with
-``cols`` whitespace-separated entries formatted ``<re>:<im>``, using the
-shortest decimal representation that round-trips to the identical float.
-Lines starting with ``#`` are comments.  Every entry must be finite.
-Write -> read is bit-exact.
+Line 1: ``aoa-matrix 1 <rows> <cols> <Z|X>`` with rows >= 2 and cols >= 1.
+Then one line per row with ``cols`` whitespace-separated entries formatted
+``<re>:<im>``; each part follows Python ``float()`` syntax, and the writer
+uses the shortest decimal representation that round-trips to the identical
+float.  Lines whose first non-blank character is ``#`` are comments; there
+are no trailing comments.  Every entry must be finite.  Write -> read is
+bit-exact.
+
+A canonical body (every row ``cols`` tokens with one ``:`` each) is parsed
+in one pass by numpy's C text reader, which converts each part exactly as
+``float()`` does.  A body that pass does not accept goes through the
+per-entry loop, which is the only place body ``ParseError``s are raised, so
+every error names the same line and column as an entry-by-entry read.
 """
 
 import numpy as np
@@ -25,10 +33,8 @@ def write_matrix_file(snap: SnapshotMatrix, path) -> None:
 
 def read_matrix_file(path) -> SnapshotMatrix:
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
-
-    content = [(i + 1, ln.strip()) for i, ln in enumerate(lines)
-               if ln.strip() and not ln.lstrip().startswith("#")]
+        content = [(i + 1, ln.strip()) for i, ln in enumerate(fh)
+                   if ln.strip() and not ln.lstrip().startswith("#")]
     if not content:
         raise ParseError("empty matrix file")
 
@@ -42,6 +48,8 @@ def read_matrix_file(path) -> SnapshotMatrix:
         rows, cols = int(parts[2]), int(parts[3])
     except ValueError:
         raise ParseError(f"non-integer dimensions in header {header!r}", line=lineno)
+    if rows < 2 or cols < 1:
+        raise ParseError(f"header declares {rows} x {cols}, need rows >= 2 and cols >= 1", line=lineno)
     if parts[4] not in ("Z", "X"):
         raise ParseError(f"subarray must be Z or X, got {parts[4]!r}", line=lineno)
     subarray = Subarray(parts[4])
@@ -50,6 +58,41 @@ def read_matrix_file(path) -> SnapshotMatrix:
     if len(body) != rows:
         raise ParseError(f"header declares {rows} rows, file has {len(body)}", line=lineno)
 
+    data = _parse_bulk(body, rows, cols)
+    if data is None:
+        data = _parse_entries(body, rows, cols)
+    return SnapshotMatrix(data, subarray)
+
+
+def _parse_bulk(body, rows, cols):
+    """Parse a canonical body in one numpy pass; None sends it to ``_parse_entries``.
+
+    The pass is taken only when every row has ``cols`` tokens, ``cols`` colons
+    and a colon in each token, i.e. one colon per token.  numpy's reader
+    converts each part with the routine ``float()`` uses, so values are
+    bit-identical, but it accepts less (not ``1_0``, for one); its result is
+    kept only if it has 2 * cols finite parts per row.
+    """
+    for _, line in body:
+        tokens = line.split()
+        if len(tokens) != cols or line.count(":") != cols or not all(":" in tok for tok in tokens):
+            return None
+        if ":" in tokens:
+            # a bare colon is a bad entry; a row of them would be blank to loadtxt,
+            # which skips blank rows and warns when no row is left
+            return None
+    try:
+        # a generator, so only one row's text is copied at a time
+        flat = np.loadtxt((line.replace(":", " ") for _, line in body), dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if flat.shape != (rows, 2 * cols) or not np.all(np.isfinite(flat)):
+        return None
+    return flat.view(complex)
+
+
+def _parse_entries(body, rows, cols):
+    """Parse entry by entry, raising a ``ParseError`` at the first bad row or entry."""
     data = np.empty((rows, cols), dtype=complex)
     for r, (lineno, line) in enumerate(body):
         tokens = line.split()
@@ -68,4 +111,4 @@ def read_matrix_file(path) -> SnapshotMatrix:
         # one whole-array check; the position is looked up only on failure
         r, c = np.argwhere(~np.isfinite(data))[0]
         raise ParseError(f"non-finite entry {body[r][1].split()[c]!r}", line=body[r][0], column=c + 1)
-    return SnapshotMatrix(data, subarray)
+    return data

@@ -166,6 +166,16 @@ def test_estimate_rejects_a_non_finite_entry_before_any_svd(tmp_path, capsys, mo
     assert svd_calls == []
 
 
+def test_estimate_rejects_a_degenerate_header(tmp_path, capsys):
+    zf, xf = _write_pair(tmp_path)
+    zf.write_text("aoa-matrix 1 1 2 Z\n1:0 2:0\n")
+    rc = main(["estimate", "--z-file", str(zf), "--x-file", str(xf), "--q", "1", "--spacing-ratio", "0.5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "need rows >= 2 and cols >= 1 (line 1)" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "old, new",
     [("snr_db_list = 300", "snr_db_list = 300, nan"), ("snr_db_list = 300", "snr_db_list = -inf"),

@@ -109,3 +109,18 @@ def test_bad_headers(tmp_path, header):
     path.write_text(header + "\n1:0 2:0\n3:0 4:0\n")
     with pytest.raises(ParseError):
         read_matrix_file(path)
+
+
+# SnapshotMatrix needs m >= 2 and M >= 1; the header is rejected first, on its own line
+@pytest.mark.parametrize("header, body", [
+    ("aoa-matrix 1 0 3 Z", ""),
+    ("aoa-matrix 1 1 2 Z", "1:0 2:0\n"),
+    ("aoa-matrix 1 2 -1 Z", "1:0\n2:0\n"),
+    ("aoa-matrix 1 2 0 X", "\n"),
+])
+def test_degenerate_dimensions_report_the_header_line(tmp_path, header, body):
+    path = tmp_path / "m.mat"
+    path.write_text("# comment\n" + header + "\n" + body)
+    with pytest.raises(ParseError, match=r"need rows >= 2 and cols >= 1 \(line 2\)") as exc:
+        read_matrix_file(path)
+    assert exc.value.column is None
