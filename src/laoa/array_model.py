@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateElevation, OutOfRange
+from .errors import AoaError, DegenerateElevation, OutOfRange, raise_first
 
 CLAMP_TOL = 1e-9  # arccos arguments this far past [-1, 1] are clamped, not rejected
 GUARD_DEG = 1.0   # theta this close to 0 or 180 degrees leaves phi undefined
@@ -106,28 +106,65 @@ def direction_from_electrical(psi: float, xi: float, cfg: ArrayConfig) -> Direct
     Arguments slightly outside [-1, 1] (by at most CLAMP_TOL) are clamped;
     beyond that the pair is inconsistent and OutOfRange is raised.  When
     theta lands within GUARD_DEG of 0 or 180 degrees, sin(theta) is too
-    small to recover phi and DegenerateElevation is raised.
+    small to recover phi and DegenerateElevation is raised.  A stack of one
+    for ``directions_from_electrical``.
+    """
+    errors = [None]
+    theta, phi = directions_from_electrical(np.array([[psi]], dtype=float), np.array([[xi]], dtype=float), cfg, errors)
+    raise_first(errors)
+    return DirectionPair(theta=float(theta[0, 0]), phi=float(phi[0, 0]))
+
+
+def directions_from_electrical(
+    psi: np.ndarray, xi: np.ndarray, cfg: ArrayConfig, errors: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """``direction_from_electrical`` over a T x q stack of pairs: (theta, phi) in degrees, T x q each.
+
+    Row t holds trial t's q (psi, xi) pairs.  Each pair meets the checks in
+    the order the scalar mapping runs them: the psi clamp, the elevation
+    guard, then the xi clamp.  A trial whose slot in ``errors`` (see
+    ``laoa.linalg``) is already set is not mapped; otherwise the first pair
+    of its row that fails a check sets the slot to the exception that pair
+    raises alone.  Every row not mapped reads NaN.
     """
     scale = 2.0 * np.pi * cfg.spacing_ratio
+    live = np.flatnonzero([exc is None for exc in errors])
+    shape = (len(live), psi.shape[1])
+    # flat over the live rows; each check sees only the pairs that passed the ones before
+    cos_theta = psi[live].reshape(-1) / scale
+    theta, sin_theta, cos_phi, phi = (np.full(cos_theta.shape, np.nan) for _ in range(4))
+    clamped = np.flatnonzero(np.abs(cos_theta) <= 1.0 + CLAMP_TOL)
+    theta[clamped] = np.arccos(np.clip(cos_theta[clamped], -1.0, 1.0))
+    sin_theta[clamped] = np.sin(theta[clamped])
+    guarded = clamped[~(sin_theta[clamped] < np.sin(np.deg2rad(GUARD_DEG)))]
+    cos_phi[guarded] = xi[live].reshape(-1)[guarded] / (scale * sin_theta[guarded])
+    mapped = guarded[np.abs(cos_phi[guarded]) <= 1.0 + CLAMP_TOL]
+    phi[mapped] = np.arccos(np.clip(cos_phi[mapped], -1.0, 1.0))
 
-    cos_theta = _clamped(psi / scale, "psi")
-    theta = np.arccos(cos_theta)
+    # checks passed per pair: 0 fails the psi clamp, 1 the guard, 2 the xi clamp, 3 maps
+    passed = np.zeros(cos_theta.shape, dtype=np.intp)
+    passed[clamped], passed[guarded], passed[mapped] = 1, 2, 3
+    passed = passed.reshape(shape)
+    failed = passed < 3
+    first = np.argmax(failed, axis=1)
+    for row in np.flatnonzero(failed.any(axis=1)):
+        i = row * shape[1] + first[row]
+        errors[live[row]] = _failure(passed[row, first[row]], cos_theta[i], theta[i], cos_phi[i])
 
-    if np.sin(theta) < np.sin(np.deg2rad(GUARD_DEG)):
-        raise DegenerateElevation(
-            f"theta = {np.rad2deg(theta):.6g} deg is within {GUARD_DEG} deg of an "
+    ok = ~failed.any(axis=1)
+    theta_deg, phi_deg = np.full(psi.shape, np.nan), np.full(psi.shape, np.nan)
+    theta_deg[live[ok]] = np.rad2deg(theta.reshape(shape)[ok])
+    phi_deg[live[ok]] = np.rad2deg(phi.reshape(shape)[ok])
+    return theta_deg, phi_deg
+
+
+def _failure(passed: int, cos_theta: float, theta: float, cos_phi: float) -> AoaError:
+    # the exception of a pair that passed `passed` checks; numbers go through
+    # float() so that no numpy repr such as np.float64(...) reaches the message
+    if passed == 1:
+        return DegenerateElevation(
+            f"theta = {float(np.rad2deg(theta)):.6g} deg is within {GUARD_DEG} deg of an "
             "array axis; azimuth is undefined"
         )
-
-    cos_phi = _clamped(xi / (scale * np.sin(theta)), "xi")
-    phi = np.arccos(cos_phi)
-    return DirectionPair(theta=float(np.rad2deg(theta)), phi=float(np.rad2deg(phi)))
-
-
-def _clamped(x: float, label: str) -> float:
-    if not abs(x) <= 1.0 + CLAMP_TOL:  # written as "not <=" so NaN is out of range too
-        raise OutOfRange(
-            f"arccos argument {x!r} derived from {label} exceeds [-1, 1] "
-            f"beyond CLAMP_TOL={CLAMP_TOL}"
-        )
-    return min(1.0, max(-1.0, x))
+    x, label = (cos_theta, "psi") if passed == 0 else (cos_phi, "xi")
+    return OutOfRange(f"arccos argument {float(x)!r} derived from {label} exceeds [-1, 1] beyond CLAMP_TOL={CLAMP_TOL}")

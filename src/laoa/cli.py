@@ -13,7 +13,7 @@ import sys
 
 from .array_model import ArrayConfig
 from .config import load_config
-from .errors import AoaError
+from .errors import AoaError, ParseError
 from .estimator import EstimatorMode, estimate_2d_aoa
 from .matio import read_matrix_file
 from .montecarlo import monte_carlo, run_trial
@@ -70,19 +70,27 @@ def _cmd_simulate(args) -> int:
         print(f"error: --snr-db {snr_db!r} is not in snr_db_list {list(cfg.snr_db_list)}", file=sys.stderr)
         return 1
     snr_index = cfg.snr_db_list.index(snr_db)
-    result = run_trial(cfg, snr_db, snr_index, args.trial)
-    if result.failure is not None:
-        print(f"trial failed: {result.failure}", file=sys.stderr)
+    theta_err, phi_err, (failure,) = run_trial(cfg, snr_db, snr_index, args.trial)
+    if failure is not None:
+        print(f"trial failed: {failure}", file=sys.stderr)
         return 2
     print("source,theta_true,phi_true,theta_err_deg,phi_err_deg")
-    for i, d in enumerate(cfg.sources):
-        print(f"{i},{d.theta!r},{d.phi!r},{result.theta_errors[i]!r},{result.phi_errors[i]!r}")
+    for i, (d, te, pe) in enumerate(zip(cfg.sources, theta_err[0].tolist(), phi_err[0].tolist())):
+        print(f"{i},{d.theta!r},{d.phi!r},{te!r},{pe!r}")
     return 0
 
 
+def _read(flag: str, path: str):
+    try:
+        return read_matrix_file(path)
+    except ParseError as exc:
+        exc.args = (f"{flag} {path}: {exc}",)  # keeps its line and column attributes
+        raise
+
+
 def _cmd_estimate(args) -> int:
-    Z = read_matrix_file(args.z_file)
-    X = read_matrix_file(args.x_file)
+    Z = _read("--z-file", args.z_file)
+    X = _read("--x-file", args.x_file)
     for flag, snap, tag in (("--z-file", Z, Subarray.Z), ("--x-file", X, Subarray.X)):
         if snap.subarray is not tag:
             print(f"{flag} holds a matrix tagged {snap.subarray.value}, expected {tag.value}", file=sys.stderr)

@@ -2,13 +2,15 @@
 
 Two kinds of error.  ``OutOfRange``, ``DegenerateElevation``,
 ``ConvergenceFailure`` and ``NotEnoughRoots`` can strike any single noisy
-trial; ``montecarlo.run_trials`` counts them as trial failures, since the
-failure rate is itself a result.  In a stack of trials they do not raise:
-each trial's error is kept in its slot of an ``errors`` list (see
-``laoa.linalg``), and ``raise_first`` raises it for a caller that passed
-none.  ``UnsupportedScenario`` (the (m, M, q) shape rules and the
-source-separation rule) and ``ParseError`` (malformed config or matrix files)
-reject the input up front, before any trial or estimate runs.
+trial.  In a stack of trials they do not raise: each trial's error is kept
+in its slot of an ``errors`` list (see ``laoa.linalg``), which the
+estimator's array result carries, and ``raise_first`` raises it for a
+caller that passed none, such as ``estimate_2d_aoa``.
+``montecarlo.run_trials`` turns the list into failure class names and
+counts them per SNR point, since the failure rate is itself a result.
+``UnsupportedScenario`` (the (m, M, q) shape rules and the source-separation
+rule) and ``ParseError`` (malformed config or matrix files) reject the input
+up front, before any trial or estimate runs.
 """
 
 

@@ -2,12 +2,17 @@
 
 The estimator runs on a stack of trials: ``estimate_stack`` takes T trials'
 data at once and makes each step one batched numpy/LAPACK call over the
-stack, which spreads numpy's per-call cost over the trials.
-``estimate_2d_aoa`` is a stack of one.  Each trial's result, failure and
-warnings do not depend on the other trials in its stack: numpy runs each
-item of a stacked call on its own, and a trial that fails is skipped by
-every later step (see ``laoa.linalg`` for the ``errors`` lists that carry
-the failures).
+stack, which spreads numpy's per-call cost over the trials.  It returns one
+``StackEstimate``, a struct of arrays with one row per trial: the paired
+(theta, phi), (psi, xi) and root magnitudes (T x q each), the pairing
+residual and ambiguity flag (T each), and the ``errors`` list that names
+each failed trial's AoaError, whose rows read NaN.  ``estimate_2d_aoa`` is a
+stack of one; it and the single-trial ``pair_and_recover`` turn row 0 into
+the boundary types ``AoaEstimate`` and ``SourceEstimate``.  Each trial's
+result, failure and warnings do not depend on the other trials in its
+stack: numpy runs each item of a stacked call on its own, and a trial that
+fails is skipped by every later step (see ``laoa.linalg`` for the
+``errors`` lists that carry the failures).
 
 The data are compressed once, at the entry.  A trial's two subarrays are
 stacked as Y = [Z; X] (2m x M), and one QR gives the triangular factor R of
@@ -66,16 +71,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .array_model import ArrayConfig, direction_from_electrical, steering_vector
-from .errors import (
-    AoaError,
-    ConvergenceFailure,
-    DegenerateElevation,
-    OutOfRange,
-    PairingAmbiguousWarning,
-    UnsupportedScenario,
-    raise_first,
-)
+from .array_model import ArrayConfig, directions_from_electrical, steering_vector
+from .errors import ConvergenceFailure, PairingAmbiguousWarning, UnsupportedScenario, raise_first
 from .linalg import EstimatorMode, lapack_stack, solve_coeffs
 from .rooting import electrical_angles_from_roots, find_roots, select_unit_roots
 from .synthesis import SnapshotMatrix, build_lp_system
@@ -133,6 +130,39 @@ class AoaEstimate:
     pairing_ambiguous: bool = False
 
 
+@dataclass(frozen=True, eq=False)
+class StackEstimate:
+    """A stack's estimates as arrays, one row per trial.
+
+    The T x q arrays list each trial's sources in paired order: source l
+    pairs psi_hat[t, l] (root magnitude mag_z[t, l]) with xi_hat[t, l]
+    (mag_x[t, l]) and maps to (theta_deg[t, l], phi_deg[t, l]).
+    pairing_residual and pairing_ambiguous hold one entry per trial.
+    errors[t] is the AoaError trial t fails with, or None; a failed trial's
+    row reads NaN and not ambiguous.
+    """
+
+    theta_deg: np.ndarray
+    phi_deg: np.ndarray
+    psi_hat: np.ndarray
+    xi_hat: np.ndarray
+    mag_z: np.ndarray
+    mag_x: np.ndarray
+    pairing_residual: np.ndarray
+    pairing_ambiguous: np.ndarray
+    errors: list
+
+
+def _row_estimate(result: StackEstimate, t: int = 0) -> AoaEstimate:
+    # trial t of a stack as the boundary types; .tolist() keeps numpy reprs out of printed fields
+    columns = (result.theta_deg, result.phi_deg, result.psi_hat, result.xi_hat, result.mag_z, result.mag_x)
+    return AoaEstimate(
+        sources=tuple(SourceEstimate(*source) for source in zip(*(a[t].tolist() for a in columns))),
+        pairing_residual=float(result.pairing_residual[t]),
+        pairing_ambiguous=bool(result.pairing_ambiguous[t]),
+    )
+
+
 def estimate_electrical(
     B: np.ndarray, q: int, mode: EstimatorMode, errors: list | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +192,7 @@ def pair_and_recover(
     root_mags_z: np.ndarray | None = None,
     root_mags_x: np.ndarray | None = None,
     errors: list | None = None,
-) -> AoaEstimate | list:
+) -> AoaEstimate | StackEstimate:
     """Associate psi and xi estimates across subarrays and recover angles.
 
     L is any 2m x k matrix with L L^H = Y Y^H for the stacked data Y = [Z; X]:
@@ -176,9 +206,9 @@ def pair_and_recover(
     so any finite data scale pairs alike; the reported ``pairing_residual``
     is the winner's ||(I - P_A) L||_F = ||(I - P_A) Y||_F at the data's scale.
 
-    One trial's q angles per subarray give an AoaEstimate.  A stack (T x q
-    angles, T x 2m x k for L) gives a list with one AoaEstimate per trial,
-    None where the trial fails; see ``laoa.linalg`` for ``errors``.
+    One trial's q angles per subarray give an AoaEstimate, or raise the
+    trial's failure.  A stack (T x q angles, T x 2m x k for L) gives a
+    StackEstimate; see ``laoa.linalg`` for ``errors``.
 
     Raises
     ------
@@ -191,13 +221,13 @@ def pair_and_recover(
         If a paired (psi, xi) maps to no direction
         (``direction_from_electrical``).
     """
-    psi = np.asarray(psi_hats, dtype=float)
+    psi = np.array(psi_hats, dtype=float)
     xi = np.asarray(xi_hats, dtype=float)
     if xi.shape != psi.shape:
         raise ValueError("psi and xi sets must have equal length")
     q = psi.shape[-1]
     _check_pairing_budget(q)
-    mags_z = np.full(psi.shape, np.nan) if root_mags_z is None else np.asarray(root_mags_z, dtype=float)
+    mags_z = np.full(psi.shape, np.nan) if root_mags_z is None else np.array(root_mags_z, dtype=float)
     mags_x = np.full(psi.shape, np.nan) if root_mags_x is None else np.asarray(root_mags_x, dtype=float)
     single = psi.ndim == 1
     if single:
@@ -207,49 +237,42 @@ def pair_and_recover(
     live = np.flatnonzero([exc is None for exc in errs])
     live_errs = [None] * len(live)
     resid, e = _pairing_residuals(psi[live], xi[live], L[live], cfg.m, live_errs)
-    table = permutation_table(q)
-    estimates = [None] * len(psi)
-    for j, t in enumerate(live):
-        if live_errs[j] is not None:
-            errs[t] = live_errs[j]
-            continue
-        order = np.argsort(resid[j], kind="stable")
-        best_perm = table[order[0]]
-        best = float(resid[j, order[0]])
-        second = float(resid[j, order[1]]) if q > 1 else np.inf
-        ambiguous = False
-        if q > 1 and np.isfinite(second):
-            if (second - best) < PAIRING_AMBIGUITY_REL_TOL * max(second, np.finfo(float).tiny):
-                ambiguous = True
-                warnings.warn(
-                    "two pairings fit the data almost equally well; keeping the best",
-                    PairingAmbiguousWarning,
-                    stacklevel=2,
-                )
-        try:
-            sources = tuple(
-                _source(float(psi[t, l]), float(xi[t, k]), float(mags_z[t, l]), float(mags_x[t, k]), cfg)
-                for l, k in enumerate(best_perm)
-            )
-        except (OutOfRange, DegenerateElevation) as exc:
-            # without its traceback, the kept exception does not keep this frame's arrays alive
-            errs[t] = exc.with_traceback(None)
-            continue
-        estimates[t] = AoaEstimate(
-            sources=sources,
-            pairing_residual=float(np.ldexp(best, e[j])),
-            pairing_ambiguous=ambiguous,
+    paired = np.array([exc is None for exc in live_errs], dtype=bool)
+    for j in np.flatnonzero(~paired):
+        errs[live[j]] = live_errs[j]
+    rows, resid = live[paired], resid[paired]
+
+    order = np.argsort(resid, axis=1, kind="stable")
+    at = np.arange(len(rows))
+    best = resid[at, order[:, 0]]
+    ambiguous = np.zeros(len(psi), dtype=bool)
+    if q > 1:
+        second = resid[at, order[:, 1]]
+        close = np.isfinite(second)
+        gap = second[close] - best[close]
+        close[close] = gap < PAIRING_AMBIGUITY_REL_TOL * np.maximum(second[close], np.finfo(float).tiny)
+        ambiguous[rows] = close
+    for _ in range(np.count_nonzero(ambiguous)):
+        warnings.warn(
+            "two pairings fit the data almost equally well; keeping the best", PairingAmbiguousWarning, stacklevel=2
         )
-    if errors is None:
+
+    perm = permutation_table(q)[order[:, 0]]
+    xi_paired, mags_x_paired = np.full(psi.shape, np.nan), np.full(psi.shape, np.nan)
+    residual = np.full(len(psi), np.nan)
+    xi_paired[rows] = xi[rows[:, None], perm]
+    mags_x_paired[rows] = mags_x[rows[:, None], perm]
+    residual[rows] = np.ldexp(best, e[paired])
+    theta, phi = directions_from_electrical(psi, xi_paired, cfg, errs)
+
+    failed = np.array([exc is not None for exc in errs], dtype=bool)
+    for a in (psi, xi_paired, mags_z, mags_x_paired, residual):
+        a[failed] = np.nan
+    ambiguous[failed] = False
+    result = StackEstimate(theta, phi, psi, xi_paired, mags_z, mags_x_paired, residual, ambiguous, errs)
+    if errors is None or single:
         raise_first(errs)
-    return estimates[0] if single else estimates
-
-
-def _source(psi: float, xi: float, mag_z: float, mag_x: float, cfg: ArrayConfig) -> SourceEstimate:
-    d = direction_from_electrical(psi, xi, cfg)
-    return SourceEstimate(
-        theta_deg=d.theta, phi_deg=d.phi, psi_hat=psi, xi_hat=xi, root_magnitude_z=mag_z, root_magnitude_x=mag_x
-    )
+    return _row_estimate(result) if single else result
 
 
 def _pairing_residuals(
@@ -351,14 +374,15 @@ def estimate_stack(
     q: int,
     cfg: ArrayConfig,
     mode: EstimatorMode = EstimatorMode.TRUNCATED_SVD,
-) -> list:
+) -> StackEstimate:
     """The 2D AOA pipeline on a stack of trials, one pass per step.
 
     Y is T x 2m x M, trial t's stacked data [Z_t; X_t].  Checks the scenario
     once, compresses every trial with one stacked QR (see the module
-    docstring) and runs each step on the whole stack.  Returns one entry per
-    trial: its AoaEstimate, or the AoaError it fails with.  Each entry, and
-    each warning, is exactly what ``estimate_2d_aoa`` gives that trial alone.
+    docstring) and runs each step on the whole stack, the pairing and the
+    angle mapping included.  Returns one StackEstimate: row t, and
+    ``errors[t]``, are exactly what ``estimate_2d_aoa`` gives trial t alone,
+    and so is each warning.
 
     Raises
     ------
@@ -379,8 +403,7 @@ def estimate_stack(
         R[t] = 0.0
     psi_hats, mags_z = estimate_electrical(R[:, :, :m], q, mode, errors)
     xi_hats, mags_x = estimate_electrical(R[:, :, m:], q, mode, errors)
-    estimates = pair_and_recover(psi_hats, xi_hats, R.swapaxes(1, 2), cfg, mags_z, mags_x, errors)
-    return [est if exc is None else exc for est, exc in zip(estimates, errors)]
+    return pair_and_recover(psi_hats, xi_hats, R.swapaxes(1, 2), cfg, mags_z, mags_x, errors)
 
 
 def estimate_2d_aoa(
@@ -410,7 +433,6 @@ def estimate_2d_aoa(
     m, M = cfg.m, Z.snapshots
     if Z.data.shape != (m, M) or X.data.shape != (m, M):
         raise ValueError(f"Z and X must both be cfg.m x M = {m} x M, got {Z.data.shape} and {X.data.shape}")
-    (est,) = estimate_stack(np.vstack([Z.data, X.data])[None], q, cfg, mode)
-    if isinstance(est, AoaError):
-        raise est
-    return est
+    result = estimate_stack(np.vstack([Z.data, X.data])[None], q, cfg, mode)
+    raise_first(result.errors)
+    return _row_estimate(result)

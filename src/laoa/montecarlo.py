@@ -4,11 +4,15 @@ Every trial gets its own random stream derived from (master seed, SNR index,
 trial index) through a splitmix64-style avalanche.  The trials of one SNR
 point run in stacks of up to STACK_TRIALS: each stack, one task for the serial
 loop or the process pool, synthesizes its trials into one array and
-estimates them in one pass (``estimator.estimate_stack``).  A trial's result
-depends on neither its stack nor its worker, so the report is byte-identical
-for any worker count and any split into stacks.  Estimator failures at low
-SNR are counted per SNR point, not raised: the failure rate is itself a
-result.
+estimates them in one pass (``estimator.estimate_stack``).  It stays arrays
+to the end: the stack's estimates are matched to the true sources in one
+pass over all permutations, and a task returns T x q arrays of theta and phi
+errors plus each trial's failure class name.  ``monte_carlo`` joins the
+tasks' arrays and reduces each source's column at each SNR point under a
+mask of the trials that did not fail.  A trial's result depends on neither
+its stack nor its worker, so the report is byte-identical for any worker
+count and any split into stacks.  Estimator failures at low SNR are counted
+per SNR point, not raised: the failure rate is itself a result.
 """
 
 import os
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import steering_vector
-from .errors import AoaError
 from .config import ExperimentConfig
 from .estimator import estimate_stack, permutation_table
 from .synthesis import _synthesize_into, separated_angle_sets
@@ -51,13 +54,6 @@ def trial_seed(seed: int, snr_index: int, trial_index: int) -> int:
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    theta_errors: tuple[float, ...] | None  # None on failure
-    phi_errors: tuple[float, ...] | None
-    failure: str | None = None
-
-
-@dataclass(frozen=True)
 class MonteCarloReport:
     rows: tuple[dict, ...]
 
@@ -81,31 +77,37 @@ class MonteCarloReport:
         return "\n".join(lines) + "\n"
 
 
-def _match_to_truth(est_sources, truth) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # assign estimates to ground-truth sources by minimum total angular error;
-    # cost[l, j] is the error of estimate j against source l, and ties go to
-    # the first permutation in itertools order
+def _match_to_truth(theta_deg: np.ndarray, phi_deg: np.ndarray, truth) -> tuple[np.ndarray, np.ndarray]:
+    # assign each trial's estimates (T x q) to the ground-truth sources by
+    # minimum total angular error and return the T x q errors in truth order;
+    # cost[t, l, j] is the error of estimate j against source l, and ties go
+    # to the first permutation in itertools order
     q = len(truth)
-    est_theta = np.array([s.theta_deg for s in est_sources])
-    est_phi = np.array([s.phi_deg for s in est_sources])
-    cost = np.abs(est_theta - np.array([[t.theta] for t in truth])) + np.abs(
-        est_phi - np.array([[t.phi] for t in truth])
-    )
+    true_theta = np.array([t.theta for t in truth])
+    true_phi = np.array([t.phi for t in truth])
+    cost = np.abs(theta_deg[:, None, :] - true_theta[:, None]) + np.abs(phi_deg[:, None, :] - true_phi[:, None])
     table = permutation_table(q)
-    best = table[np.argmin(cost[np.arange(q), table].sum(axis=1))]
-    theta_err = tuple(est_sources[j].theta_deg - t.theta for j, t in zip(best, truth))
-    phi_err = tuple(est_sources[j].phi_deg - t.phi for j, t in zip(best, truth))
-    return theta_err, phi_err
+    best = table[np.argmin(cost[:, np.arange(q), table].sum(axis=2), axis=1)]
+    return (
+        np.take_along_axis(theta_deg, best, axis=1) - true_theta,
+        np.take_along_axis(phi_deg, best, axis=1) - true_phi,
+    )
 
 
-def run_trials(cfg: ExperimentConfig, snr_db: float, snr_index: int, trials: range) -> list[TrialResult]:
-    """Trials of one SNR point as one stack: estimator errors become failure records.
+def run_trials(
+    cfg: ExperimentConfig, snr_db: float, snr_index: int, trials: range
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Trials of one SNR point as one stack: their angle errors and failures.
 
     Each trial is synthesized on its own stream straight into its slice of
     one T x 2m x M stack, which ``estimate_stack`` runs in one pass; each
     result is exactly the one the trial gets alone.  The source angles and
     steering matrices depend only on the config, so the stack builds them
     once; each slice holds exactly the data ``synthesize`` gives its stream.
+
+    Returns the theta and phi errors in degrees (T x q, source l of the
+    config in column l; NaN rows for failed trials) and, per trial, the
+    class name of the estimator error it fails with, or None.
     """
     sigma2 = cfg.noise_variance(snr_db)
     src, array = cfg.source_set(), cfg.array_config()
@@ -114,18 +116,19 @@ def run_trials(cfg: ExperimentConfig, snr_db: float, snr_index: int, trials: ran
     Y = np.empty((len(trials), 2 * cfg.m, cfg.M), dtype=complex)
     for y, trial_index in zip(Y, trials):
         _synthesize_into(y, A_z, A_x, src, sigma2, np.random.default_rng(trial_seed(cfg.seed, snr_index, trial_index)))
-    return [
-        TrialResult(None, None, failure=type(est).__name__)
-        if isinstance(est, AoaError)
-        else TrialResult(*_match_to_truth(est.sources, cfg.sources))
-        for est in estimate_stack(Y, cfg.q, array, cfg.mode)
-    ]
+    est = estimate_stack(Y, cfg.q, array, cfg.mode)
+    failures = [None if exc is None else type(exc).__name__ for exc in est.errors]
+    ok = np.array([f is None for f in failures], dtype=bool)
+    theta_err, phi_err = np.full(est.theta_deg.shape, np.nan), np.full(est.phi_deg.shape, np.nan)
+    theta_err[ok], phi_err[ok] = _match_to_truth(est.theta_deg[ok], est.phi_deg[ok], cfg.sources)
+    return theta_err, phi_err, failures
 
 
-def run_trial(cfg: ExperimentConfig, snr_db: float, snr_index: int, trial_index: int) -> TrialResult:
-    """One synthesis + estimation trial: a stack of one."""
-    (result,) = run_trials(cfg, snr_db, snr_index, range(trial_index, trial_index + 1))
-    return result
+def run_trial(
+    cfg: ExperimentConfig, snr_db: float, snr_index: int, trial_index: int
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """One synthesis + estimation trial: ``run_trials`` on a stack of one."""
+    return run_trials(cfg, snr_db, snr_index, range(trial_index, trial_index + 1))
 
 
 def _run_trials_star(args):
@@ -172,17 +175,20 @@ def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarlo
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             stacks = list(pool.map(_run_trials_star, tasks))
-    results = [r for stack in stacks for r in stack]
+    theta_err = np.concatenate([stack[0] for stack in stacks])
+    phi_err = np.concatenate([stack[1] for stack in stacks])
+    failed = np.array([f is not None for stack in stacks for f in stack[2]], dtype=bool)
 
     rows = []
     for si, snr_db in enumerate(cfg.snr_db_list):
-        trials = results[si * cfg.trials:(si + 1) * cfg.trials]
-        ok = [t for t in trials if t.failure is None]
-        failures = len(trials) - len(ok)
+        point = slice(si * cfg.trials, (si + 1) * cfg.trials)
+        ok = ~failed[point]
+        failures = int(np.count_nonzero(failed[point]))
         for source_index in range(cfg.q):
-            if ok:
-                te = np.array([t.theta_errors[source_index] for t in ok])
-                pe = np.array([t.phi_errors[source_index] for t in ok])
+            if ok.any():
+                # each source's errors as one 1-D array: a 2-D reduction would sum in another order
+                te = theta_err[point, source_index][ok]
+                pe = phi_err[point, source_index][ok]
                 row = {
                     "rmse_theta_deg": float(np.sqrt(np.mean(te**2))),
                     "rmse_phi_deg": float(np.sqrt(np.mean(pe**2))),

@@ -78,12 +78,12 @@ def test_criterion_2_truncated_svd_moderate_noise():
     )
     theta_err, phi_err, failures = [], [], 0
     for ti in range(500):
-        r = run_trial(cfg, 20.0, 0, ti)
-        if r.failure is not None:
+        te, pe, (failure,) = run_trial(cfg, 20.0, 0, ti)
+        if failure is not None:
             failures += 1
         else:
-            theta_err.append(abs(r.theta_errors[0]))
-            phi_err.append(abs(r.phi_errors[0]))
+            theta_err.append(abs(te[0, 0]))
+            phi_err.append(abs(pe[0, 0]))
     med_t, med_p = np.median(theta_err), np.median(phi_err)
     _report(
         f"criterion 2: 20 dB medians theta={med_t:.4f} deg, phi={med_p:.4f} deg, "

@@ -114,6 +114,14 @@ class TestInverseMapping:
         with pytest.raises(OutOfRange):
             direction_from_electrical(psi, xi, HALF)
 
+    @pytest.mark.parametrize("psi, xi, label", [(np.pi * (1 + 1e-7), 0.0, "psi"), (1.0, 3.1, "xi")], ids=["psi", "xi"])
+    def test_out_of_range_message_prints_a_plain_number(self, psi, xi, label):
+        # numpy scalars in, so a message built from them would show np.float64(...)
+        with pytest.raises(OutOfRange, match=f"derived from {label}") as info:
+            direction_from_electrical(np.float64(psi), np.float64(xi), ArrayConfig(8, 0.5))
+        number = str(info.value).split()[2]
+        assert abs(float(number)) > 1.0
+
     def test_boundary_psi_clamped_then_degenerate(self):
         with pytest.raises(DegenerateElevation):
             direction_from_electrical(np.pi * (1 + 1e-12), 0.0, HALF)

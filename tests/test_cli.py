@@ -176,6 +176,20 @@ def test_estimate_rejects_a_degenerate_header(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag", ["--z-file", "--x-file"])
+def test_estimate_names_the_file_that_fails_to_parse(tmp_path, capsys, flag):
+    zf, xf = _write_pair(tmp_path)
+    bad = zf if flag == "--z-file" else xf
+    lines = bad.read_text().split("\n")
+    lines[3] = " ".join(["nope"] + lines[3].split()[1:])
+    bad.write_text("\n".join(lines))
+    rc = main(["estimate", "--z-file", str(zf), "--x-file", str(xf), "--q", "1", "--spacing-ratio", "0.5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} {bad}: bad complex entry 'nope' (line 4, column 1)" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "old, new",
     [("snr_db_list = 300", "snr_db_list = 300, nan"), ("snr_db_list = 300", "snr_db_list = -inf"),

@@ -29,7 +29,7 @@ from laoa.errors import (
     RankDeficiencyWarning,
     UnsupportedScenario,
 )
-from laoa.estimator import PAIRING_AMBIGUITY_REL_TOL, estimate_stack, permutation_table
+from laoa.estimator import PAIRING_AMBIGUITY_REL_TOL, _row_estimate, estimate_stack, permutation_table
 from laoa.synthesis import Subarray, electrical_angle_sets
 
 
@@ -428,9 +428,12 @@ class TestStackParity:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = estimate_stack(np.stack(stack), 2, self.CFG)
-        for g, (w, _) in zip(got, want):
+        for t, (w, _) in enumerate(want):
             if isinstance(w, AoaError):
-                assert type(g) is type(w)
+                assert type(got.errors[t]) is type(w)
+                # a failed trial's row holds no estimate
+                rows = [a[t] for a in (got.theta_deg, got.phi_deg, got.psi_hat, got.xi_hat, got.mag_z, got.mag_x)]
+                assert np.all(np.isnan(rows)) and np.isnan(got.pairing_residual[t]) and not got.pairing_ambiguous[t]
             else:
-                assert g == w
+                assert got.errors[t] is None and _row_estimate(got, t) == w
         assert Counter(w.category for w in caught) == sum((c for _, c in want), Counter())

@@ -16,7 +16,7 @@ import laoa.estimator
 from laoa import ArrayConfig, DirectionPair, SourceSet, pair_and_recover
 from laoa.array_model import steering_vector
 from laoa.errors import PairingAmbiguousWarning
-from laoa.estimator import PAIRING_BLOCK, SCREEN_ERROR_FACTOR, _pairing_residuals, _screen, permutation_table
+from laoa.estimator import PAIRING_BLOCK, SCREEN_ERROR_FACTOR, _pairing_residuals, _row_estimate, _screen, permutation_table
 from laoa.linalg import lapack_stack
 from laoa.synthesis import electrical_angle_sets
 
@@ -91,7 +91,8 @@ def _pair(psi, xi, L, residuals):
     errors = [None] * len(psi)
     with mock.patch.object(laoa.estimator, "_pairing_residuals", residuals), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        estimates = pair_and_recover(psi, xi, L, CFG, mags, mags, errors)
+        result = pair_and_recover(psi, xi, L, CFG, mags, mags, errors)
+    estimates = [None if exc is not None else _row_estimate(result, t) for t, exc in enumerate(errors)]
     failures = [None if exc is None else (type(exc), str(exc)) for exc in errors]
     return estimates, failures, sum(issubclass(w.category, PairingAmbiguousWarning) for w in caught)
 
