@@ -61,6 +61,10 @@ def _print_estimate(est) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    if args.trial < 0:
+        # a negative index would seed a trial that no Monte Carlo run contains
+        print(f"error: --trial must be >= 0, got {args.trial}", file=sys.stderr)
+        return 1
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)

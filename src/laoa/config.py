@@ -19,8 +19,10 @@ Example::
 
 from dataclasses import dataclass, replace
 
-from .array_model import ArrayConfig, DirectionPair
-from .errors import ParseError
+import numpy as np
+
+from .array_model import GUARD_DEG, ArrayConfig, DirectionPair
+from .errors import ParseError, UnsupportedScenario
 from .estimator import EstimatorMode, check_scenario
 from .synthesis import SignalModel, SourceSet, separated_angle_sets
 
@@ -58,6 +60,9 @@ class ExperimentConfig:
         if not finite:
             raise ValueError(f"snr_db_list {list(self.snr_db_list)} and power {self.power!r} "
                              "give a non-finite noise variance")
+        if len(set(self.snr_db_list)) != len(self.snr_db_list):
+            # report rows are keyed by (snr_db, source_index), and a trial's seed by the SNR's index
+            raise ValueError(f"snr_db_list {list(self.snr_db_list)} repeats an entry")
         if self.q != len(self.sources):
             raise ValueError(f"q={self.q} does not match {len(self.sources)} sources")
         if not (0 <= self.seed < 2 ** 64):
@@ -65,6 +70,11 @@ class ExperimentConfig:
         self.array_config()  # validates m and spacing_ratio
         # Reject scenarios the estimator cannot handle before any trial runs.
         check_scenario(self.m, self.M, self.q)
+        for i, d in enumerate(self.sources):
+            # directions_from_electrical's guard, which such a source would fail in most trials
+            if np.sin(np.deg2rad(d.theta)) < np.sin(np.deg2rad(GUARD_DEG)):
+                raise UnsupportedScenario(f"source {i} at theta = {d.theta!r} deg is within {GUARD_DEG} deg "
+                                          "of the Z axis, where its azimuth is undefined")
         separated_angle_sets(self.source_set(), self.array_config())
 
     def noise_variance(self, snr_db: float) -> float:

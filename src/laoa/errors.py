@@ -2,15 +2,16 @@
 
 Two kinds of error.  ``OutOfRange``, ``DegenerateElevation``,
 ``ConvergenceFailure`` and ``NotEnoughRoots`` can strike any single noisy
-trial.  In a stack of trials they do not raise: each trial's error is kept
-in its slot of an ``errors`` list (see ``laoa.linalg``), which the
-estimator's array result carries, and ``raise_first`` raises it for a
-caller that passed none, such as ``estimate_2d_aoa``.
+trial.  The estimator's layers take stacks of trials only and raise none of
+them: each trial's error is kept in its slot of an ``errors`` list (see
+``laoa.linalg``), which the estimator's array result carries.  Only the
+single-trial entry points ``estimate_2d_aoa`` and
+``direction_from_electrical`` raise a trial's error, through ``raise_first``.
 ``montecarlo.run_trials`` turns the list into failure class names and
 counts them per SNR point, since the failure rate is itself a result.
-``UnsupportedScenario`` (the (m, M, q) shape rules and the source-separation
-rule) and ``ParseError`` (malformed config or matrix files) reject the input
-up front, before any trial or estimate runs.
+``UnsupportedScenario`` (the (m, M, q) shape rules, the source-separation
+rule and the elevation guard) and ``ParseError`` (malformed config or matrix
+files) reject the input up front, before any trial or estimate runs.
 """
 
 

@@ -7,12 +7,12 @@ stack, which spreads numpy's per-call cost over the trials.  It returns one
 (theta, phi), (psi, xi) and root magnitudes (T x q each), the pairing
 residual and ambiguity flag (T each), and the ``errors`` list that names
 each failed trial's AoaError, whose rows read NaN.  ``estimate_2d_aoa`` is a
-stack of one; it and the single-trial ``pair_and_recover`` turn row 0 into
-the boundary types ``AoaEstimate`` and ``SourceEstimate``.  Each trial's
-result, failure and warnings do not depend on the other trials in its
-stack: numpy runs each item of a stacked call on its own, and a trial that
-fails is skipped by every later step (see ``laoa.linalg`` for the
-``errors`` lists that carry the failures).
+stack of one: it raises the trial's failure and turns row 0 into the
+boundary types ``AoaEstimate`` and ``SourceEstimate``.  Every layer below it
+takes stacks only.  Each trial's result, failure and warnings do not depend
+on the other trials in its stack: numpy runs each item of a stacked call on
+its own, and a trial that fails is skipped by every later step (see
+``laoa.linalg`` for the ``errors`` lists that carry the failures).
 
 The data are compressed once, at the entry.  A trial's two subarrays are
 stacked as Y = [Z; X] (2m x M), and one QR gives the triangular factor R of
@@ -35,7 +35,8 @@ calls each.  Any L with L L^H = Y Y^H gives every residual (I - P_A) Y the
 same Frobenius norm as (I - P_A) L.  Permutation P's stacked steering matrix
 A = [A_z; A_x P] has the q x q normal equations G_P S = B_P, with
 G_P = A^H A = Gz + P^T Gx P and B_P = A^H L = Bz + P^T Bx gathered from the
-two halves.
+two halves.  Both stages solve with G_P through one loop over a flat list of
+(trial, permutation) pairs, a block of pairs per stacked solve.
 
 The screen scores every permutation with q x q matrices only:
 cheap_P = ||L||^2 - Re tr(G_P^-1 H_P), with H_P = B_P B_P^H gathered from
@@ -163,16 +164,14 @@ def _row_estimate(result: StackEstimate, t: int = 0) -> AoaEstimate:
     )
 
 
-def estimate_electrical(
-    B: np.ndarray, q: int, mode: EstimatorMode, errors: list | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Electrical angles of one subarray, ascending, plus root magnitudes.
+def estimate_electrical(B: np.ndarray, q: int, mode: EstimatorMode, errors: list) -> tuple[np.ndarray, np.ndarray]:
+    """Electrical angles of one subarray per trial, ascending, plus root magnitudes.
 
-    B holds the subarray's sensors as columns: the raw data transposed, or
-    the subarray's columns of the triangular factor (see the module
-    docstring).  A stack of blocks (T x n x m) gives one row of angles and
-    magnitudes per block; see ``laoa.linalg`` for ``errors``.  Runs the full
-    chain: linear-prediction system, coefficient solve, root finding, and
+    B is a stack (T x n x m) of blocks holding the subarray's sensors as
+    columns: the raw data transposed, or the subarray's columns of the
+    triangular factor (see the module docstring).  Gives T x q angles and
+    magnitudes; see ``laoa.linalg`` for ``errors``.  Runs the full chain:
+    linear-prediction system, coefficient solve, root finding, and
     unit-circle root selection.
     """
     P, P1 = build_lp_system(B)
@@ -189,37 +188,35 @@ def pair_and_recover(
     xi_hats: np.ndarray,
     L: np.ndarray,
     cfg: ArrayConfig,
-    root_mags_z: np.ndarray | None = None,
-    root_mags_x: np.ndarray | None = None,
-    errors: list | None = None,
-) -> AoaEstimate | StackEstimate:
-    """Associate psi and xi estimates across subarrays and recover angles.
+    root_mags_z: np.ndarray,
+    root_mags_x: np.ndarray,
+    errors: list,
+) -> StackEstimate:
+    """Associate each trial's psi and xi estimates across subarrays and recover angles.
 
-    L is any 2m x k matrix with L L^H = Y Y^H for the stacked data Y = [Z; X]:
-    the transposed triangular factor that ``estimate_2d_aoa`` passes, or Y
-    itself.  For every permutation P of the xi set, fit one common source
-    matrix S to L with the stacked steering matrix [A_z; A_x P] and keep the
-    permutation with the smallest Frobenius residual; ties go to the first
-    permutation in itertools order.  The search screens all permutations
-    with q x q scores and scores exactly only those the screen's error bound
-    cannot rule out (see the module docstring), on L scaled by a power of two,
-    so any finite data scale pairs alike; the reported ``pairing_residual``
-    is the winner's ||(I - P_A) L||_F = ||(I - P_A) Y||_F at the data's scale.
+    psi_hats, xi_hats and the root magnitudes are T x q, one row per trial.
+    L is T x 2m x k: L[t] is any matrix with L L^H = Y Y^H for trial t's
+    stacked data Y = [Z; X], such as the transposed triangular factor that
+    ``estimate_stack`` passes, or Y itself.  For every permutation P of the
+    xi set, fit one common source matrix S to L with the stacked steering
+    matrix [A_z; A_x P] and keep the permutation with the smallest Frobenius
+    residual; ties go to the first permutation in itertools order.  The
+    search screens all permutations with q x q scores and scores exactly only
+    those the screen's error bound cannot rule out (see the module
+    docstring), on L scaled by a power of two, so any finite data scale pairs
+    alike; the reported ``pairing_residual`` is the winner's
+    ||(I - P_A) L||_F = ||(I - P_A) Y||_F at the data's scale.
 
-    One trial's q angles per subarray give an AoaEstimate, or raise the
-    trial's failure.  A stack (T x q angles, T x 2m x k for L) gives a
-    StackEstimate; see ``laoa.linalg`` for ``errors``.
+    Returns a StackEstimate; see ``laoa.linalg`` for ``errors``.  A trial
+    gets ConvergenceFailure if LAPACK finds some permutation's normal
+    equations exactly singular, as when two (psi, xi) pairs are identical,
+    and OutOfRange or DegenerateElevation if a paired (psi, xi) maps to no
+    direction (``directions_from_electrical``).
 
     Raises
     ------
     UnsupportedScenario
         If q! exceeds PERMUTATION_BUDGET.
-    ConvergenceFailure
-        If LAPACK finds some permutation's normal equations exactly
-        singular, as when two (psi, xi) pairs are identical.
-    OutOfRange, DegenerateElevation
-        If a paired (psi, xi) maps to no direction
-        (``direction_from_electrical``).
     """
     psi = np.array(psi_hats, dtype=float)
     xi = np.asarray(xi_hats, dtype=float)
@@ -227,19 +224,15 @@ def pair_and_recover(
         raise ValueError("psi and xi sets must have equal length")
     q = psi.shape[-1]
     _check_pairing_budget(q)
-    mags_z = np.full(psi.shape, np.nan) if root_mags_z is None else np.array(root_mags_z, dtype=float)
-    mags_x = np.full(psi.shape, np.nan) if root_mags_x is None else np.asarray(root_mags_x, dtype=float)
-    single = psi.ndim == 1
-    if single:
-        psi, xi, L, mags_z, mags_x = psi[None], xi[None], L[None], mags_z[None], mags_x[None]
-    errs = [None] * len(psi) if errors is None else errors
+    mags_z = np.array(root_mags_z, dtype=float)
+    mags_x = np.asarray(root_mags_x, dtype=float)
 
-    live = np.flatnonzero([exc is None for exc in errs])
+    live = np.flatnonzero([exc is None for exc in errors])
     live_errs = [None] * len(live)
     resid, e = _pairing_residuals(psi[live], xi[live], L[live], cfg.m, live_errs)
     paired = np.array([exc is None for exc in live_errs], dtype=bool)
     for j in np.flatnonzero(~paired):
-        errs[live[j]] = live_errs[j]
+        errors[live[j]] = live_errs[j]
     rows, resid = live[paired], resid[paired]
 
     order = np.argsort(resid, axis=1, kind="stable")
@@ -263,16 +256,13 @@ def pair_and_recover(
     xi_paired[rows] = xi[rows[:, None], perm]
     mags_x_paired[rows] = mags_x[rows[:, None], perm]
     residual[rows] = np.ldexp(best, e[paired])
-    theta, phi = directions_from_electrical(psi, xi_paired, cfg, errs)
+    theta, phi = directions_from_electrical(psi, xi_paired, cfg, errors)
 
-    failed = np.array([exc is not None for exc in errs], dtype=bool)
+    failed = np.array([exc is not None for exc in errors], dtype=bool)
     for a in (psi, xi_paired, mags_z, mags_x_paired, residual):
         a[failed] = np.nan
     ambiguous[failed] = False
-    result = StackEstimate(theta, phi, psi, xi_paired, mags_z, mags_x_paired, residual, ambiguous, errs)
-    if errors is None or single:
-        raise_first(errs)
-    return _row_estimate(result) if single else result
+    return StackEstimate(theta, phi, psi, xi_paired, mags_z, mags_x_paired, residual, ambiguous, errors)
 
 
 def _pairing_residuals(
@@ -305,26 +295,35 @@ def _pairing_residuals(
     else:
         contenders = np.ones((len(psi), len(table)), dtype=bool)
 
+    def rhs(ts, ps, _):
+        return Bz[ts] + Bx[ts[:, None], table[ps]]
+
     resid = np.full(contenders.shape, np.inf)
-    trial_of, perm_of = np.nonzero(contenders)
-    for b in range(0, len(trial_of), PAIRING_BLOCK):
-        ts, ps = trial_of[b:b + PAIRING_BLOCK], perm_of[b:b + PAIRING_BLOCK]
-        perms = table[ps]
+    for ts, ps, S in _solve_pairings(Gz, Gx, rhs, np.nonzero(contenders), table, PAIRING_BLOCK, errors):
+        A = np.concatenate([A_z[ts], A_x[ts[:, None], :, table[ps]].swapaxes(1, 2)], axis=1)
+        resid[ts, ps] = np.linalg.norm(L[ts] - A @ S, axis=(1, 2))
+    return resid, e
+
+
+def _solve_pairings(Gz: np.ndarray, Gx: np.ndarray, rhs, pairs: tuple, table: np.ndarray, block: int, errors: list):
+    # G_P X = rhs(ts, ps, at) for the flat (trial_of, perm_of) list `pairs`, `block`
+    # systems per stacked solve, with G_P = Gz + P^T Gx P gathered per system; `at`
+    # indexes P^T M P, M[P[i], P[j]], in a flattened T x q x q stack.  Merges each
+    # block's failures into the trials' slots of errors and yields (ts, ps, X) for
+    # each block that has a solution
+    trial_of, perm_of = pairs
+    q = table.shape[1]
+    both = table[:, :, None] * q + table[:, None, :]
+    for b in range(0, len(trial_of), block):
+        ts, ps = trial_of[b:b + block], perm_of[b:b + block]
+        at = ts[:, None, None] * (q * q) + both[ps]
         block_errs = [None] * len(ts)
-        S = lapack_stack(
-            np.linalg.solve,
-            (Gz[ts] + Gx[ts[:, None, None], perms[:, :, None], perms[:, None, :]], Bz[ts] + Bx[ts[:, None], perms]),
-            block_errs,
-            SINGULAR_PAIRING,
-        )
+        X = lapack_stack(np.linalg.solve, (Gz[ts] + np.take(Gx, at), rhs(ts, ps, at)), block_errs, SINGULAR_PAIRING)
         for t, exc in zip(ts, block_errs):
             if exc is not None and errors[t] is None:
                 errors[t] = exc
-        if S is None:
-            continue
-        A = np.concatenate([A_z[ts], A_x[ts[:, None], :, perms].swapaxes(1, 2)], axis=1)
-        resid[ts, ps] = np.linalg.norm(L[ts] - A @ S, axis=(1, 2))
-    return resid, e
+        if X is not None:
+            yield ts, ps, X
 
 
 def _screen(
@@ -336,30 +335,17 @@ def _screen(
     T, q = Gz.shape[:2]
     m = L.shape[1] // 2
     Hzz, Hzx, Hxx = (a @ b.conj().swapaxes(1, 2) for a, b in ((Bz, Bz), (Bz, Bx), (Bx, Bx)))
-    # flat indices into a q x q matrix: P^T M P is M[P[i], P[j]], M P is M[i, P[j]]
-    both = table[:, :, None] * q + table[:, None, :]
-    cols = np.arange(q)[:, None] * q + table[:, None, :]
-    gx, hzx, hxx = (a.reshape(T, q * q) for a in (Gx, Hzx, Hxx))
+
+    cols = np.arange(q)[:, None] * q + table[:, None, :]  # M P is M[i, P[j]]
+
+    def rhs(ts, ps, at):
+        cross = np.take(Hzx, ts[:, None, None] * (q * q) + cols[ps])
+        return Hzz[ts] + cross + cross.conj().swapaxes(1, 2) + np.take(Hxx, at)
+
     traces = np.full((T, len(table)), np.nan)
-    trials_per_block = max(1, SCREEN_BLOCK // len(table))
-    for t0 in range(0, T, trials_per_block):
-        ts = slice(t0, t0 + trials_per_block)
-        for p0 in range(0, len(table), SCREEN_BLOCK):
-            ps = slice(p0, p0 + SCREEN_BLOCK)
-            cross = np.take(hzx[ts], cols[ps], axis=1)
-            block_errs = errors[ts]
-            X = lapack_stack(
-                np.linalg.solve,
-                (
-                    Gz[ts, None] + np.take(gx[ts], both[ps], axis=1),
-                    Hzz[ts, None] + cross + cross.conj().swapaxes(2, 3) + np.take(hxx[ts], both[ps], axis=1),
-                ),
-                block_errs,
-                SINGULAR_PAIRING,
-            )
-            errors[ts] = block_errs
-            if X is not None:
-                traces[ts, ps] = np.trace(X, axis1=2, axis2=3).real
+    every_pair = np.nonzero(np.ones(traces.shape, dtype=bool))
+    for ts, ps, X in _solve_pairings(Gz, Gx, rhs, every_pair, table, SCREEN_BLOCK, errors):
+        traces[ts, ps] = np.trace(X, axis1=1, axis2=2).real
     norm2 = np.sum(L.real**2 + L.imag**2, axis=(1, 2))
     # lambda_max(G_P) <= tr(G_P) = 2mq, and lambda_min(G_P) >= max(lambda_min(Gz), lambda_min(Gx))
     lam = np.max(np.linalg.eigvalsh(np.stack([Gz, Gx]))[..., 0], axis=0)

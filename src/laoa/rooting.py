@@ -7,51 +7,44 @@ backward-stable method (Edelman & Murakami, Math. Comp. 1995), each polished
 by one Newton step on P itself and then checked against a relative residual
 bound.
 
-Each function takes one polynomial or root set, or a stack of them (one row
-per trial).  A stack's companion matrices are grouped by effective degree,
-one ``eigvals`` call per degree, and its root sets are padded with NaN past
-each set's own degree.  Stacks and ``errors`` work as in ``laoa.linalg``.
+Each function takes a stack of polynomials or root sets (one row per trial)
+and its ``errors`` list, as every layer does (see ``laoa.linalg``).  The
+companion matrices are grouped by effective degree, one ``eigvals`` call per
+degree, and the root sets are padded with NaN past each set's own degree.
 """
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotEnoughRoots, raise_first
+from .errors import ConvergenceFailure, NotEnoughRoots
 from .linalg import lapack_stack
 
 DEFLATION_TOL = 1e-12      # relative cutoff for stripping tiny leading coefficients
 RESIDUAL_TOL = 1e-8        # relative residual every returned root must satisfy
 
 
-def find_roots(c: np.ndarray, errors: list | None = None) -> np.ndarray:
-    """All roots of 1 + c_1 y + ... + c_{m-1} y^{m-1}, given c = (c_1, ..., c_{m-1}).
+def find_roots(c: np.ndarray, errors: list) -> np.ndarray:
+    """All roots of 1 + c_1 y + ... + c_{m-1} y^{m-1} for each row c = (c_1, ..., c_{m-1}) of a stack.
 
     Near-zero high-order coefficients are stripped first (degree deflation),
-    so one polynomial's roots number its effective degree; a stack (T x
-    (m-1)) gives T x (m-1) roots, NaN past each row's degree.
-
-    Raises
-    ------
-    NotEnoughRoots
-        If every coefficient is negligible (the constant 1 has no roots).
-    ConvergenceFailure
-        If the eigenvalue solver fails or a root misses the residual bound.
+    so a row's roots number its effective degree: a T x (m-1) stack gives
+    T x (m-1) roots, NaN past each row's degree.  A row gets NotEnoughRoots
+    if every coefficient is negligible (the constant 1 has no roots), and
+    ConvergenceFailure if the eigenvalue solver fails or a root misses the
+    residual bound.
     """
     c = np.asarray(c)
-    single = c.ndim == 1
-    C = c[None] if single else c
-    errs = [None] * len(C) if errors is None else errors
-    poly = np.concatenate((np.ones((len(C), 1), dtype=complex), C), axis=1)
+    poly = np.concatenate((np.ones((len(c), 1), dtype=complex), c), axis=1)
     mags = np.abs(poly)
     # written as "not <" so a NaN coefficient is kept and fails in the eigensolver
     kept = ~(mags[:, 1:] < DEFLATION_TOL * mags.max(axis=1, keepdims=True))
     # the effective degree is the index of the last coefficient that is not negligible
     degree = np.where(kept.any(axis=1), kept.shape[1] - np.argmax(kept[:, ::-1], axis=1), 0)
     for i in np.flatnonzero(degree == 0):
-        if errs[i] is None:
-            errs[i] = NotEnoughRoots("all polynomial coefficients are negligible; no roots exist")
+        if errors[i] is None:
+            errors[i] = NotEnoughRoots("all polynomial coefficients are negligible; no roots exist")
 
-    roots = np.full(C.shape, np.nan + 0j)
-    live = np.array([exc is None for exc in errs])
+    roots = np.full(c.shape, np.nan + 0j)
+    live = np.array([exc is None for exc in errors])
     for d in sorted(set(degree[live].tolist())):  # not np.unique, which imports numpy.ma
         idx = np.flatnonzero(live & (degree == d))
         a = poly[idx, :d + 1]
@@ -74,10 +67,8 @@ def find_roots(c: np.ndarray, errors: list | None = None) -> np.ndarray:
                     group_errs[j] = ConvergenceFailure(f"root {r[j, np.argmax(bad[j])]} fails the residual bound")
             roots[idx, :d] = r
         for i, exc in zip(idx, group_errs):
-            errs[i] = exc
-    if errors is None:
-        raise_first(errs)
-    return roots[0, :degree[0]] if single else roots
+            errors[i] = exc
+    return roots
 
 
 def _horner(poly: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,28 +89,22 @@ def _polyval(poly: np.ndarray, y: np.ndarray) -> np.ndarray:
     return p
 
 
-def select_unit_roots(roots: np.ndarray, q: int, errors: list | None = None) -> np.ndarray:
-    """Indices of the q roots whose magnitudes are nearest unity.
+def select_unit_roots(roots: np.ndarray, q: int, errors: list) -> np.ndarray:
+    """Indices of the q roots whose magnitudes are nearest unity, one row per root set of a stack.
 
     Ties are broken by the canonical root order (principal angle ascending,
     then magnitude), so the selected VALUES are independent of the input
-    ordering.  A stack of root sets gives one row of indices per set; NaN
-    padding counts as no root and sorts last.
+    ordering.  NaN padding counts as no root and sorts last; a row with
+    fewer than q roots gets NotEnoughRoots.
     """
-    roots = np.asarray(roots, dtype=complex)
-    single = roots.ndim == 1
-    R = roots[None] if single else roots
-    errs = [None] * len(R) if errors is None else errors
+    R = np.asarray(roots, dtype=complex)
     available = np.sum(~np.isnan(R), axis=1)
     for i in np.flatnonzero(available < q):
-        if errs[i] is None:
-            errs[i] = NotEnoughRoots(f"requested {q} signal roots from {available[i]} available")
-    if errors is None:
-        raise_first(errs)
+        if errors[i] is None:
+            errors[i] = NotEnoughRoots(f"requested {q} signal roots from {available[i]} available")
     mags = np.abs(R)
     # lexsort's last key is the primary one
-    selected = np.lexsort((mags, np.angle(R), np.abs(mags - 1.0)), axis=-1)[:, :q]
-    return selected[0] if single else selected
+    return np.lexsort((mags, np.angle(R), np.abs(mags - 1.0)), axis=-1)[:, :q]
 
 
 def electrical_angles_from_roots(roots: np.ndarray, selected: np.ndarray) -> np.ndarray:

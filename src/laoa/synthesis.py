@@ -146,18 +146,15 @@ def synthesize(
     snapshots: int,
     sigma2: float,
     rng: np.random.Generator,
-    out: np.ndarray | None = None,
 ) -> tuple[SnapshotMatrix, SnapshotMatrix, np.ndarray]:
     """Generate (Z, X, S) for one noise realization.
 
     Both subarrays observe the same source matrix S; the noise draws are
     independent.  S is returned so tests can use it as an oracle.  Z and X
-    are the two halves of one 2m x M array, [Z; X]: ``out`` if given, else a
-    new one.
+    are the two halves of one new 2m x M array, [Z; X].
     """
     psis, xis = separated_angle_sets(src, cfg)
-    if out is None:
-        out = np.empty((2 * cfg.m, snapshots), dtype=complex)
+    out = np.empty((2 * cfg.m, snapshots), dtype=complex)
     S = _synthesize_into(out, steering_vector(psis, cfg.m), steering_vector(xis, cfg.m), src, sigma2, rng)
     return (
         SnapshotMatrix(out[:cfg.m], Subarray.Z),

@@ -43,6 +43,23 @@ def test_simulate_rejects_snr_outside_the_list(config_file, capsys):
     assert "snr_db_list" in capsys.readouterr().err
 
 
+def test_simulate_rejects_a_negative_trial(config_file, capsys):
+    path, _ = config_file
+    assert main(["simulate", "--config", str(path), "--trial", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "--trial must be >= 0" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+@pytest.mark.parametrize("theta", ["0.5", "179.5"])
+def test_a_source_near_the_z_axis_fails_before_any_trial(config_file, command, theta, capsys):
+    path, out = config_file
+    path.write_text(path.read_text().replace("sources = 60/45", f"sources = {theta}/45"))
+    assert main([command, "--config", str(path)]) == 2
+    assert f"source 0 at theta = {theta} deg" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
 def test_unusable_scenario_fails_before_any_trial(config_file, command, capsys):
     path, out = config_file

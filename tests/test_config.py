@@ -83,13 +83,23 @@ def test_seed_override():
         ("snr_db_list = 0, 10, 20, 30", "snr_db_list = 0, -4000", "non-finite noise"),
         ("trials = 500", "trials = 500\npower = nan", "power nan"),
         ("trials = 500", "trials = 500\npower = inf", "power inf"),
+        ("sources = 30/40, 70/120", "sources = 30/40, 0.5/120", "source 1 at theta = 0.5 deg .* Z axis"),
+        ("sources = 30/40, 70/120", "sources = 179.5/40, 70/120", "source 0 at theta = 179.5 deg .* Z axis"),
+        ("snr_db_list = 0, 10, 20, 30", "snr_db_list = 10, 0, 10", "repeats an entry"),
     ],
     ids=["q_too_large", "too_few_snapshots", "psi_too_close", "xi_too_close",
-         "snr_nan", "snr_minus_inf", "snr_overflows", "power_nan", "power_inf"],
+         "snr_nan", "snr_minus_inf", "snr_overflows", "power_nan", "power_inf",
+         "near_z_axis", "near_minus_z_axis", "snr_repeated"],
 )
 def test_rejects_scenarios_the_estimator_cannot_handle(old, new, match):
     with pytest.raises(ParseError, match=match):
         parse_config(GOOD.replace(old, new))
+
+
+def test_a_source_at_the_elevation_guard_is_accepted():
+    # directions_from_electrical fails only sin(theta) < sin(GUARD_DEG)
+    cfg = parse_config(GOOD.replace("sources = 30/40, 70/120", "sources = 1/40, 70/120"))
+    assert cfg.sources[0].theta == 1.0
 
 
 def test_plus_inf_db_is_the_noiseless_case():

@@ -58,32 +58,41 @@ def _stacked_residual(psis, xis, Y, cfg):
 class TestEstimateElectrical:
     def test_single_source(self):
         cfg, src, Z, _ = _setup([(60, 90)], m=4, M=10)
-        angles, mags = estimate_electrical(Z.data.T, 1, EstimatorMode.NOISELESS)
-        assert angles[0] == pytest.approx(np.pi / 2, abs=1e-9)
-        assert mags[0] == pytest.approx(1.0, abs=1e-9)
+        errors = [None]
+        angles, mags = estimate_electrical(Z.data.T[None], 1, EstimatorMode.NOISELESS, errors)
+        assert errors == [None]
+        assert angles[0, 0] == pytest.approx(np.pi / 2, abs=1e-9)
+        assert mags[0, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_three_sources(self):
         # pick directions whose psi values are well separated
         thetas = [np.rad2deg(np.arccos(p / np.pi)) for p in (-1.2, 0.3, 2.0)]
         cfg2, src, Z, _ = _setup(list(zip(thetas, (150.0, 100.0, 40.0))), m=8, M=50)
-        angles, _ = estimate_electrical(Z.data.T, 3, EstimatorMode.NOISELESS)
-        np.testing.assert_allclose(sorted(angles), [-1.2, 0.3, 2.0], atol=1e-8)
+        errors = [None]
+        angles, _ = estimate_electrical(Z.data.T[None], 3, EstimatorMode.NOISELESS, errors)
+        assert errors == [None]
+        np.testing.assert_allclose(sorted(angles[0]), [-1.2, 0.3, 2.0], atol=1e-8)
 
 
 class TestPairing:
     def test_single_source_identity(self):
         cfg, src, Z, X = _setup([(60, 45)], m=6, M=30)
         psis, xis = electrical_angle_sets(src, cfg)
-        est = pair_and_recover(list(psis), list(xis), _stacked(Z, X), cfg)
-        assert est.sources[0].theta_deg == pytest.approx(60.0, abs=1e-9)
-        assert est.pairing_residual == pytest.approx(0.0, abs=1e-9)
+        errors = [None]
+        mags = np.ones((1, 1))
+        est = pair_and_recover(psis[None], xis[None], _stacked(Z, X)[None], cfg, mags, mags, errors)
+        assert errors == [None]
+        assert est.theta_deg[0, 0] == pytest.approx(60.0, abs=1e-9)
+        assert est.pairing_residual[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_two_sources_correct_pairing(self):
         cfg, src, Z, X = _setup([(30, 40), (70, 120)], m=8, M=50)
         psis, xis = electrical_angle_sets(src, cfg)
         Y = _stacked(Z, X)
-        est = pair_and_recover(list(psis), list(xis), Y, cfg)
-        got = sorted((s.theta_deg, s.phi_deg) for s in est.sources)
+        errors = [None]
+        est = pair_and_recover(psis[None], xis[None], Y[None], cfg, np.ones((1, 2)), np.ones((1, 2)), errors)
+        assert errors == [None]
+        got = sorted(zip(est.theta_deg[0], est.phi_deg[0]))
         np.testing.assert_allclose(got, [(30, 40), (70, 120)], atol=1e-6)
         # the deliberately swapped association must fit far worse
         good = _stacked_residual(psis, xis, Y, cfg)
@@ -94,30 +103,38 @@ class TestPairing:
         # elevations as close as min_sep allows; only xi distinguishes the sources
         cfg, src, Z, X = _setup([(60, 60), (66, 120)], m=8, M=50)
         psis, xis = electrical_angle_sets(src, cfg)
-        est = pair_and_recover(list(psis), list(xis), _stacked(Z, X), cfg)
-        got = sorted((s.theta_deg, s.phi_deg) for s in est.sources)
+        errors = [None]
+        mags = np.ones((1, 2))
+        est = pair_and_recover(psis[None], xis[None], _stacked(Z, X)[None], cfg, mags, mags, errors)
+        assert errors == [None]
+        got = sorted(zip(est.theta_deg[0], est.phi_deg[0]))
         np.testing.assert_allclose(got, [(60, 60), (66, 120)], atol=1e-6)
-        assert not est.pairing_ambiguous
+        assert not est.pairing_ambiguous[0]
 
     def test_tie_keeps_the_first_permutation(self):
         # duplicated xi estimates: both pairings give the same stacked matrix
         cfg, src, Z, X = _setup([(30, 40), (70, 120)], m=8, M=50, sigma2=0.01)
+        errors = [None]
         with pytest.warns(PairingAmbiguousWarning):
-            est = pair_and_recover([0.3, 1.3], [0.5, 0.5], _stacked(Z, X), cfg, root_mags_x=[1.0, 2.0])
-        assert est.pairing_ambiguous
-        assert est.sources[0].root_magnitude_x == 1.0
+            est = pair_and_recover(np.array([[0.3, 1.3]]), np.array([[0.5, 0.5]]), _stacked(Z, X)[None], cfg,
+                                   np.ones((1, 2)), np.array([[1.0, 2.0]]), errors)
+        assert errors == [None]
+        assert est.pairing_ambiguous[0]
+        assert est.mag_x[0, 0] == 1.0
 
     def test_identical_pairs_are_a_convergence_failure(self):
         cfg, src, Z, X = _setup([(30, 40), (70, 120)], m=8, M=50, sigma2=0.01)
-        with pytest.raises(ConvergenceFailure):
-            pair_and_recover([0.3, 0.3], [0.5, 0.5], _stacked(Z, X), cfg)
+        errors = [None]
+        pair_and_recover(np.array([[0.3, 0.3]]), np.array([[0.5, 0.5]]), _stacked(Z, X)[None], cfg,
+                         np.ones((1, 2)), np.ones((1, 2)), errors)
+        assert isinstance(errors[0], ConvergenceFailure)
 
     def test_more_sources_than_the_pairing_budget(self):
         # rejected before any data is touched: 8! pairings exceed the budget
         cfg, src, Z, X = _setup([(30, 40)], m=10, M=50)
-        angles = list(np.linspace(-2.0, 2.0, 8))
+        angles = np.linspace(-2.0, 2.0, 8)[None]
         with pytest.raises(UnsupportedScenario, match="pairings"):
-            pair_and_recover(angles, angles, _stacked(Z, X), cfg)
+            pair_and_recover(angles, angles, _stacked(Z, X)[None], cfg, np.ones((1, 8)), np.ones((1, 8)), [None])
 
 
 FIVE_SOURCES = [(30, 40), (60, 100), (100, 60), (140, 130), (80, 150)]
@@ -155,12 +172,15 @@ class TestPairingOracle:
         psis = sorted(np.asarray(psis) + rng.normal(0, jitter, q))
         xis = sorted(np.asarray(xis) + rng.normal(0, jitter, q))
         perm, resid, ambiguous = _lstsq_pairing(psis, xis, _stacked(Z, X), cfg)
+        errors = [None]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PairingAmbiguousWarning)
-            est = pair_and_recover(psis, xis, _stacked(Z, X), cfg)
-        assert [s.xi_hat for s in est.sources] == [xis[j] for j in perm]
-        assert est.pairing_ambiguous == ambiguous
-        assert est.pairing_residual == pytest.approx(resid, rel=1e-9)
+            est = pair_and_recover(np.array([psis]), np.array([xis]), _stacked(Z, X)[None], cfg,
+                                   np.ones((1, q)), np.ones((1, q)), errors)
+        assert errors == [None]
+        assert est.xi_hat[0].tolist() == [xis[j] for j in perm]
+        assert est.pairing_ambiguous[0] == ambiguous
+        assert est.pairing_residual[0] == pytest.approx(resid, rel=1e-9)
 
     @pytest.mark.parametrize("q", [0, 1, 3, 5])
     def test_permutation_table(self, q):
@@ -288,13 +308,15 @@ class TestCompressOnce:
         # M < 2m gives a trapezoidal factor
         cfg, src, Z, X = _setup(FIVE_SOURCES[:q], m=8, M=M, sigma2=0.01, seed=1)
         got = estimate_2d_aoa(Z, X, q, cfg, mode)
-        psis, mags_z = estimate_electrical(Z.data.T, q, mode)
-        xis, mags_x = estimate_electrical(X.data.T, q, mode)
-        want = pair_and_recover(psis, xis, _stacked(Z, X), cfg, mags_z, mags_x)
-        for s, w in zip(got.sources, want.sources):
-            assert s.theta_deg == pytest.approx(w.theta_deg, abs=1e-12)
-            assert s.phi_deg == pytest.approx(w.phi_deg, abs=1e-12)
-        assert got.pairing_residual == pytest.approx(want.pairing_residual, rel=1e-9)
+        errors = [None]
+        psis, mags_z = estimate_electrical(Z.data.T[None], q, mode, errors)
+        xis, mags_x = estimate_electrical(X.data.T[None], q, mode, errors)
+        want = pair_and_recover(psis, xis, _stacked(Z, X)[None], cfg, mags_z, mags_x, errors)
+        assert errors == [None]
+        for s, w_theta, w_phi in zip(got.sources, want.theta_deg[0], want.phi_deg[0]):
+            assert s.theta_deg == pytest.approx(w_theta, abs=1e-12)
+            assert s.phi_deg == pytest.approx(w_phi, abs=1e-12)
+        assert got.pairing_residual == pytest.approx(want.pairing_residual[0], rel=1e-9)
 
     def test_one_qr_and_small_svds_per_call(self, monkeypatch):
         cfg, src, Z, X = _setup([(30, 40), (70, 120)], m=8, M=2000, sigma2=0.01)

@@ -26,30 +26,38 @@ def eig_singular_values(A):
 
 class TestSvd:
     def test_diagonal(self):
-        U, sigma, V = svd(np.diag([3.0, 1.0]).astype(complex))
+        errors = [None]
+        U, sigma, V = (f[0] for f in svd(np.diag([3.0, 1.0]).astype(complex)[None], errors))
+        assert errors == [None]
         np.testing.assert_allclose(sigma, [3.0, 1.0], atol=1e-14)
         np.testing.assert_allclose(np.abs(U), np.eye(2), atol=1e-14)
         np.testing.assert_allclose(np.abs(V), np.eye(2), atol=1e-14)
 
     def test_zero_matrix(self):
-        U, sigma, _ = svd(np.zeros((3, 2), dtype=complex))
+        errors = [None]
+        U, sigma, _ = (f[0] for f in svd(np.zeros((1, 3, 2), dtype=complex), errors))
+        assert errors == [None]
         np.testing.assert_array_equal(sigma, [0.0, 0.0])
         np.testing.assert_allclose(U.conj().T @ U, np.eye(2), atol=1e-14)
 
     @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5), (12, 8), (3, 1)])
     def test_against_gram_eigendecomposition(self, shape):
         rng = np.random.default_rng(sum(shape))
-        for _ in range(10):
-            A = random_complex(rng, *shape)
-            _, sigma, _ = svd(A)
-            ref = eig_singular_values(A)[: len(sigma)]
-            np.testing.assert_allclose(sigma, ref, rtol=1e-8, atol=1e-10)
+        A = np.stack([random_complex(rng, *shape) for _ in range(10)])
+        errors = [None] * len(A)
+        _, sigma, _ = svd(A, errors)
+        assert errors == [None] * len(A)
+        for a, s in zip(A, sigma):
+            ref = eig_singular_values(a)[: len(s)]
+            np.testing.assert_allclose(s, ref, rtol=1e-8, atol=1e-10)
 
     def test_invariants(self):
         rng = np.random.default_rng(20)
         for _ in range(30):
             A = random_complex(rng, int(rng.integers(2, 13)), int(rng.integers(2, 9)))
-            U, sigma, V = svd(A)
+            errors = [None]
+            U, sigma, V = (f[0] for f in svd(A[None], errors))
+            assert errors == [None]
             assert np.all(np.diff(sigma) <= 1e-15)
             assert np.all(sigma >= 0)
             k = len(sigma)
@@ -59,18 +67,18 @@ class TestSvd:
             assert np.linalg.norm(rec - A) < 1e-10 * np.linalg.norm(A)
 
     def test_deterministic(self):
-        A = random_complex(np.random.default_rng(21), 7, 5)
-        for f1, f2 in zip(svd(A), svd(A)):
+        A = random_complex(np.random.default_rng(21), 7, 5)[None]
+        for f1, f2 in zip(svd(A, [None]), svd(A, [None])):
             assert np.array_equal(f1, f2)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_input_never_reaches_lapack(self, monkeypatch, bad):
         calls = []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
-        A = np.eye(3, dtype=complex)
-        A[1, 2] = bad
+        A = np.stack([np.eye(3, dtype=complex)] * 2)
+        A[1, 1, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            svd(A)
+            svd(A, [None, None])
         assert calls == []
 
 
@@ -79,23 +87,27 @@ class TestPaperOperator:
 
     def test_truncated_svd_applies_the_rank_r_pseudoinverse(self):
         rng = np.random.default_rng(23)
-        for _ in range(20):
-            P = random_complex(rng, 9, 4)
-            P1 = random_complex(rng, 9, 1)[:, 0]
-            U, sigma, Vh = np.linalg.svd(P, full_matrices=False)
-            for r in range(1, 5):
-                expected = Vh[:r].conj().T @ np.diag(1.0 / sigma[:r]) @ U[:, :r].conj().T @ P1
-                got = solve_coeffs(P, P1, r, EstimatorMode.TRUNCATED_SVD)
-                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+        P, P1 = zip(*((random_complex(rng, 9, 4), random_complex(rng, 9, 1)[:, 0]) for _ in range(20)))
+        P, P1 = np.stack(P), np.stack(P1)
+        U, sigma, Vh = np.linalg.svd(P, full_matrices=False)
+        for r in range(1, 5):
+            errors = [None] * len(P)
+            got = solve_coeffs(P, P1, r, EstimatorMode.TRUNCATED_SVD, errors)
+            assert errors == [None] * len(P)
+            for t in range(len(P)):
+                expected = Vh[t, :r].conj().T @ np.diag(1.0 / sigma[t, :r]) @ U[t, :, :r].conj().T @ P1[t]
+                np.testing.assert_allclose(got[t], expected, rtol=1e-12, atol=0)
 
     def test_noiseless_at_full_rank_is_least_squares(self):
         rng = np.random.default_rng(24)
-        for _ in range(20):
-            P = random_complex(rng, 9, 4)
-            P1 = random_complex(rng, 9, 1)[:, 0]
-            expected = np.linalg.lstsq(P, P1, rcond=None)[0]
-            got = solve_coeffs(P, P1, 4, EstimatorMode.NOISELESS)
-            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+        P, P1 = zip(*((random_complex(rng, 9, 4), random_complex(rng, 9, 1)[:, 0]) for _ in range(20)))
+        P, P1 = np.stack(P), np.stack(P1)
+        errors = [None] * len(P)
+        got = solve_coeffs(P, P1, 4, EstimatorMode.NOISELESS, errors)
+        assert errors == [None] * len(P)
+        for t in range(len(P)):
+            expected = np.linalg.lstsq(P[t], P1[t], rcond=None)[0]
+            np.testing.assert_allclose(got[t], expected, rtol=1e-12, atol=0)
 
 
 class TestSolveCoeffs:
@@ -103,24 +115,30 @@ class TestSolveCoeffs:
         src = SourceSet(directions=(DirectionPair(60, 90),))
         cfg = ArrayConfig(m=2, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 5, 0.0, np.random.default_rng(26))
-        c = solve_coeffs(*build_lp_system(Z.data.T), 1, EstimatorMode.TRUNCATED_SVD)
-        np.testing.assert_allclose(c, [1j], atol=1e-12)
+        errors = [None]
+        c = solve_coeffs(*build_lp_system(Z.data.T[None]), 1, EstimatorMode.TRUNCATED_SVD, errors)
+        assert errors == [None]
+        np.testing.assert_allclose(c[0], [1j], atol=1e-12)
 
     def test_identity_system(self):
         rng = np.random.default_rng(27)
         P1 = random_complex(rng, 4, 1)[:, 0]
-        c = solve_coeffs(np.eye(4, dtype=complex), P1, 4, EstimatorMode.TRUNCATED_SVD)
-        np.testing.assert_allclose(c, P1, atol=1e-12)
+        errors = [None]
+        c = solve_coeffs(np.eye(4, dtype=complex)[None], P1[None], 4, EstimatorMode.TRUNCATED_SVD, errors)
+        assert errors == [None]
+        np.testing.assert_allclose(c[0], P1, atol=1e-12)
 
     def test_noiseless_polynomial_annihilates_roots(self):
         src = SourceSet(directions=(DirectionPair(40, 30), DirectionPair(110, 100)))
         cfg = ArrayConfig(m=6, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 40, 0.0, np.random.default_rng(28))
-        c = solve_coeffs(*build_lp_system(Z.data.T), 2, EstimatorMode.TRUNCATED_SVD)
+        errors = [None]
+        c = solve_coeffs(*build_lp_system(Z.data.T[None]), 2, EstimatorMode.TRUNCATED_SVD, errors)
+        assert errors == [None]
         from laoa.synthesis import electrical_angle_sets
 
         psis, _ = electrical_angle_sets(src, cfg)
-        poly = np.concatenate(([1.0], c))
+        poly = np.concatenate(([1.0], c[0]))
         for psi in psis:
             y = np.exp(1j * psi)
             val = np.polyval(poly[::-1], y)
@@ -130,9 +148,11 @@ class TestSolveCoeffs:
         src = SourceSet(directions=(DirectionPair(40, 30), DirectionPair(110, 100)))
         cfg = ArrayConfig(m=4, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 40, 0.0, np.random.default_rng(29))
-        P, P1 = build_lp_system(Z.data.T)
-        a = solve_coeffs(P, P1, 2, EstimatorMode.TRUNCATED_SVD)
-        b = solve_coeffs(P, P1, 2, EstimatorMode.NOISELESS)
+        P, P1 = build_lp_system(Z.data.T[None])
+        errors = [None]
+        a = solve_coeffs(P, P1, 2, EstimatorMode.TRUNCATED_SVD, errors)
+        b = solve_coeffs(P, P1, 2, EstimatorMode.NOISELESS, errors)
+        assert errors == [None]
         # q = 2 equals the rank of the noiseless system here
         np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-10)
 
@@ -140,30 +160,36 @@ class TestSolveCoeffs:
         src = SourceSet(directions=(DirectionPair(40, 30),))
         cfg = ArrayConfig(m=5, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 30, 0.0, np.random.default_rng(30))
-        P, P1 = build_lp_system(Z.data.T)
+        P, P1 = build_lp_system(Z.data.T[None])
+        errors = [None]
         # noiseless single source: rank 1, requesting q=3 must warn and reduce
         with pytest.warns(RankDeficiencyWarning):
-            solve_coeffs(P, P1, 3, EstimatorMode.TRUNCATED_SVD)
+            solve_coeffs(P, P1, 3, EstimatorMode.TRUNCATED_SVD, errors)
+        assert errors == [None]
 
     def test_q_out_of_range(self):
         with pytest.raises(UnsupportedScenario, match=r"q must be in \[1, 3\]"):
-            solve_coeffs(np.eye(3, dtype=complex), np.ones(3, dtype=complex), 4, EstimatorMode.TRUNCATED_SVD)
+            solve_coeffs(np.eye(3, dtype=complex)[None], np.ones((1, 3), dtype=complex), 4, EstimatorMode.TRUNCATED_SVD,
+                         [None])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_coefficients_are_a_convergence_failure(self):
         # finite data whose solve overflows: sigma ~ 1e-300 inverted against P1 ~ 1e300
-        P = np.array([[1e-300], [0.0]], dtype=complex)
-        P1 = np.array([1e300, 0.0], dtype=complex)
-        with pytest.raises(ConvergenceFailure, match="non-finite coefficients"):
-            solve_coeffs(P, P1, 1, EstimatorMode.TRUNCATED_SVD)
+        P = np.array([[[1e-300], [0.0]]], dtype=complex)
+        P1 = np.array([[1e300, 0.0]], dtype=complex)
+        errors = [None]
+        solve_coeffs(P, P1, 1, EstimatorMode.TRUNCATED_SVD, errors)
+        assert isinstance(errors[0], ConvergenceFailure)
+        assert "non-finite coefficients" in str(errors[0])
 
     def test_solution_ignores_singular_vector_phases(self, monkeypatch):
         src = SourceSet(directions=(DirectionPair(30, 40), DirectionPair(70, 120)))
         cfg = ArrayConfig(m=8, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 200, 0.1, np.random.default_rng(35))
-        P, P1 = build_lp_system(Z.data.T)
+        P, P1 = build_lp_system(Z.data.T[None])
         modes = (EstimatorMode.TRUNCATED_SVD, EstimatorMode.NOISELESS)
-        expected = [solve_coeffs(P, P1, 2, mode) for mode in modes]
+        errors = [None]
+        expected = [solve_coeffs(P, P1, 2, mode, errors) for mode in modes]
 
         lapack_svd = np.linalg.svd
         rng = np.random.default_rng(36)
@@ -176,4 +202,5 @@ class TestSolveCoeffs:
 
         monkeypatch.setattr(np.linalg, "svd", rotated_svd)
         for mode, c in zip(modes, expected):
-            np.testing.assert_allclose(solve_coeffs(P, P1, 2, mode), c, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(solve_coeffs(P, P1, 2, mode, errors), c, rtol=1e-12, atol=0)
+        assert errors == [None]

@@ -7,38 +7,49 @@ from laoa.errors import ConvergenceFailure, NotEnoughRoots
 
 class TestFindRoots:
     def test_linear(self):
-        roots = find_roots(np.array([1j]))
-        np.testing.assert_allclose(roots, [1j], atol=1e-12)
+        errors = [None]
+        roots = find_roots(np.array([[1j]]), errors)
+        assert errors == [None]
+        np.testing.assert_allclose(roots[0], [1j], atol=1e-12)
 
     def test_difference_of_squares(self):
-        roots = sorted(find_roots(np.array([0.0, -1.0])), key=lambda r: r.real)
+        errors = [None]
+        roots = sorted(find_roots(np.array([[0.0, -1.0]]), errors)[0], key=lambda r: r.real)
+        assert errors == [None]
         np.testing.assert_allclose(roots, [-1.0, 1.0], atol=1e-12)
 
     def test_degree_deflation(self):
-        # trailing near-zero coefficients are stripped before solving
-        roots = find_roots(np.array([1j, 1e-15, 1e-16]))
-        assert len(roots) == 1
-        np.testing.assert_allclose(roots, [1j], atol=1e-10)
+        # trailing near-zero coefficients are stripped before solving; the row is NaN past its degree
+        errors = [None]
+        roots = find_roots(np.array([[1j, 1e-15, 1e-16]]), errors)[0]
+        assert errors == [None]
+        assert np.count_nonzero(~np.isnan(roots)) == 1 and np.all(np.isnan(roots[1:]))
+        np.testing.assert_allclose(roots[:1], [1j], atol=1e-10)
 
     def test_all_zero_coefficients(self):
-        with pytest.raises(NotEnoughRoots, match="no roots exist"):
-            find_roots(np.array([0.0, 0.0]))
+        errors = [None]
+        find_roots(np.array([[0.0, 0.0]]), errors)
+        assert isinstance(errors[0], NotEnoughRoots)
+        assert "no roots exist" in str(errors[0])
 
     def test_eigenvalue_failure_is_convergence_failure(self, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
-        with pytest.raises(ConvergenceFailure):
-            find_roots(np.array([1j, 0.5]))
+        errors = [None]
+        find_roots(np.array([[1j, 0.5]]), errors)
+        assert isinstance(errors[0], ConvergenceFailure)
 
     def test_random_polynomials_vieta(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             n = int(rng.integers(1, 11))
             c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            roots = np.array(find_roots(c))
-            assert len(roots) == n
+            errors = [None]
+            roots = find_roots(c[None], errors)[0]
+            assert errors == [None]
+            assert np.count_nonzero(~np.isnan(roots)) == n
             # residual bound
             poly = np.concatenate(([1.0], c))
             for r in roots:
@@ -61,7 +72,9 @@ class TestFindRoots:
                     break
             poly = np.poly(roots)[::-1]  # ascending, leading 1 at the end
             c = (poly / poly[0])[1:]
-            got = np.array(find_roots(c))
+            errors = [None]
+            got = find_roots(c[None], errors)[0]
+            assert errors == [None]
             np.testing.assert_allclose(
                 np.sort_complex(got), np.sort_complex(roots), rtol=1e-7, atol=1e-7
             )
@@ -70,25 +83,35 @@ class TestFindRoots:
 class TestSelectUnitRoots:
     def test_unique_minimizer(self):
         roots = [0.5 + 0j, 1.01 * np.exp(1j * np.pi / 4), 3j]
-        assert select_unit_roots(roots, 1) == [1]
+        errors = [None]
+        assert select_unit_roots(np.array([roots]), 1, errors)[0].tolist() == [1]
+        assert errors == [None]
 
     def test_all_on_circle(self):
-        assert sorted(select_unit_roots([1 + 0j, -1 + 0j], 2)) == [0, 1]
+        errors = [None]
+        assert sorted(select_unit_roots(np.array([[1 + 0j, -1 + 0j]]), 2, errors)[0]) == [0, 1]
+        assert errors == [None]
 
     def test_not_enough_roots(self):
-        with pytest.raises(NotEnoughRoots):
-            select_unit_roots([1 + 0j], 2)
+        # NaN padding past a row's degree counts as no root
+        errors = [None, None]
+        select_unit_roots(np.array([[1 + 0j], [np.nan]]), 1, errors)
+        assert errors[0] is None and isinstance(errors[1], NotEnoughRoots)
+        errors = [None]
+        select_unit_roots(np.array([[1 + 0j]]), 2, errors)
+        assert isinstance(errors[0], NotEnoughRoots)
 
     def test_permutation_invariant_values(self):
         rng = np.random.default_rng(33)
-        roots = list(rng.uniform(0.2, 2.0, 7) * np.exp(1j * rng.uniform(-np.pi, np.pi, 7)))
-        sel = select_unit_roots(roots, 3)
-        values = sorted((roots[i] for i in sel), key=lambda r: (r.real, r.imag))
-        for _ in range(10):
-            perm = rng.permutation(7)
-            shuffled = [roots[i] for i in perm]
-            sel2 = select_unit_roots(shuffled, 3)
-            values2 = sorted((shuffled[i] for i in sel2), key=lambda r: (r.real, r.imag))
+        roots = rng.uniform(0.2, 2.0, 7) * np.exp(1j * rng.uniform(-np.pi, np.pi, 7))
+        # row 0 is the root set itself, rows 1-10 shuffles of it
+        stack = np.stack([roots] + [roots[rng.permutation(7)] for _ in range(10)])
+        errors = [None] * len(stack)
+        sel = select_unit_roots(stack, 3, errors)
+        assert errors == [None] * len(stack)
+        values = sorted(stack[0, sel[0]], key=lambda r: (r.real, r.imag))
+        for shuffled, sel2 in zip(stack[1:], sel[1:]):
+            values2 = sorted(shuffled[sel2], key=lambda r: (r.real, r.imag))
             np.testing.assert_allclose(values, values2)
 
 
