@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="experiment config file")
     p_sim.add_argument("--snr-db", type=float, default=None,
                        help="SNR for the trial, one of snr_db_list (default: its first entry)")
-    p_sim.add_argument("--trial", type=int, default=0, help="trial index (default 0)")
+    p_sim.add_argument("--trial", type=int, default=0, help="trial index, 0 <= trial < trials (default 0)")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     p_est = sub.add_parser("estimate", help="estimate angles from stored snapshot matrices")
@@ -61,20 +61,19 @@ def _print_estimate(est) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    if args.trial < 0:
-        # a negative index would seed a trial that no Monte Carlo run contains
-        print(f"error: --trial must be >= 0, got {args.trial}", file=sys.stderr)
-        return 1
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
+    if not 0 <= args.trial < cfg.trials:
+        # any other index would seed a trial that no Monte Carlo run of the config contains
+        print(f"error: --trial must be >= 0 and < trials = {cfg.trials}, got {args.trial}", file=sys.stderr)
+        return 1
     snr_db = args.snr_db if args.snr_db is not None else cfg.snr_db_list[0]
     if snr_db not in cfg.snr_db_list:
         # the trial seed depends on the SNR's index in the list
         print(f"error: --snr-db {snr_db!r} is not in snr_db_list {list(cfg.snr_db_list)}", file=sys.stderr)
         return 1
-    snr_index = cfg.snr_db_list.index(snr_db)
-    theta_err, phi_err, (failure,) = run_trial(cfg, snr_db, snr_index, args.trial)
+    theta_err, phi_err, (failure,) = run_trial(cfg, cfg.snr_db_list.index(snr_db), args.trial)
     if failure is not None:
         print(f"trial failed: {failure}", file=sys.stderr)
         return 2

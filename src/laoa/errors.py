@@ -7,8 +7,9 @@ them: each trial's error is kept in its slot of an ``errors`` list (see
 ``laoa.linalg``), which the estimator's array result carries.  Only the
 single-trial entry points ``estimate_2d_aoa`` and
 ``direction_from_electrical`` raise a trial's error, through ``raise_first``.
-``montecarlo.run_trials`` turns the list into failure class names and
-counts them per SNR point, since the failure rate is itself a result.
+``montecarlo.run_trials`` turns the list into failure class names, one per
+trial of its stack, and ``montecarlo.monte_carlo`` counts them per SNR
+point, since the failure rate is itself a result.
 ``UnsupportedScenario`` (the (m, M, q) shape rules, the source-separation
 rule and the elevation guard) and ``ParseError`` (malformed config or matrix
 files) reject the input up front, before any trial or estimate runs.

@@ -1,14 +1,17 @@
 """Seeded Monte Carlo experiment runner and CSV reporting.
 
 Every trial gets its own random stream derived from (master seed, SNR index,
-trial index) through a splitmix64-style avalanche.  The trials of one SNR
-point run in stacks of up to STACK_TRIALS: each stack, one task for the serial
-loop or the process pool, synthesizes its trials into one array and
-estimates them in one pass (``estimator.estimate_stack``).  It stays arrays
-to the end: the stack's estimates are matched to the true sources in one
-pass over all permutations, and a task returns T x q arrays of theta and phi
-errors plus each trial's failure class name.  ``monte_carlo`` joins the
-tasks' arrays and reduces each source's column at each SNR point under a
+trial index) through a splitmix64-style avalanche.  The sweep's cells, its
+(SNR index, trial index) pairs in that order, are cut into stacks of up to
+STACK_TRIALS consecutive cells, so a stack may straddle two SNR points and
+only the sweep's last stack may be short.  Each stack, one task for the
+serial loop or the process pool, synthesizes its trials into one array, each
+at its own point's noise variance, and estimates them in one pass
+(``estimator.estimate_stack``).  It stays arrays to the end: the stack's
+estimates are matched to the true sources in one pass over all permutations,
+and a task returns T x q arrays of theta and phi errors plus each trial's
+failure class name.  ``monte_carlo`` joins the tasks' arrays, which then run
+in cell order, and reduces each source's column at each SNR point under a
 mask of the trials that did not fail.  A trial's result depends on neither
 its stack nor its worker, so the report is byte-identical for any worker
 count and any split into stacks.  Estimator failures at low SNR are counted
@@ -94,28 +97,30 @@ def _match_to_truth(theta_deg: np.ndarray, phi_deg: np.ndarray, truth) -> tuple[
     )
 
 
-def run_trials(
-    cfg: ExperimentConfig, snr_db: float, snr_index: int, trials: range
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """Trials of one SNR point as one stack: their angle errors and failures.
+def run_trials(cfg: ExperimentConfig, cells) -> tuple[np.ndarray, np.ndarray, list]:
+    """Trials of the sweep's cells as one stack: their angle errors and failures.
 
-    Each trial is synthesized on its own stream straight into its slice of
-    one T x 2m x M stack, which ``estimate_stack`` runs in one pass; each
-    result is exactly the one the trial gets alone.  The source angles and
-    steering matrices depend only on the config, so the stack builds them
-    once; each slice holds exactly the data ``synthesize`` gives its stream.
+    ``cells`` is a sequence of (snr_index, trial_index) pairs, which may
+    belong to several SNR points.  Each trial is synthesized on its own
+    stream, at the noise variance of its point in ``cfg.snr_db_list``,
+    straight into its slice of one T x 2m x M stack, which
+    ``estimate_stack`` runs in one pass; each result is exactly the one the
+    trial gets alone.  The source angles and steering matrices depend only
+    on the config, so the stack builds them once; each slice holds exactly
+    the data ``synthesize`` gives its stream.
 
-    Returns the theta and phi errors in degrees (T x q, source l of the
-    config in column l; NaN rows for failed trials) and, per trial, the
-    class name of the estimator error it fails with, or None.
+    Returns the theta and phi errors in degrees (T x q in cell order, source
+    l of the config in column l; NaN rows for failed trials) and, per trial,
+    the class name of the estimator error it fails with, or None.
     """
-    sigma2 = cfg.noise_variance(snr_db)
+    sigma2 = [cfg.noise_variance(snr_db) for snr_db in cfg.snr_db_list]
     src, array = cfg.source_set(), cfg.array_config()
     psis, xis = separated_angle_sets(src, array)
     A_z, A_x = steering_vector(psis, cfg.m), steering_vector(xis, cfg.m)
-    Y = np.empty((len(trials), 2 * cfg.m, cfg.M), dtype=complex)
-    for y, trial_index in zip(Y, trials):
-        _synthesize_into(y, A_z, A_x, src, sigma2, np.random.default_rng(trial_seed(cfg.seed, snr_index, trial_index)))
+    Y = np.empty((len(cells), 2 * cfg.m, cfg.M), dtype=complex)
+    for y, (snr_index, trial_index) in zip(Y, cells):
+        rng = np.random.default_rng(trial_seed(cfg.seed, snr_index, trial_index))
+        _synthesize_into(y, A_z, A_x, src, sigma2[snr_index], rng)
     est = estimate_stack(Y, cfg.q, array, cfg.mode)
     failures = [None if exc is None else type(exc).__name__ for exc in est.errors]
     ok = np.array([f is None for f in failures], dtype=bool)
@@ -124,11 +129,9 @@ def run_trials(
     return theta_err, phi_err, failures
 
 
-def run_trial(
-    cfg: ExperimentConfig, snr_db: float, snr_index: int, trial_index: int
-) -> tuple[np.ndarray, np.ndarray, list]:
+def run_trial(cfg: ExperimentConfig, snr_index: int, trial_index: int) -> tuple[np.ndarray, np.ndarray, list]:
     """One synthesis + estimation trial: ``run_trials`` on a stack of one."""
-    return run_trials(cfg, snr_db, snr_index, range(trial_index, trial_index + 1))
+    return run_trials(cfg, [(snr_index, trial_index)])
 
 
 def _run_trials_star(args):
@@ -156,20 +159,21 @@ def default_workers() -> int:
 def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarloReport:
     """Run trials x SNR points and aggregate RMSE/bias per source per SNR.
 
-    Each task is a stack of up to STACK_TRIALS trials of one SNR point,
-    fewer where their snapshots would exceed STACK_BYTES.
+    The sweep's cells, (snr_index, trial_index) in that order, are cut into
+    tasks of up to STACK_TRIALS consecutive cells, fewer where their
+    snapshots would exceed STACK_BYTES; a task may straddle two SNR points.
     Each trial seeds its own stream and both the serial loop and
     ``pool.map`` return the stacks in task order, so any worker count yields
-    the same report.
+    the same report.  The pool starts no more workers than there are tasks,
+    and a sweep of one task runs in process.
     """
     if workers is None:
         workers = default_workers()
     per_stack = max(1, min(STACK_TRIALS, STACK_BYTES // (2 * cfg.m * cfg.M * np.dtype(complex).itemsize)))
-    tasks = [
-        (cfg, snr_db, si, range(start, min(start + per_stack, cfg.trials)))
-        for si, snr_db in enumerate(cfg.snr_db_list)
-        for start in range(0, cfg.trials, per_stack)
-    ]
+    cells = [(si, ti) for si in range(len(cfg.snr_db_list)) for ti in range(cfg.trials)]
+    tasks = [(cfg, cells[start:start + per_stack]) for start in range(0, len(cells), per_stack)]
+    # with fork the pool starts all its workers at the first task, needed or not
+    workers = min(workers, len(tasks))
     if workers == 1:
         stacks = [_run_trials_star(t) for t in tasks]
     else:

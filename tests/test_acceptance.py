@@ -78,7 +78,7 @@ def test_criterion_2_truncated_svd_moderate_noise():
     )
     theta_err, phi_err, failures = [], [], 0
     for ti in range(500):
-        te, pe, (failure,) = run_trial(cfg, 20.0, 0, ti)
+        te, pe, (failure,) = run_trial(cfg, 0, ti)
         if failure is not None:
             failures += 1
         else:

@@ -50,6 +50,15 @@ def test_simulate_rejects_a_negative_trial(config_file, capsys):
     assert "--trial must be >= 0" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("trial", ["2", str(2**64)])
+def test_simulate_rejects_a_trial_at_or_past_trials(config_file, capsys, trial):
+    # the config has trials = 2; 2**64 would otherwise seed the stream of trial 0
+    path, _ = config_file
+    assert main(["simulate", "--config", str(path), "--trial", trial]) == 1
+    captured = capsys.readouterr()
+    assert "< trials = 2" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
 @pytest.mark.parametrize("theta", ["0.5", "179.5"])
 def test_a_source_near_the_z_axis_fails_before_any_trial(config_file, command, theta, capsys):

@@ -46,21 +46,21 @@ class TestSeeding:
 class TestRunTrial:
     def test_effectively_noiseless(self):
         cfg = _cfg(snr_db_list="300")
-        theta_err, phi_err, (failure,) = run_trial(cfg, 300.0, 0, 0)
+        theta_err, phi_err, (failure,) = run_trial(cfg, 0, 0)
         assert failure is None
         assert abs(theta_err[0, 0]) < 1e-6
         assert abs(phi_err[0, 0]) < 1e-6
 
     def test_repeatable(self):
         cfg = _cfg()
-        a = run_trial(cfg, 20.0, 0, 3)
-        b = run_trial(cfg, 20.0, 0, 3)
+        a = run_trial(cfg, 0, 3)
+        b = run_trial(cfg, 0, 3)
         assert _same(a, b)
 
     def test_extreme_noise_never_crashes(self):
         cfg = _cfg(snr_db_list="-100")
         for ti in range(5):
-            theta_err, phi_err, (failure,) = run_trial(cfg, -100.0, 0, ti)
+            theta_err, phi_err, (failure,) = run_trial(cfg, 0, ti)
             if failure is None:
                 assert np.all(np.isfinite(theta_err))
                 assert np.all(np.isfinite(phi_err))
@@ -73,7 +73,7 @@ class TestRunTrial:
 
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
         cfg = _cfg(trials=3)
-        assert run_trial(cfg, 20.0, 0, 0)[2] == ["ConvergenceFailure"]
+        assert run_trial(cfg, 0, 0)[2] == ["ConvergenceFailure"]
         (row,) = monte_carlo(cfg, workers=1).rows
         assert row["failure_count"] == 3 and row["rmse_theta_deg"] is None
 
@@ -84,7 +84,7 @@ class TestRunTrial:
             laoa.estimator, "estimate_electrical", lambda B, *a: (np.full((len(B), 2), 0.3), np.ones((len(B), 2)))
         )
         cfg = _cfg(trials=2, q=2, sources="30/40, 70/120")
-        assert run_trial(cfg, 20.0, 0, 0)[2] == ["ConvergenceFailure"]
+        assert run_trial(cfg, 0, 0)[2] == ["ConvergenceFailure"]
         row = monte_carlo(cfg, workers=1).rows[0]
         assert row["failure_count"] == 2 and row["rmse_theta_deg"] is None
 
@@ -158,7 +158,7 @@ class TestMonteCarlo:
     def test_single_trial_rmse_is_abs_error(self):
         cfg = _cfg(trials=1, snr_db_list="300")
         report = monte_carlo(cfg)
-        theta_err, _, _ = run_trial(cfg, 300.0, 0, 0)
+        theta_err, _, _ = run_trial(cfg, 0, 0)
         row = report.rows[0]
         assert row["rmse_theta_deg"] == pytest.approx(abs(theta_err[0, 0]))
         assert row["rmse_theta_deg"] >= abs(row["bias_theta_deg"]) - 1e-15
@@ -177,30 +177,62 @@ class TestMonteCarlo:
         cfg = _cfg(trials=3, snr_db_list="20, 10")
         rows = {row["snr_db"]: row for row in monte_carlo(cfg).rows}
         for si, snr_db in enumerate(cfg.snr_db_list):
-            te = np.array([run_trial(cfg, snr_db, si, ti)[0][0, 0] for ti in range(cfg.trials)])
+            te = np.array([run_trial(cfg, si, ti)[0][0, 0] for ti in range(cfg.trials)])
             assert rows[snr_db]["rmse_theta_deg"] == float(np.sqrt(np.mean(te**2)))
             assert rows[snr_db]["bias_theta_deg"] == float(np.mean(te))
 
-    @pytest.mark.parametrize("M, sizes", [(50, [10, 10, 3]), (5000, [1, 1, 1])])
-    def test_stacks_are_cut_by_trial_count_and_snapshot_bytes(self, monkeypatch, M, sizes):
-        # at M=5000 one trial's [Z; X] (1.28 MB) already exceeds STACK_BYTES
-        cfg = _cfg(M=M, trials=sum(sizes))
+    @pytest.mark.parametrize(
+        "M, trials, snr_db_list, sizes",
+        [(50, 23, "20", [10, 10, 3]), (50, 3, "20, 10, 0, -10", [10, 2]), (5000, 3, "20", [1, 1, 1])],
+    )
+    def test_stacks_are_cut_by_trial_count_and_snapshot_bytes(self, monkeypatch, M, trials, snr_db_list, sizes):
+        # at M=5000 one trial's [Z; X] (1.28 MB) already exceeds STACK_BYTES;
+        # the stacks are cut from the (snr_index, trial_index) grid, so one may straddle SNR points
+        cfg = _cfg(M=M, trials=trials, snr_db_list=snr_db_list)
         seen, real = [], laoa.montecarlo.run_trials
-        monkeypatch.setattr(laoa.montecarlo, "run_trials", lambda c, *a: seen.append(len(a[-1])) or real(c, *a))
+        monkeypatch.setattr(laoa.montecarlo, "run_trials", lambda c, cells: seen.append(cells) or real(c, cells))
         monte_carlo(cfg, workers=1)
-        assert seen == sizes
+        assert [len(cells) for cells in seen] == sizes
+        grid = [(si, ti) for si in range(len(cfg.snr_db_list)) for ti in range(cfg.trials)]
+        assert [cell for cells in seen for cell in cells] == grid
 
     @pytest.mark.parametrize("signal_model", ["unit_power_random_phase", "qpsk"])
     def test_each_slice_holds_what_synthesize_draws_on_the_trials_stream(self, monkeypatch, signal_model):
-        # the stack builds the steering matrices once, but every draw stays on the trial's stream
-        cfg = _cfg(q=2, sources="30/40, 70/120", signal_model=signal_model, trials=7, snr_db_list="0")
+        # the stack builds the steering matrices once, but every draw stays on the trial's stream,
+        # at its own SNR point's noise variance, also where the stack straddles two points
+        cfg = _cfg(q=2, sources="30/40, 70/120", signal_model=signal_model, trials=7, snr_db_list="0, 10")
+        cells = [(0, 5), (0, 6), (1, 0), (1, 1), (1, 2)]
         stacks, real = [], laoa.montecarlo.estimate_stack
         monkeypatch.setattr(laoa.montecarlo, "estimate_stack", lambda Y, *a: stacks.append(Y.copy()) or real(Y, *a))
-        laoa.montecarlo.run_trials(cfg, 0.0, 0, range(2, 7))
-        for Y, trial_index in zip(stacks[0], range(2, 7)):
-            rng = np.random.default_rng(trial_seed(cfg.seed, 0, trial_index))
-            Z, X, _ = synthesize(cfg.source_set(), cfg.array_config(), cfg.M, cfg.noise_variance(0.0), rng)
+        laoa.montecarlo.run_trials(cfg, cells)
+        for Y, (snr_index, trial_index) in zip(stacks[0], cells, strict=True):
+            rng = np.random.default_rng(trial_seed(cfg.seed, snr_index, trial_index))
+            sigma2 = cfg.noise_variance(cfg.snr_db_list[snr_index])
+            Z, X, _ = synthesize(cfg.source_set(), cfg.array_config(), cfg.M, sigma2, rng)
             assert np.array_equal(Y, np.vstack([Z.data, X.data]))
+
+    @pytest.mark.parametrize("trials, workers, pool_size", [(3, 2, None), (8, 2, 2), (8, 3, 2)])
+    def test_the_pool_starts_no_more_workers_than_there_are_tasks(self, monkeypatch, trials, workers, pool_size):
+        # 3 trials x 2 points is one task and runs in process; 8 x 2 is two tasks
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        sizes = []
+        cfg = _cfg(trials=trials, snr_db_list="20, 10")
+        serial = monte_carlo(cfg, workers=1).to_csv()
+        monkeypatch.setattr(laoa.montecarlo, "ProcessPoolExecutor", InProcessPool)
+        assert monte_carlo(cfg, workers=workers).to_csv() == serial
+        assert sizes == ([] if pool_size is None else [pool_size])
 
     def test_workers_do_not_change_bytes(self):
         cfg = _cfg(trials=6, snr_db_list="20, 10")

@@ -99,33 +99,36 @@ def _joined(stacks) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _trials_alone(name: str, mode: str, snr_index: int) -> tuple:
+def _trials_alone(name: str, mode: str) -> tuple:
+    # every cell of the sweep's (snr_index, trial_index) grid, each trial run alone
     cfg = _stack_config(name, mode)
-    snr_db = cfg.snr_db_list[snr_index]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return _joined(run_trial(cfg, snr_db, snr_index, t) for t in range(cfg.trials))
+        return _joined(run_trial(cfg, si, ti) for si, ti in _grid(cfg))
+
+
+def _grid(cfg: ExperimentConfig) -> list:
+    return [(si, ti) for si in range(len(cfg.snr_db_list)) for ti in range(cfg.trials)]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     name=st.sampled_from(sorted(_STACK_CONFIGS)),
     mode=st.sampled_from([m.value for m in EstimatorMode]),
-    snr_index=st.integers(0, 2),
-    sizes=st.lists(st.integers(1, _STACK_TRIALS), min_size=1, max_size=_STACK_TRIALS),
+    sizes=st.lists(st.integers(1, _STACK_TRIALS), min_size=1, max_size=3 * _STACK_TRIALS),
 )
-def test_any_split_into_stacks_gives_each_trial_its_own_result(name, mode, snr_index, sizes):
+def test_any_split_into_stacks_gives_each_trial_its_own_result(name, mode, sizes):
+    # the split runs over the whole grid of all three SNR points, so stacks straddle points
     cfg = _stack_config(name, mode)
-    alone = _trials_alone(name, mode, snr_index)
-    if name == "q5_M64" and snr_index == 0:
-        assert any(f is not None for f in alone[2])  # the split also cuts through failing trials
-    bounds = sorted({0, cfg.trials, *np.minimum(np.cumsum(sizes), cfg.trials).tolist()})
+    grid = _grid(cfg)
+    alone = _trials_alone(name, mode)
+    if name == "q5_M64":
+        # the split also cuts through failing trials (snr_db_list[0] = -10 dB)
+        assert any(f is not None for f in alone[2][:cfg.trials])
+    bounds = sorted({0, len(grid), *np.minimum(np.cumsum(sizes), len(grid)).tolist()})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = _joined(
-            run_trials(cfg, cfg.snr_db_list[snr_index], snr_index, range(start, stop))
-            for start, stop in zip(bounds, bounds[1:])
-        )
+        got = _joined(run_trials(cfg, grid[start:stop]) for start, stop in zip(bounds, bounds[1:]))
     assert np.array_equal(got[0], alone[0], equal_nan=True)
     assert np.array_equal(got[1], alone[1], equal_nan=True)
     assert got[2] == alone[2]
