@@ -17,7 +17,7 @@ import numpy as np
 from .errors import AoaError, DegenerateElevation, OutOfRange, raise_first
 
 CLAMP_TOL = 1e-9  # arccos arguments this far past [-1, 1] are clamped, not rejected
-GUARD_DEG = 1.0   # theta this close to 0 or 180 degrees leaves phi undefined
+GUARD_DEG = 1.0   # theta this close to 0 or 180 degrees leaves phi undefined (near_z_axis)
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,17 @@ class DirectionPair:
             raise ValueError(f"theta must be strictly inside (0, 180), got {self.theta}")
         if not (0.0 <= self.phi <= 180.0):
             raise ValueError(f"phi must be in [0, 180], got {self.phi}")
+
+
+def near_z_axis(theta_deg: float | np.ndarray) -> bool | np.ndarray:
+    """Whether theta (degrees) lies within GUARD_DEG of the Z axis, where phi is undefined.
+
+    The angle is measured to the nearer pole, min(theta, 180 - theta), so
+    the guard is symmetric about 90 degrees; a test on sin(theta) is not, as
+    sin(179 deg) < sin(1 deg) in floating point.  Elementwise for arrays.
+    """
+    theta_deg = np.asarray(theta_deg, dtype=float)
+    return np.minimum(theta_deg, 180.0 - theta_deg) < GUARD_DEG
 
 
 def psi_from_direction(direction: DirectionPair, cfg: ArrayConfig) -> float:
@@ -136,7 +147,7 @@ def directions_from_electrical(
     clamped = np.flatnonzero(np.abs(cos_theta) <= 1.0 + CLAMP_TOL)
     theta[clamped] = np.arccos(np.clip(cos_theta[clamped], -1.0, 1.0))
     sin_theta[clamped] = np.sin(theta[clamped])
-    guarded = clamped[~(sin_theta[clamped] < np.sin(np.deg2rad(GUARD_DEG)))]
+    guarded = clamped[~near_z_axis(np.rad2deg(theta[clamped]))]
     cos_phi[guarded] = xi[live].reshape(-1)[guarded] / (scale * sin_theta[guarded])
     mapped = guarded[np.abs(cos_phi[guarded]) <= 1.0 + CLAMP_TOL]
     phi[mapped] = np.arccos(np.clip(cos_phi[mapped], -1.0, 1.0))

@@ -19,9 +19,7 @@ Example::
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .array_model import GUARD_DEG, ArrayConfig, DirectionPair
+from .array_model import GUARD_DEG, ArrayConfig, DirectionPair, near_z_axis
 from .errors import ParseError, UnsupportedScenario
 from .estimator import EstimatorMode, check_scenario
 from .synthesis import SignalModel, SourceSet, separated_angle_sets
@@ -72,7 +70,7 @@ class ExperimentConfig:
         check_scenario(self.m, self.M, self.q)
         for i, d in enumerate(self.sources):
             # directions_from_electrical's guard, which such a source would fail in most trials
-            if np.sin(np.deg2rad(d.theta)) < np.sin(np.deg2rad(GUARD_DEG)):
+            if near_z_axis(d.theta):
                 raise UnsupportedScenario(f"source {i} at theta = {d.theta!r} deg is within {GUARD_DEG} deg "
                                           "of the Z axis, where its azimuth is undefined")
         separated_angle_sets(self.source_set(), self.array_config())

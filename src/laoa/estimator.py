@@ -24,11 +24,14 @@ X's, R[:, m+1:] c = -R[:, m].  L = R^T satisfies L L^H = Y Y^H, which is all
 the pairing needs.
 
 Each subarray then independently yields a set of electrical angles via the
-prediction-polynomial pipeline.  The paper-level method stops there; with
-more than one source the psi set (from Z) and the xi set (from X) must still
-be associated per physical source.  Both subarrays observe the same source
-waveforms, so the correct association is the permutation under which one
-common source matrix explains the stacked data best.
+prediction-polynomial pipeline; both subarrays run it in one stacked pass,
+their 2T blocks as the items of one stack, and the rank warnings of the
+coefficient solve are decided once both halves are done.  The paper-level
+method stops there; with more than one source the psi set (from Z) and the
+xi set (from X) must still be associated per physical source.  Both
+subarrays observe the same source waveforms, so the correct association is
+the permutation under which one common source matrix explains the stacked
+data best.
 
 Pairing searches the q! permutations in two stages of a few batched numpy
 calls each.  Any L with L L^H = Y Y^H gives every residual (I - P_A) Y the
@@ -73,7 +76,13 @@ from itertools import permutations
 import numpy as np
 
 from .array_model import ArrayConfig, directions_from_electrical, steering_vector
-from .errors import ConvergenceFailure, PairingAmbiguousWarning, UnsupportedScenario, raise_first
+from .errors import (
+    ConvergenceFailure,
+    PairingAmbiguousWarning,
+    RankDeficiencyWarning,
+    UnsupportedScenario,
+    raise_first,
+)
 from .linalg import EstimatorMode, lapack_stack, solve_coeffs
 from .rooting import electrical_angles_from_roots, find_roots, select_unit_roots
 from .synthesis import SnapshotMatrix, build_lp_system
@@ -164,23 +173,29 @@ def _row_estimate(result: StackEstimate, t: int = 0) -> AoaEstimate:
     )
 
 
-def estimate_electrical(B: np.ndarray, q: int, mode: EstimatorMode, errors: list) -> tuple[np.ndarray, np.ndarray]:
-    """Electrical angles of one subarray per trial, ascending, plus root magnitudes.
+def estimate_electrical(
+    B: np.ndarray, q: int, mode: EstimatorMode, errors: list
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Electrical angles of one subarray per item, ascending, plus root magnitudes and reduced ranks.
 
-    B is a stack (T x n x m) of blocks holding the subarray's sensors as
+    B is a stack (T x n x m) of blocks holding a subarray's sensors as
     columns: the raw data transposed, or the subarray's columns of the
-    triangular factor (see the module docstring).  Gives T x q angles and
-    magnitudes; see ``laoa.linalg`` for ``errors``.  Runs the full chain:
-    linear-prediction system, coefficient solve, root finding, and
-    unit-circle root selection.
+    triangular factor (see the module docstring).  The items need not come
+    from one subarray: ``estimate_stack`` passes Z's and X's blocks of every
+    trial in one stack.  Gives T x q angles and magnitudes and the T reduced
+    ranks of ``solve_coeffs``, which warns about none of them; see
+    ``laoa.linalg`` for ``errors``.  Runs the full chain: linear-prediction
+    system, coefficient solve, root finding, and unit-circle root selection.
     """
     P, P1 = build_lp_system(B)
-    roots = find_roots(solve_coeffs(P, P1, q, mode, errors), errors)
+    c, reduced = solve_coeffs(P, P1, q, mode, errors)
+    roots = find_roots(c, errors)
     selected = select_unit_roots(roots, q, errors)
     angles = electrical_angles_from_roots(roots, selected)
     order = np.argsort(angles, axis=-1, kind="stable")
     selected = np.take_along_axis(selected, order, axis=-1)
-    return np.take_along_axis(angles, order, axis=-1), np.abs(np.take_along_axis(roots, selected, axis=-1))
+    mags = np.abs(np.take_along_axis(roots, selected, axis=-1))
+    return np.take_along_axis(angles, order, axis=-1), mags, reduced
 
 
 def pair_and_recover(
@@ -366,9 +381,16 @@ def estimate_stack(
     Y is T x 2m x M, trial t's stacked data [Z_t; X_t].  Checks the scenario
     once, compresses every trial with one stacked QR (see the module
     docstring) and runs each step on the whole stack, the pairing and the
-    angle mapping included.  Returns one StackEstimate: row t, and
-    ``errors[t]``, are exactly what ``estimate_2d_aoa`` gives trial t alone,
-    and so is each warning.
+    angle mapping included.  Both subarrays go through one
+    ``estimate_electrical`` pass over a 2T stack, Z's blocks then X's, each
+    half seeded with the trials that already failed; a trial then fails with
+    its Z half's error, or else its X half's.  Returns one StackEstimate:
+    row t, and ``errors[t]``, are exactly what ``estimate_2d_aoa`` gives
+    trial t alone, and so is each warning.
+
+    A RankDeficiencyWarning is issued for each trial whose Z solve reduced
+    the truncation rank, then for each trial whose X solve did and whose Z
+    chain passed, as if X's chain ran only after Z's had succeeded.
 
     Raises
     ------
@@ -387,9 +409,21 @@ def estimate_stack(
         errors[t] = ConvergenceFailure("coefficient solve overflowed: the triangular factor of the data is not finite")
         # zeros keep the later stacked calls finite; a failed trial gets no further checks or warnings
         R[t] = 0.0
-    psi_hats, mags_z = estimate_electrical(R[:, :, :m], q, mode, errors)
-    xi_hats, mags_x = estimate_electrical(R[:, :, m:], q, mode, errors)
-    return pair_and_recover(psi_hats, xi_hats, R.swapaxes(1, 2), cfg, mags_z, mags_x, errors)
+    T = len(Y)
+    halves = errors + errors
+    angles, mags, reduced = estimate_electrical(np.concatenate([R[:, :, :m], R[:, :, m:]]), q, mode, halves)
+    z_errors, x_errors = halves[:T], halves[T:]
+    # Z's reduced ranks, then X's of the trials whose Z chain passed
+    warned = reduced[:T].tolist() + [r for r, exc in zip(reduced[T:].tolist(), z_errors) if exc is None]
+    for rank in warned:
+        if rank >= 0:
+            warnings.warn(
+                f"requested truncation rank {q} exceeds numerical rank {rank}; reducing",
+                RankDeficiencyWarning,
+                stacklevel=2,
+            )
+    errors = [z if z is not None else x for z, x in zip(z_errors, x_errors)]
+    return pair_and_recover(angles[:T], angles[T:], R.swapaxes(1, 2), cfg, mags[:T], mags[T:], errors)
 
 
 def estimate_2d_aoa(

@@ -15,14 +15,18 @@ an item that fails gets its ``AoaError`` in its slot, its outputs are
 undefined, and an item whose slot is already set gets no further checks or
 warnings.  Only the single-trial entry points ``estimate_2d_aoa`` and
 ``direction_from_electrical`` raise a trial's failure (``raise_first``).
+
+``solve_coeffs`` warns about nothing itself: it returns, per item, the rank
+it had to reduce the truncation to, and ``estimator.estimate_stack``, which
+runs both subarrays of a trial as two items of one stack, decides which of
+them warn once both are done.
 """
 
-import warnings
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConvergenceFailure, RankDeficiencyWarning, UnsupportedScenario
+from .errors import ConvergenceFailure, UnsupportedScenario
 
 REL_RANK_TOL = 1e-10  # singular values below this fraction of sigma_1 count as zero
 
@@ -92,8 +96,10 @@ def svd(A: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return U, s, Vh.conj().swapaxes(1, 2)
 
 
-def solve_coeffs(P: np.ndarray, P1: np.ndarray, q: int, mode: EstimatorMode, errors: list) -> np.ndarray:
-    """Solve P C = P1 for the prediction coefficients (c_1, ..., c_{m-1}).
+def solve_coeffs(
+    P: np.ndarray, P1: np.ndarray, q: int, mode: EstimatorMode, errors: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve P C = P1 for the prediction coefficients (c_1, ..., c_{m-1}), plus each item's reduced rank.
 
     TRUNCATED_SVD applies the paper's truncated pseudoinverse
     V_q Sigma_q^{-1} U_q^H to P1, inverting only the q largest singular
@@ -102,9 +108,15 @@ def solve_coeffs(P: np.ndarray, P1: np.ndarray, q: int, mode: EstimatorMode, err
     (the explicit normal-equations pseudoinverse is singular whenever
     q < m - 1 in the noiseless case, so both modes go through the SVD).
     P and P1 are a stack (T x n x (m-1) and T x n) of systems, and the
-    result is T x (m-1); see the module docstring for ``errors``.  An item
-    whose data overflow the solve (sigma_1 or a solved coefficient is not
+    coefficients are T x (m-1); see the module docstring for ``errors``.  An
+    item whose data overflow the solve (sigma_1 or a solved coefficient is not
     finite) gets a ConvergenceFailure.
+
+    The second result (T ints) is, for each TRUNCATED_SVD item whose q-th
+    singular value is numerically zero, the numerical rank its truncation is
+    reduced to, the rank a RankDeficiencyWarning reports; it is -1 for every
+    other item and for one whose slot was set before that check (by the SVD,
+    the sigma_1 check or an earlier layer).  The caller warns.
 
     Raises
     ------
@@ -122,16 +134,13 @@ def solve_coeffs(P: np.ndarray, P1: np.ndarray, q: int, mode: EstimatorMode, err
             errors[i] = ConvergenceFailure("coefficient solve overflowed: the largest singular value of P is not finite")
     cutoff = np.where(s1 > 0, REL_RANK_TOL * s1, 0.0)
 
+    reduced = np.full(len(P), -1)
     if mode is EstimatorMode.TRUNCATED_SVD:
         rank = np.full(len(P), q)
         for i in np.flatnonzero(sigma[:, q - 1] <= cutoff):
             rank[i] = np.sum(sigma[i, :q] > cutoff[i])
             if errors[i] is None:
-                warnings.warn(
-                    f"requested truncation rank {q} exceeds numerical rank {rank[i]}; reducing",
-                    RankDeficiencyWarning,
-                    stacklevel=2,
-                )
+                reduced[i] = rank[i]
     else:
         rank = np.sum(sigma > cutoff[:, None], axis=1)
 
@@ -140,4 +149,4 @@ def solve_coeffs(P: np.ndarray, P1: np.ndarray, q: int, mode: EstimatorMode, err
     for i in np.flatnonzero(~np.all(np.isfinite(c), axis=1)):
         if errors[i] is None:
             errors[i] = ConvergenceFailure("coefficient solve gave non-finite coefficients")
-    return c
+    return c, reduced

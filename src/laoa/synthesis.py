@@ -98,12 +98,18 @@ def generate_noise(m: int, snapshots: int, sigma2: float, rng: np.random.Generat
     Real and imaginary parts are independent N(0, sigma2/2), which also
     forces the pseudo-covariance E[n n^T] to vanish.
     """
+    scale = _noise_scale(sigma2)
+    if scale is None:
+        return np.zeros((m, snapshots), dtype=complex)
+    return scale * (rng.standard_normal((m, snapshots)) + 1j * rng.standard_normal((m, snapshots)))
+
+
+def _noise_scale(sigma2: float) -> float | None:
+    # the standard deviation sqrt(sigma2 / 2) of each real part, or None at
+    # sigma2 = 0, which draws nothing from the stream
     if sigma2 < 0:
         raise ValueError("sigma2 must be >= 0")
-    if sigma2 == 0.0:
-        return np.zeros((m, snapshots), dtype=complex)
-    scale = np.sqrt(sigma2 / 2.0)
-    return scale * (rng.standard_normal((m, snapshots)) + 1j * rng.standard_normal((m, snapshots)))
+    return None if sigma2 == 0.0 else np.sqrt(sigma2 / 2.0)
 
 
 def electrical_angle_sets(src: SourceSet, cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -166,16 +172,27 @@ def synthesize(
 def _synthesize_into(
     out: np.ndarray, A_z: np.ndarray, A_x: np.ndarray, src: SourceSet, sigma2: float, rng: np.random.Generator
 ) -> np.ndarray:
-    # one trial's draws, in the seeding contract's order (S, then Z's noise, then X's),
-    # written to out = [Z; X] (2m x M); returns S.  The steering matrices depend
-    # only on the config, so a Monte Carlo stack builds them once.
+    # one trial's draws, in the seeding contract's order (S, then Z's real and
+    # imaginary noise, then X's), written to out = [Z; X] (2m x M); returns S.
+    # The steering matrices depend only on the config, so a Monte Carlo stack
+    # builds them once.  One draw of all four noise parts is the stream that
+    # generate_noise draws for Z and then X, and adding the scaled parts to the
+    # real and imaginary views of out gives its bits with no complex temporary.
+    # Z and X are indexed, not reshaped: reshaping a non-contiguous out copies.
     m, snapshots = A_z.shape[0], out.shape[1]
     S = generate_sources(src, snapshots, rng)
     Z, X = out[:m], out[m:]
     np.matmul(A_z, S, out=Z)
-    Z += generate_noise(m, snapshots, sigma2, rng)
     np.matmul(A_x, S, out=X)
-    X += generate_noise(m, snapshots, sigma2, rng)
+    scale = _noise_scale(sigma2)
+    if scale is None:
+        out += 0.0  # as adding generate_noise's zeros: -0.0 becomes +0.0
+        return S
+    noise = rng.standard_normal((2, 2, m, snapshots))
+    noise *= scale
+    for half, (re, im) in zip((Z, X), noise):
+        half.real += re
+        half.imag += im
     return S
 
 

@@ -9,6 +9,7 @@ from laoa import (
     steering_vector,
     xi_from_direction,
 )
+from laoa.array_model import directions_from_electrical
 from laoa.errors import DegenerateElevation, OutOfRange
 
 
@@ -134,3 +135,25 @@ class TestInverseMapping:
             back = direction_from_electrical(psi_from_direction(d, cfg), xi_from_direction(d, cfg), cfg)
             assert back.theta == pytest.approx(d.theta, abs=1e-9)
             assert back.phi == pytest.approx(d.phi, abs=1e-9)
+
+
+class TestElevationGuard:
+    """The guard measures theta to the nearer pole, so it is symmetric about 90 degrees."""
+
+    def _map(self, theta):
+        d = DirectionPair(theta, 40.0)
+        errors = [None]
+        psi, xi = np.array([[psi_from_direction(d, HALF)]]), np.array([[xi_from_direction(d, HALF)]])
+        theta_deg, phi_deg = directions_from_electrical(psi, xi, HALF, errors)
+        return errors[0], theta_deg[0, 0], phi_deg[0, 0]
+
+    @pytest.mark.parametrize("theta", [0.5, 179.5])
+    def test_degenerate_near_either_pole(self, theta):
+        exc, theta_deg, phi_deg = self._map(theta)
+        assert type(exc) is DegenerateElevation and np.isnan(theta_deg) and np.isnan(phi_deg)
+
+    @pytest.mark.parametrize("theta", [1.5, 178.5])
+    def test_mapped_just_outside_the_guard(self, theta):
+        exc, theta_deg, phi_deg = self._map(theta)
+        assert exc is None
+        assert theta_deg == pytest.approx(theta, abs=1e-9) and phi_deg == pytest.approx(40.0, abs=1e-6)

@@ -97,9 +97,11 @@ def test_rejects_scenarios_the_estimator_cannot_handle(old, new, match):
 
 
 def test_a_source_at_the_elevation_guard_is_accepted():
-    # directions_from_electrical fails only sin(theta) < sin(GUARD_DEG)
-    cfg = parse_config(GOOD.replace("sources = 30/40, 70/120", "sources = 1/40, 70/120"))
-    assert cfg.sources[0].theta == 1.0
+    # directions_from_electrical fails only min(theta, 180 - theta) < GUARD_DEG, so the
+    # guard is symmetric about 90 deg (a test on sin(theta) refused 179 but not 1)
+    for sources, i, theta in (("1/40, 70/120", 0, 1.0), ("30/40, 179/120", 1, 179.0)):
+        cfg = parse_config(GOOD.replace("sources = 30/40, 70/120", f"sources = {sources}"))
+        assert cfg.sources[i].theta == theta
 
 
 def test_plus_inf_db_is_the_noiseless_case():

@@ -59,8 +59,8 @@ class TestEstimateElectrical:
     def test_single_source(self):
         cfg, src, Z, _ = _setup([(60, 90)], m=4, M=10)
         errors = [None]
-        angles, mags = estimate_electrical(Z.data.T[None], 1, EstimatorMode.NOISELESS, errors)
-        assert errors == [None]
+        angles, mags, reduced = estimate_electrical(Z.data.T[None], 1, EstimatorMode.NOISELESS, errors)
+        assert errors == [None] and reduced.tolist() == [-1]
         assert angles[0, 0] == pytest.approx(np.pi / 2, abs=1e-9)
         assert mags[0, 0] == pytest.approx(1.0, abs=1e-9)
 
@@ -69,8 +69,8 @@ class TestEstimateElectrical:
         thetas = [np.rad2deg(np.arccos(p / np.pi)) for p in (-1.2, 0.3, 2.0)]
         cfg2, src, Z, _ = _setup(list(zip(thetas, (150.0, 100.0, 40.0))), m=8, M=50)
         errors = [None]
-        angles, _ = estimate_electrical(Z.data.T[None], 3, EstimatorMode.NOISELESS, errors)
-        assert errors == [None]
+        angles, _, reduced = estimate_electrical(Z.data.T[None], 3, EstimatorMode.NOISELESS, errors)
+        assert errors == [None] and reduced.tolist() == [-1]
         np.testing.assert_allclose(sorted(angles[0]), [-1.2, 0.3, 2.0], atol=1e-8)
 
 
@@ -309,8 +309,8 @@ class TestCompressOnce:
         cfg, src, Z, X = _setup(FIVE_SOURCES[:q], m=8, M=M, sigma2=0.01, seed=1)
         got = estimate_2d_aoa(Z, X, q, cfg, mode)
         errors = [None]
-        psis, mags_z = estimate_electrical(Z.data.T[None], q, mode, errors)
-        xis, mags_x = estimate_electrical(X.data.T[None], q, mode, errors)
+        psis, mags_z, _ = estimate_electrical(Z.data.T[None], q, mode, errors)
+        xis, mags_x, _ = estimate_electrical(X.data.T[None], q, mode, errors)
         want = pair_and_recover(psis, xis, _stacked(Z, X)[None], cfg, mags_z, mags_x, errors)
         assert errors == [None]
         for s, w_theta, w_phi in zip(got.sources, want.theta_deg[0], want.phi_deg[0]):
@@ -341,7 +341,8 @@ class TestCompressOnce:
         monkeypatch.setattr(laoa.estimator, "check_scenario", check_scenario)
         estimate_2d_aoa(Z, X, 2, cfg)
         assert calls == {"qr": 1, "check_scenario": 1}
-        assert len(svd_rows) == 2 and max(svd_rows) <= 2 * cfg.m
+        # both subarrays' systems go through one stacked SVD
+        assert len(svd_rows) == 1 and max(svd_rows) <= 2 * cfg.m
 
 
 class TestStackParity:
@@ -365,11 +366,11 @@ class TestStackParity:
         return result, Counter(w.category for w in caught)
 
     def _inputs(self, monkeypatch, module, name, Y):
-        # the first matrix of each call that module.name gets while Y's trial runs alone
+        # every matrix of each call that module.name gets while Y's trial runs alone, in call order
         real, seen = getattr(module, name), []
 
         def record(a, *args, **kwargs):
-            seen.append(np.array(a[0]))
+            seen.extend(np.array(item) for item in a)
             return real(a, *args, **kwargs)
 
         with monkeypatch.context() as patch:
@@ -418,10 +419,10 @@ class TestStackParity:
         real_electrical = laoa.estimator.estimate_electrical
 
         def estimate_electrical(B, *args):
-            angles, mags = real_electrical(B, *args)
+            angles, mags, reduced = real_electrical(B, *args)
             for block, value in forced:
                 angles[[np.array_equal(item, block) for item in B]] = value
-            return angles, mags
+            return angles, mags, reduced
 
         monkeypatch.setattr(np.linalg, "svd", svd)
         monkeypatch.setattr(np.linalg, "eigvals", eigvals)
@@ -459,3 +460,38 @@ class TestStackParity:
             else:
                 assert got.errors[t] is None and _row_estimate(got, t) == w
         assert Counter(w.category for w in caught) == sum((c for _, c in want), Counter())
+
+
+class TestRankWarnings:
+    """RankDeficiencyWarning is decided after both subarrays: Z warns, then X if Z's chain passed."""
+
+    CFG = ArrayConfig(m=8, spacing_ratio=0.5)
+
+    def _run(self, Y):
+        # a stack of one: the trial's failure and its rank warnings
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = estimate_stack(Y[None], 2, self.CFG)
+        return got.errors[0], [w for w in caught if w.category is RankDeficiencyWarning]
+
+    def _data(self):
+        # one noiseless source at q = 2: both prediction systems have rank 1
+        _, _, Z, X = _setup([(30, 40)], m=8, M=64, sigma2=0.0, seed=10)
+        return _stacked(Z, X)
+
+    def test_a_z_chain_that_fails_after_its_solve_warns_for_z_only(self):
+        Y = self._data()
+        Y[0] = 0.0  # Z's first sensor is silent: Z's coefficients are 0
+        exc, caught = self._run(Y)
+        assert type(exc) is NotEnoughRoots and len(caught) == 1
+        assert str(caught[0].message) == "requested truncation rank 2 exceeds numerical rank 1; reducing"
+
+    def test_x_warns_once_z_chain_has_passed(self):
+        Y = self._data()
+        Y[self.CFG.m] = 0.0  # X's first sensor is silent: X fails after its solve
+        exc, caught = self._run(Y)
+        assert type(exc) is NotEnoughRoots and len(caught) == 2
+
+    def test_a_trial_that_fails_in_the_solve_does_not_warn(self):
+        exc, caught = self._run(1e307 * self._data())  # R is finite, but sigma_1 overflows in both subarrays
+        assert type(exc) is ConvergenceFailure and "largest singular value" in str(exc) and caught == []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,8 +94,9 @@ class TestPaperOperator:
         U, sigma, Vh = np.linalg.svd(P, full_matrices=False)
         for r in range(1, 5):
             errors = [None] * len(P)
-            got = solve_coeffs(P, P1, r, EstimatorMode.TRUNCATED_SVD, errors)
+            got, reduced = solve_coeffs(P, P1, r, EstimatorMode.TRUNCATED_SVD, errors)
             assert errors == [None] * len(P)
+            assert reduced.tolist() == [-1] * len(P)
             for t in range(len(P)):
                 expected = Vh[t, :r].conj().T @ np.diag(1.0 / sigma[t, :r]) @ U[t, :, :r].conj().T @ P1[t]
                 np.testing.assert_allclose(got[t], expected, rtol=1e-12, atol=0)
@@ -103,8 +106,9 @@ class TestPaperOperator:
         P, P1 = zip(*((random_complex(rng, 9, 4), random_complex(rng, 9, 1)[:, 0]) for _ in range(20)))
         P, P1 = np.stack(P), np.stack(P1)
         errors = [None] * len(P)
-        got = solve_coeffs(P, P1, 4, EstimatorMode.NOISELESS, errors)
+        got, reduced = solve_coeffs(P, P1, 4, EstimatorMode.NOISELESS, errors)
         assert errors == [None] * len(P)
+        assert reduced.tolist() == [-1] * len(P)
         for t in range(len(P)):
             expected = np.linalg.lstsq(P[t], P1[t], rcond=None)[0]
             np.testing.assert_allclose(got[t], expected, rtol=1e-12, atol=0)
@@ -116,16 +120,16 @@ class TestSolveCoeffs:
         cfg = ArrayConfig(m=2, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 5, 0.0, np.random.default_rng(26))
         errors = [None]
-        c = solve_coeffs(*build_lp_system(Z.data.T[None]), 1, EstimatorMode.TRUNCATED_SVD, errors)
-        assert errors == [None]
+        c, reduced = solve_coeffs(*build_lp_system(Z.data.T[None]), 1, EstimatorMode.TRUNCATED_SVD, errors)
+        assert errors == [None] and reduced.tolist() == [-1]
         np.testing.assert_allclose(c[0], [1j], atol=1e-12)
 
     def test_identity_system(self):
         rng = np.random.default_rng(27)
         P1 = random_complex(rng, 4, 1)[:, 0]
         errors = [None]
-        c = solve_coeffs(np.eye(4, dtype=complex)[None], P1[None], 4, EstimatorMode.TRUNCATED_SVD, errors)
-        assert errors == [None]
+        c, reduced = solve_coeffs(np.eye(4, dtype=complex)[None], P1[None], 4, EstimatorMode.TRUNCATED_SVD, errors)
+        assert errors == [None] and reduced.tolist() == [-1]
         np.testing.assert_allclose(c[0], P1, atol=1e-12)
 
     def test_noiseless_polynomial_annihilates_roots(self):
@@ -133,8 +137,8 @@ class TestSolveCoeffs:
         cfg = ArrayConfig(m=6, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 40, 0.0, np.random.default_rng(28))
         errors = [None]
-        c = solve_coeffs(*build_lp_system(Z.data.T[None]), 2, EstimatorMode.TRUNCATED_SVD, errors)
-        assert errors == [None]
+        c, reduced = solve_coeffs(*build_lp_system(Z.data.T[None]), 2, EstimatorMode.TRUNCATED_SVD, errors)
+        assert errors == [None] and reduced.tolist() == [-1]
         from laoa.synthesis import electrical_angle_sets
 
         psis, _ = electrical_angle_sets(src, cfg)
@@ -150,22 +154,25 @@ class TestSolveCoeffs:
         Z, _, _ = synthesize(src, cfg, 40, 0.0, np.random.default_rng(29))
         P, P1 = build_lp_system(Z.data.T[None])
         errors = [None]
-        a = solve_coeffs(P, P1, 2, EstimatorMode.TRUNCATED_SVD, errors)
-        b = solve_coeffs(P, P1, 2, EstimatorMode.NOISELESS, errors)
-        assert errors == [None]
+        a, reduced_a = solve_coeffs(P, P1, 2, EstimatorMode.TRUNCATED_SVD, errors)
+        b, reduced_b = solve_coeffs(P, P1, 2, EstimatorMode.NOISELESS, errors)
+        assert errors == [None] and reduced_a.tolist() == reduced_b.tolist() == [-1]
         # q = 2 equals the rank of the noiseless system here
         np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-10)
 
-    def test_rank_deficiency_warning(self):
+    def test_rank_deficiency_is_returned_for_the_caller_to_warn(self):
         src = SourceSet(directions=(DirectionPair(40, 30),))
         cfg = ArrayConfig(m=5, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 30, 0.0, np.random.default_rng(30))
         P, P1 = build_lp_system(Z.data.T[None])
         errors = [None]
-        # noiseless single source: rank 1, requesting q=3 must warn and reduce
-        with pytest.warns(RankDeficiencyWarning):
-            solve_coeffs(P, P1, 3, EstimatorMode.TRUNCATED_SVD, errors)
-        assert errors == [None]
+        # noiseless single source: rank 1, requesting q=3 must reduce to rank 1 and report it;
+        # estimator.estimate_stack issues the RankDeficiencyWarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, reduced = solve_coeffs(P, P1, 3, EstimatorMode.TRUNCATED_SVD, errors)
+        assert errors == [None] and reduced.tolist() == [1]
+        assert not [w for w in caught if w.category is RankDeficiencyWarning]
 
     def test_q_out_of_range(self):
         with pytest.raises(UnsupportedScenario, match=r"q must be in \[1, 3\]"):
@@ -178,8 +185,8 @@ class TestSolveCoeffs:
         P = np.array([[[1e-300], [0.0]]], dtype=complex)
         P1 = np.array([[1e300, 0.0]], dtype=complex)
         errors = [None]
-        solve_coeffs(P, P1, 1, EstimatorMode.TRUNCATED_SVD, errors)
-        assert isinstance(errors[0], ConvergenceFailure)
+        _, reduced = solve_coeffs(P, P1, 1, EstimatorMode.TRUNCATED_SVD, errors)
+        assert isinstance(errors[0], ConvergenceFailure) and reduced.tolist() == [-1]
         assert "non-finite coefficients" in str(errors[0])
 
     def test_solution_ignores_singular_vector_phases(self, monkeypatch):
@@ -189,7 +196,7 @@ class TestSolveCoeffs:
         P, P1 = build_lp_system(Z.data.T[None])
         modes = (EstimatorMode.TRUNCATED_SVD, EstimatorMode.NOISELESS)
         errors = [None]
-        expected = [solve_coeffs(P, P1, 2, mode, errors) for mode in modes]
+        expected = [solve_coeffs(P, P1, 2, mode, errors)[0] for mode in modes]
 
         lapack_svd = np.linalg.svd
         rng = np.random.default_rng(36)
@@ -202,5 +209,5 @@ class TestSolveCoeffs:
 
         monkeypatch.setattr(np.linalg, "svd", rotated_svd)
         for mode, c in zip(modes, expected):
-            np.testing.assert_allclose(solve_coeffs(P, P1, 2, mode, errors), c, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(solve_coeffs(P, P1, 2, mode, errors)[0], c, rtol=1e-12, atol=0)
         assert errors == [None]

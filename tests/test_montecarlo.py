@@ -79,9 +79,11 @@ class TestRunTrial:
 
     def test_singular_pairing_is_a_counted_failure(self, monkeypatch):
         # identical (psi, xi) pairs make the pairing normal equations singular
-        # one row of angles and root magnitudes per trial of the stack
+        # one row of angles and root magnitudes per item of the stack, and no reduced rank
         monkeypatch.setattr(
-            laoa.estimator, "estimate_electrical", lambda B, *a: (np.full((len(B), 2), 0.3), np.ones((len(B), 2)))
+            laoa.estimator,
+            "estimate_electrical",
+            lambda B, *a: (np.full((len(B), 2), 0.3), np.ones((len(B), 2)), np.full(len(B), -1)),
         )
         cfg = _cfg(trials=2, q=2, sources="30/40, 70/120")
         assert run_trial(cfg, 0, 0)[2] == ["ConvergenceFailure"]

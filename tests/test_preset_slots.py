@@ -15,7 +15,7 @@ import pytest
 
 from laoa import ArrayConfig, DirectionPair, EstimatorMode, SourceSet, build_lp_system, synthesize
 from laoa.array_model import directions_from_electrical
-from laoa.errors import AoaError, ConvergenceFailure, NotEnoughRoots
+from laoa.errors import AoaError, ConvergenceFailure, NotEnoughRoots, RankDeficiencyWarning
 from laoa.estimator import estimate_electrical, pair_and_recover
 from laoa.linalg import solve_coeffs, svd
 from laoa.rooting import find_roots, select_unit_roots
@@ -40,10 +40,10 @@ def _chain():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         P, P1 = build_lp_system(R[:, :, :CFG.m])
-        c = solve_coeffs(P, P1, Q, MODE, errors)
+        c, _ = solve_coeffs(P, P1, Q, MODE, errors)
         roots = find_roots(c, errors)
-        psi, mags_z = estimate_electrical(R[:, :, :CFG.m], Q, MODE, errors)
-        xi, mags_x = estimate_electrical(R[:, :, CFG.m:], Q, MODE, errors)
+        psi, mags_z, _ = estimate_electrical(R[:, :, :CFG.m], Q, MODE, errors)
+        xi, mags_x, _ = estimate_electrical(R[:, :, CFG.m:], Q, MODE, errors)
     assert errors == [None] * len(R)
     return P, P1, c, roots, psi, xi, mags_z, mags_x, R.swapaxes(1, 2)
 
@@ -61,7 +61,7 @@ def _cases():
         return real_svd(a, *args, **kwargs)
 
     P_zero = P.copy()
-    P_zero[3] = 0.0  # rank 0: warns, as the rank-1 trial 1 does
+    P_zero[3] = 0.0  # rank 0: reduces the rank, as the rank-1 trial 1 does
     c_bad = c.copy()
     c_bad[1] = 0.0  # the constant polynomial has no roots
     c_bad[3, 0] = np.nan  # the eigensolver rejects it
@@ -75,6 +75,15 @@ def _cases():
     psi_dir[1, 0] = np.pi * np.cos(np.deg2rad(0.5))  # theta = 0.5 deg: DegenerateElevation
     psi_dir[3, 0] = 4.0  # past 2 pi d / lambda = pi: OutOfRange
 
+    def solve_and_warn(P, P1, errors):
+        # solve_coeffs returns each row's reduced rank and warns about none: a rank it
+        # returns (>= 0) stands for the warning the row would get, so the checks on
+        # warnings below check the returned ranks
+        c, reduced = solve_coeffs(P, P1, Q, MODE, errors)
+        for rank in reduced[reduced >= 0].tolist():
+            warnings.warn(f"reduced to rank {rank}", RankDeficiencyWarning)
+        return c, reduced
+
     def stack_estimate(*args):
         est = pair_and_recover(*args[:3], CFG, *args[3:])
         return (est.theta_deg, est.phi_deg, est.psi_hat, est.xi_hat, est.mag_z, est.mag_x,
@@ -82,7 +91,7 @@ def _cases():
 
     return {
         "svd": (svd, (P,), svd_failing_on_presets),
-        "solve_coeffs": (lambda P, P1, errors: (solve_coeffs(P, P1, Q, MODE, errors),), (P_zero, P1), None),
+        "solve_coeffs": (solve_and_warn, (P_zero, P1), None),
         "find_roots": (lambda c, errors: (find_roots(c, errors),), (c_bad,), None),
         "select_unit_roots": (lambda r, errors: (select_unit_roots(r, Q, errors),), (roots_few,), None),
         "pair_and_recover": (stack_estimate, (psi_pair, xi_pair, L, mags_z, mags_x), None),

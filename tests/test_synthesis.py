@@ -9,9 +9,11 @@ from laoa import (
     build_lp_system,
     generate_noise,
     generate_sources,
+    steering_vector,
     synthesize,
 )
 from laoa.errors import UnsupportedScenario
+from laoa.synthesis import _synthesize_into, electrical_angle_sets
 
 CFG = ArrayConfig(m=6, spacing_ratio=0.5)
 
@@ -127,3 +129,34 @@ class TestBuildLpSystem:
         Z, _, _ = synthesize(src, cfg, 5, 0.0, np.random.default_rng(12))
         P, P1 = build_lp_system(Z.data.T)
         np.testing.assert_allclose(P[:, 0] * 1j, P1, atol=1e-12)
+
+
+class TestDrawOrder:
+    """A trial's stream is S, then Z's real and imaginary noise, then X's, as generate_noise draws them."""
+
+    SRC = ((60, 45), (100, 120))
+
+    @pytest.mark.parametrize("model", list(SignalModel))
+    @pytest.mark.parametrize("sigma2", [0.3, 0.0])
+    def test_synthesize_is_sources_then_z_noise_then_x_noise(self, model, sigma2):
+        src = SourceSet(directions=tuple(DirectionPair(t, p) for t, p in self.SRC), signal_model=model)
+        Z, X, S = synthesize(src, CFG, 40, sigma2, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        S_want = generate_sources(src, 40, rng)
+        psis, xis = electrical_angle_sets(src, CFG)
+        Z_want = steering_vector(psis, CFG.m) @ S_want + generate_noise(CFG.m, 40, sigma2, rng)
+        X_want = steering_vector(xis, CFG.m) @ S_want + generate_noise(CFG.m, 40, sigma2, rng)
+        assert S.tobytes() == S_want.tobytes()
+        assert Z.data.tobytes() == Z_want.tobytes()
+        assert X.data.tobytes() == X_want.tobytes()
+
+    def test_a_non_contiguous_output_gets_the_noise(self):
+        src = _sources(*self.SRC)
+        Z, X, _ = synthesize(src, CFG, 40, 0.3, np.random.default_rng(8))
+        psis, xis = electrical_angle_sets(src, CFG)
+        out = np.zeros((40, 2 * CFG.m), dtype=complex).T  # a view whose halves are strided
+        _synthesize_into(out, steering_vector(psis, CFG.m), steering_vector(xis, CFG.m), src, 0.3,
+                         np.random.default_rng(8))
+        # a strided matmul output may differ in the last bits; dropped noise would be ~0.5 off
+        np.testing.assert_allclose(out[:CFG.m], Z.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out[CFG.m:], X.data, rtol=0, atol=1e-12)
