@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 import argparse
+import os
 import sys
 
 from .array_model import ArrayConfig
@@ -16,7 +17,7 @@ from .config import load_config
 from .errors import AoaError, ParseError
 from .estimator import EstimatorMode, estimate_2d_aoa
 from .matio import read_matrix_file
-from .montecarlo import monte_carlo, run_trial
+from .montecarlo import default_workers, monte_carlo, run_trial
 from .synthesis import Subarray
 
 
@@ -114,10 +115,17 @@ def _cmd_montecarlo(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
-    report = monte_carlo(cfg)
+    workers = default_workers()
     output = args.output if args.output is not None else cfg.output_path
-    with open(output, "w", encoding="ascii", newline="") as fh:
-        fh.write(report.to_csv())
+    # opened before the first trial, so a bad path fails at once; a failed sweep leaves no CSV
+    fh = open(output, "w", encoding="ascii", newline="")
+    try:
+        with fh:
+            fh.write(monte_carlo(cfg, workers).to_csv())
+    except BaseException:
+        if os.path.isfile(output):  # not a device such as /dev/stdout
+            os.remove(output)
+        raise
     print(f"wrote {output}", file=sys.stderr)
     return 0
 

@@ -18,6 +18,7 @@ Example::
 """
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from .array_model import GUARD_DEG, ArrayConfig, DirectionPair, near_z_axis
 from .errors import ParseError, UnsupportedScenario
@@ -43,21 +44,21 @@ class ExperimentConfig:
     seed: int
     mode: EstimatorMode
     output_path: str
-    power: float = 1.0
+    # sources have unit power, E|s|^2 = 1, so the SNR alone sets the noise; not a setting
+    power: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.snr_db_list:
             raise ValueError("snr_db_list must be nonempty")
-        # +inf dB is noiseless; nan, -inf, an overflowing SNR or a nan/inf power is not
+        # +inf dB is noiseless; nan, -inf or an overflowing SNR is not
         try:
             finite = all(self.noise_variance(snr) < float("inf") for snr in self.snr_db_list)
         except OverflowError:
             finite = False
         if not finite:
-            raise ValueError(f"snr_db_list {list(self.snr_db_list)} and power {self.power!r} "
-                             "give a non-finite noise variance")
+            raise ValueError(f"snr_db_list {list(self.snr_db_list)} gives a non-finite noise variance")
         if len(set(self.snr_db_list)) != len(self.snr_db_list):
             # report rows are keyed by (snr_db, source_index), and a trial's seed by the SNR's index
             raise ValueError(f"snr_db_list {list(self.snr_db_list)} repeats an entry")
@@ -76,14 +77,14 @@ class ExperimentConfig:
         separated_angle_sets(self.source_set(), self.array_config())
 
     def noise_variance(self, snr_db: float) -> float:
-        """Per-element noise variance sigma^2 = power * 10^(-snr_db / 10)."""
+        """Per-element noise variance sigma^2 = power * 10^(-snr_db / 10) = 10^(-snr_db / 10)."""
         return self.power * 10.0 ** (-snr_db / 10.0)
 
     def array_config(self) -> ArrayConfig:
         return ArrayConfig(m=self.m, spacing_ratio=self.spacing_ratio)
 
     def source_set(self) -> SourceSet:
-        return SourceSet(directions=self.sources, signal_model=self.signal_model, power=self.power)
+        return SourceSet(directions=self.sources, signal_model=self.signal_model)
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, seed=seed)
@@ -106,7 +107,7 @@ def parse_config(text: str) -> ExperimentConfig:
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ParseError(f"missing keys: {', '.join(missing)}")
-    unknown = [k for k in values if k not in _REQUIRED and k != "power"]
+    unknown = [k for k in values if k not in _REQUIRED]
     if unknown:
         raise ParseError(f"unknown keys: {', '.join(unknown)}")
 
@@ -127,7 +128,6 @@ def parse_config(text: str) -> ExperimentConfig:
             seed=int(values["seed"]),
             mode=EstimatorMode(values["mode"]),
             output_path=values["output_path"],
-            power=float(values.get("power", "1.0")),
         )
     except (ValueError, KeyError) as exc:
         raise ParseError(f"invalid config value: {exc}") from exc
@@ -153,6 +153,5 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         f"seed = {cfg.seed}",
         f"mode = {cfg.mode.value}",
         f"output_path = {cfg.output_path}",
-        f"power = {cfg.power!r}",
     ]
     return "\n".join(lines) + "\n"

@@ -5,8 +5,8 @@ Then one line per row with ``cols`` whitespace-separated entries formatted
 ``<re>:<im>``; each part follows Python ``float()`` syntax, and the writer
 uses the shortest decimal representation that round-trips to the identical
 float.  Lines whose first non-blank character is ``#`` are comments; there
-are no trailing comments.  Every entry must be finite.  Write -> read is
-bit-exact.
+are no trailing comments.  The file is ASCII text, comments included.
+Every entry must be finite.  Write -> read is bit-exact.
 
 A canonical body (every row ``cols`` tokens with one ``:`` each) is parsed
 in one pass by numpy's C text reader, which converts each part exactly as
@@ -32,9 +32,13 @@ def write_matrix_file(snap: SnapshotMatrix, path) -> None:
 
 
 def read_matrix_file(path) -> SnapshotMatrix:
-    with open(path, "r", encoding="ascii") as fh:
-        content = [(i + 1, ln.strip()) for i, ln in enumerate(fh)
-                   if ln.strip() and not ln.lstrip().startswith("#")]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            content = [(i + 1, ln.strip()) for i, ln in enumerate(fh)
+                       if ln.strip() and not ln.lstrip().startswith("#")]
+    except UnicodeDecodeError as exc:
+        # the decoder's position counts from its buffer, not from the file, so no line is named
+        raise ParseError(f"not ASCII text: byte {exc.object[exc.start]:#04x}") from exc
     if not content:
         raise ParseError("empty matrix file")
 

@@ -61,22 +61,9 @@ class MonteCarloReport:
     rows: tuple[dict, ...]
 
     def to_csv(self) -> str:
+        columns = CSV_HEADER.split(",")
         lines = [CSV_HEADER]
-        for row in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        repr(row["snr_db"]),
-                        str(row["source_index"]),
-                        "" if row["rmse_theta_deg"] is None else repr(row["rmse_theta_deg"]),
-                        "" if row["rmse_phi_deg"] is None else repr(row["rmse_phi_deg"]),
-                        "" if row["bias_theta_deg"] is None else repr(row["bias_theta_deg"]),
-                        "" if row["bias_phi_deg"] is None else repr(row["bias_phi_deg"]),
-                        str(row["failure_count"]),
-                        str(row["trials"]),
-                    ]
-                )
-            )
+        lines += (",".join("" if row[k] is None else repr(row[k]) for k in columns) for row in self.rows)
         return "\n".join(lines) + "\n"
 
 
@@ -183,37 +170,21 @@ def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarlo
     phi_err = np.concatenate([stack[1] for stack in stacks])
     failed = np.array([f is not None for stack in stacks for f in stack[2]], dtype=bool)
 
+    columns = CSV_HEADER.split(",")
     rows = []
     for si, snr_db in enumerate(cfg.snr_db_list):
         point = slice(si * cfg.trials, (si + 1) * cfg.trials)
         ok = ~failed[point]
         failures = int(np.count_nonzero(failed[point]))
         for source_index in range(cfg.q):
+            stats = (None,) * 4  # AllTrialsFailed: the row has empty statistics
             if ok.any():
                 # each source's errors as one 1-D array: a 2-D reduction would sum in another order
                 te = theta_err[point, source_index][ok]
                 pe = phi_err[point, source_index][ok]
-                row = {
-                    "rmse_theta_deg": float(np.sqrt(np.mean(te**2))),
-                    "rmse_phi_deg": float(np.sqrt(np.mean(pe**2))),
-                    "bias_theta_deg": float(np.mean(te)),
-                    "bias_phi_deg": float(np.mean(pe)),
-                }
-            else:
-                # AllTrialsFailed: emit the row with empty statistics
-                row = {
-                    "rmse_theta_deg": None,
-                    "rmse_phi_deg": None,
-                    "bias_theta_deg": None,
-                    "bias_phi_deg": None,
-                }
-            row.update(
-                snr_db=snr_db,
-                source_index=source_index,
-                failure_count=failures,
-                trials=cfg.trials,
-            )
-            rows.append(row)
+                stats = (float(np.sqrt(np.mean(te**2))), float(np.sqrt(np.mean(pe**2))),
+                         float(np.mean(te)), float(np.mean(pe)))
+            rows.append(dict(zip(columns, (snr_db, source_index, *stats, failures, cfg.trials))))
 
     rows.sort(key=lambda r: (r["snr_db"], r["source_index"]))
     return MonteCarloReport(rows=tuple(rows))

@@ -36,14 +36,11 @@ class SourceSet:
 
     directions: tuple[DirectionPair, ...]
     signal_model: SignalModel = SignalModel.UNIT_POWER_RANDOM_PHASE
-    power: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "directions", tuple(self.directions))
         if len(self.directions) < 1:
             raise ValueError("need at least one source")
-        if self.power < 0:
-            raise ValueError("power must be >= 0")
 
     @property
     def q(self) -> int:
@@ -77,19 +74,18 @@ class SnapshotMatrix:
 def generate_sources(src: SourceSet, snapshots: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the q x M source-sample matrix S.
 
-    Rows are independent; each sample has E|s|^2 = power.  The random-phase
-    model draws sqrt(power) * e^{jU} with U uniform on [0, 2pi); QPSK draws
+    Rows are independent; each sample has unit modulus, so E|s|^2 = 1.  The
+    random-phase model draws e^{jU} with U uniform on [0, 2pi); QPSK draws
     uniformly from the four rotated constellation points.
     """
     q = src.q
     if snapshots < q:
         raise UnsupportedScenario(f"need M >= q for full-rank S, got M={snapshots}, q={q}")
-    amp = np.sqrt(src.power)
     if src.signal_model is SignalModel.UNIT_POWER_RANDOM_PHASE:
         phase = rng.uniform(0.0, 2.0 * np.pi, size=(q, snapshots))
     else:
         phase = np.pi / 4 + (np.pi / 2) * rng.integers(0, 4, size=(q, snapshots))
-    return amp * np.exp(1j * phase)
+    return np.exp(1j * phase)
 
 
 def generate_noise(m: int, snapshots: int, sigma2: float, rng: np.random.Generator) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 
 from laoa import ArrayConfig, DirectionPair, SnapshotMatrix, SourceSet, Subarray, synthesize, write_matrix_file
 from laoa.cli import main
+from laoa.errors import ConvergenceFailure
 
 CONFIG = """\
 m = 8
@@ -202,6 +203,22 @@ def test_estimate_rejects_a_degenerate_header(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("where", ["comment", "entry"])
+def test_estimate_names_the_file_that_is_not_ascii(tmp_path, capsys, where):
+    zf, xf = _write_pair(tmp_path)
+    lines = xf.read_bytes().split(b"\n")
+    if where == "comment":
+        lines.insert(1, "# café".encode())
+    else:
+        lines[3] = "é".encode() + lines[3]
+    xf.write_bytes(b"\n".join(lines))
+    rc = main(["estimate", "--z-file", str(zf), "--x-file", str(xf), "--q", "1", "--spacing-ratio", "0.5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"error: --x-file {xf}: not ASCII text" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag", ["--z-file", "--x-file"])
 def test_estimate_names_the_file_that_fails_to_parse(tmp_path, capsys, flag):
     zf, xf = _write_pair(tmp_path)
@@ -218,15 +235,58 @@ def test_estimate_names_the_file_that_fails_to_parse(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize(
     "old, new",
-    [("snr_db_list = 300", "snr_db_list = 300, nan"), ("snr_db_list = 300", "snr_db_list = -inf"),
-     ("trials = 2", "trials = 2\npower = nan"), ("trials = 2", "trials = 2\npower = inf")],
-    ids=["snr_nan", "snr_minus_inf", "power_nan", "power_inf"],
+    [("snr_db_list = 300", "snr_db_list = 300, nan"), ("snr_db_list = 300", "snr_db_list = -inf")],
+    ids=["snr_nan", "snr_minus_inf"],
 )
 def test_montecarlo_rejects_non_finite_noise_before_any_trial(config_file, capsys, old, new):
     path, out = config_file
     path.write_text(path.read_text().replace(old, new))
     assert main(["montecarlo", "--config", str(path)]) == 2
     assert "non-finite noise variance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("power", ["0", "2"])
+def test_montecarlo_rejects_a_power_key(config_file, capsys, power):
+    # sources have unit power and the SNR alone sets the noise; power = 0 once gave an all-empty report
+    path, out = config_file
+    path.write_text(path.read_text() + f"power = {power}\n")
+    assert main(["montecarlo", "--config", str(path)]) == 2
+    assert "unknown keys: power" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("monte_carlo ran")
+
+
+def test_montecarlo_checks_the_output_before_any_trial(config_file, capsys, monkeypatch, tmp_path):
+    path, _ = config_file
+    monkeypatch.setattr("laoa.cli.monte_carlo", _no_sweep)
+    out = tmp_path / "no-such-dir" / "x.csv"
+    assert main(["montecarlo", "--config", str(path), "--output", str(out)]) == 2
+    assert "no-such-dir" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_montecarlo_checks_aoa_threads_before_any_trial(config_file, capsys, monkeypatch):
+    path, out = config_file
+    monkeypatch.setattr("laoa.cli.monte_carlo", _no_sweep)
+    monkeypatch.setenv("AOA_THREADS", "0")
+    assert main(["montecarlo", "--config", str(path)]) == 2
+    assert "AOA_THREADS must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_failed_sweep_leaves_no_csv(config_file, monkeypatch):
+    path, out = config_file
+
+    def failing_sweep(cfg, workers):
+        assert out.exists()  # opened before the first trial
+        raise ConvergenceFailure("every worker failed")
+
+    monkeypatch.setattr("laoa.cli.monte_carlo", failing_sweep)
+    assert main(["montecarlo", "--config", str(path)]) == 2
     assert not out.exists()
 
 

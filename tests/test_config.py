@@ -1,6 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
-from laoa import parse_config, serialize_config
+from laoa import ExperimentConfig, parse_config, serialize_config
 from laoa.errors import ParseError
 from laoa.estimator import EstimatorMode
 from laoa.synthesis import SignalModel
@@ -81,14 +83,13 @@ def test_seed_override():
         ("snr_db_list = 0, 10, 20, 30", "snr_db_list = 0, nan", "non-finite noise"),
         ("snr_db_list = 0, 10, 20, 30", "snr_db_list = -inf, 10", "non-finite noise"),
         ("snr_db_list = 0, 10, 20, 30", "snr_db_list = 0, -4000", "non-finite noise"),
-        ("trials = 500", "trials = 500\npower = nan", "power nan"),
-        ("trials = 500", "trials = 500\npower = inf", "power inf"),
+        ("trials = 500", "trials = 500\npower = 1", "unknown keys: power"),
         ("sources = 30/40, 70/120", "sources = 30/40, 0.5/120", "source 1 at theta = 0.5 deg .* Z axis"),
         ("sources = 30/40, 70/120", "sources = 179.5/40, 70/120", "source 0 at theta = 179.5 deg .* Z axis"),
         ("snr_db_list = 0, 10, 20, 30", "snr_db_list = 10, 0, 10", "repeats an entry"),
     ],
     ids=["q_too_large", "too_few_snapshots", "psi_too_close", "xi_too_close",
-         "snr_nan", "snr_minus_inf", "snr_overflows", "power_nan", "power_inf",
+         "snr_nan", "snr_minus_inf", "snr_overflows", "power_is_not_a_key",
          "near_z_axis", "near_minus_z_axis", "snr_repeated"],
 )
 def test_rejects_scenarios_the_estimator_cannot_handle(old, new, match):
@@ -102,6 +103,15 @@ def test_a_source_at_the_elevation_guard_is_accepted():
     for sources, i, theta in (("1/40, 70/120", 0, 1.0), ("30/40, 179/120", 1, 179.0)):
         cfg = parse_config(GOOD.replace("sources = 30/40, 70/120", f"sources = {sources}"))
         assert cfg.sources[i].theta == theta
+
+
+def test_sources_have_unit_power():
+    # power is a class constant, not a setting: the SNR alone sets the noise variance
+    cfg = parse_config(GOOD)
+    assert "power" not in {f.name for f in fields(ExperimentConfig)}
+    assert cfg.power == 1.0
+    assert cfg.noise_variance(10.0) == 0.1
+    assert not any(line.startswith("power") for line in serialize_config(cfg).splitlines())
 
 
 def test_plus_inf_db_is_the_noiseless_case():

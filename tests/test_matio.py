@@ -124,3 +124,11 @@ def test_degenerate_dimensions_report_the_header_line(tmp_path, header, body):
     with pytest.raises(ParseError, match=r"need rows >= 2 and cols >= 1 \(line 2\)") as exc:
         read_matrix_file(path)
     assert exc.value.column is None
+
+
+@pytest.mark.parametrize("body", ["# café\n1:0 2:0\n3:0 4:0\n", "1:0 2:0\n3:0 é4:0\n"], ids=["comment", "entry"])
+def test_a_non_ascii_byte_is_a_parse_error(tmp_path, body):
+    path = tmp_path / "m.mat"
+    path.write_bytes(("aoa-matrix 1 2 2 Z\n" + body).encode())
+    with pytest.raises(ParseError, match="not ASCII text: byte 0xc3"):
+        read_matrix_file(path)

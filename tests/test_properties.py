@@ -209,7 +209,6 @@ def _configs(draw):
             seed=draw(st.integers(0, 2**64 - 1)),
             mode=draw(st.sampled_from(list(EstimatorMode))),
             output_path=draw(_paths),
-            power=draw(st.floats(0.0, 1e6)),
         )
     except UnsupportedScenario:
         assume(False)

@@ -23,11 +23,6 @@ def _sources(*pairs):
 
 
 class TestGenerateSources:
-    def test_zero_power(self):
-        src = SourceSet(directions=(DirectionPair(60, 45),), power=0.0)
-        S = generate_sources(src, 3, np.random.default_rng(0))
-        assert np.array_equal(S, np.zeros((1, 3)))
-
     def test_unit_modulus(self):
         src = _sources((60, 45), (100, 120))
         S = generate_sources(src, 1000, np.random.default_rng(1))
