@@ -38,33 +38,44 @@ calls each.  Any L with L L^H = Y Y^H gives every residual (I - P_A) Y the
 same Frobenius norm as (I - P_A) L.  Permutation P's stacked steering matrix
 A = [A_z; A_x P] has the q x q normal equations G_P S = B_P, with
 G_P = A^H A = Gz + P^T Gx P and B_P = A^H L = Bz + P^T Bx gathered from the
-two halves.  Both stages solve with G_P through one loop over a flat list of
-(trial, permutation) pairs, a block of pairs per stacked solve.
+two halves.
 
 The screen scores every permutation with q x q matrices only:
 cheap_P = ||L||^2 - Re tr(G_P^-1 H_P), with H_P = B_P B_P^H gathered from
-the three products Bz Bz^H, Bz Bx^H and Bx Bx^H.  In exact arithmetic that is
-the squared residual, but the subtraction cancels: rounding in B_P, H_P,
-||L||^2 and the LU of G_P moves cheap_P by O((m + q) eps kappa ||L||^2),
-since tr(G_P^-1 H_P) <= ||L||^2.  The stated bound is
+the three products Bz Bz^H, Bz Bx^H and Bx Bx^H.  It takes the trace by
+elimination in numpy, not by a LAPACK solve per system: in a pass of
+SCREEN_BLOCK systems of whole trials, the system index on the last axis,
+the unpivoted elimination G_P = W D W^H (W unit lower triangular) applies
+each step's row operation to H_P and its conjugate as a column operation,
+so tr(G_P^-1 H_P) is the sum of (W^-1 H_P W^-H)_kk / d_k.  G_P is a Gram
+matrix, Hermitian positive definite, and the unpivoted elimination is
+backward stable for it.  In exact arithmetic cheap_P is the squared
+residual, but the subtraction cancels: rounding in B_P, H_P, ||L||^2 and
+the elimination moves cheap_P by O((m + q) eps kappa ||L||^2), since
+tr(G_P^-1 H_P) <= ||L||^2.  The stated bound is
 delta = C (m + q) eps kappa ||L||^2 (C = SCREEN_ERROR_FACTOR; measured gaps
 stay below 0.03 of it at C = 1), with kappa = 2mq / max(lambda_min(Gz),
 lambda_min(Gx)) >= cond(G_P) for every P: both terms of G_P are positive
 semidefinite and tr(G_P) = 2mq.  The bound is first order, so a trial whose
-delta reaches ||L||^2 keeps every permutation.
+delta reaches ||L||^2 keeps every permutation; so does a trial whose
+elimination meets a pivot that is not positive and finite, or a score that
+is not finite: its delta is inf.  The screen fails no trial.
 
 The exact stage scores only the contenders: every P with
 cheap_P <= c2 + 2 delta, c2 the second-smallest screen score.  The two
 permutations with the smallest screen scores have squared residuals at most
-c2 + delta, so both of the exact best two are contenders.  For those, the
-residual is formed directly as ||L - A S||_F, in blocks of at most
-PAIRING_BLOCK systems; the shortcut the screen takes loses everything below
-~1e-8 of ||L|| to cancellation, which would hide a near-exact fit.  Every
-other permutation scores +inf.  The screen solves with the same LU of G_P, so
-an exactly singular pairing fails there with the same ConvergenceFailure,
-and the best and second-best permutations and residuals are bit for bit
-those of scoring all q! exactly.  With q! <= 2 there is nothing to prune and
-the screen is skipped.
+c2 + delta, so both of the exact best two are contenders.  For those, it
+solves G_P S = B_P by LU, in blocks of at most PAIRING_BLOCK systems, and
+forms the residual directly as ||L - A S||_F; the shortcut the screen takes
+loses everything below ~1e-8 of ||L|| to cancellation, which would hide a
+near-exact fit.  Every other permutation scores +inf.  That LU is the only
+place a pairing fails: an exactly singular G_P, as when two (psi, xi) pairs
+are identical, gives ConvergenceFailure.  Such a G_P sits in a trial whose
+kappa already makes delta inf, since G_P >= max(lambda_min(Gz),
+lambda_min(Gx)) I, so every permutation of that trial is a contender and the
+failure is the one scoring all q! exactly meets.  The best and second-best
+permutations and residuals are bit for bit those of scoring all q! exactly.
+With q! <= 2 there is nothing to prune and the screen is skipped.
 """
 
 import math
@@ -89,8 +100,8 @@ from .synthesis import SnapshotMatrix, build_lp_system
 
 PERMUTATION_BUDGET = 5040  # 7!
 PAIRING_AMBIGUITY_REL_TOL = 1e-6
-PAIRING_BLOCK = 24  # exact pairing systems per stacked solve: bounds the temporaries, a q=2 stack of 10 fits
-SCREEN_BLOCK = 120  # screen systems per stacked solve: q x q right-hand sides, so about PAIRING_BLOCK's temporaries
+PAIRING_BLOCK = 24  # exact pairing systems per stacked solve: bounds the temporaries; 40 ran no faster on q=2 stacks of 20
+SCREEN_BLOCK = 480  # screen systems per elimination pass, whole trials (at least one); at q=5 ~1.5x faster than 120, +0.35 MiB peak
 SCREEN_ERROR_FACTOR = 16.0  # C in the screen's error bound (module docstring)
 SINGULAR_PAIRING = "singular pairing normal equations"
 
@@ -223,8 +234,8 @@ def pair_and_recover(
     ||(I - P_A) L||_F = ||(I - P_A) Y||_F at the data's scale.
 
     Returns a StackEstimate; see ``laoa.linalg`` for ``errors``.  A trial
-    gets ConvergenceFailure if LAPACK finds some permutation's normal
-    equations exactly singular, as when two (psi, xi) pairs are identical,
+    gets ConvergenceFailure if the exact stage's LU finds some permutation's
+    normal equations exactly singular, as when two (psi, xi) pairs are identical,
     and OutOfRange or DegenerateElevation if a paired (psi, xi) maps to no
     direction (``directions_from_electrical``).
 
@@ -301,44 +312,30 @@ def _pairing_residuals(
     Gz, Gx = A_z.conj().swapaxes(1, 2) @ A_z, A_x.conj().swapaxes(1, 2) @ A_x
     Bz, Bx = A_z.conj().swapaxes(1, 2) @ L[:, :m], A_x.conj().swapaxes(1, 2) @ L[:, m:]
     table = permutation_table(q)
+    contenders = np.ones((len(psi), len(table)), dtype=bool)
     if len(table) > 2:
         cheap, delta = _screen(Gz, Gx, Bz, Bx, L, table, errors)
         # any permutation among the exact best two has cheap <= c2 + 2 delta; a NaN score stays in
         threshold = np.partition(cheap, 1, axis=1)[:, 1] + 2.0 * delta
         contenders = ~(cheap > threshold[:, None])
-        contenders[[t for t, exc in enumerate(errors) if exc is not None]] = False
-    else:
-        contenders = np.ones((len(psi), len(table)), dtype=bool)
 
-    def rhs(ts, ps, _):
-        return Bz[ts] + Bx[ts[:, None], table[ps]]
-
+    # the exact stage: G_P S = B_P per contender, PAIRING_BLOCK systems per stacked solve,
+    # and each block's failures merged into its trials' slots
+    trial_of, perm_of = np.nonzero(contenders)
     resid = np.full(contenders.shape, np.inf)
-    for ts, ps, S in _solve_pairings(Gz, Gx, rhs, np.nonzero(contenders), table, PAIRING_BLOCK, errors):
-        A = np.concatenate([A_z[ts], A_x[ts[:, None], :, table[ps]].swapaxes(1, 2)], axis=1)
-        resid[ts, ps] = np.linalg.norm(L[ts] - A @ S, axis=(1, 2))
-    return resid, e
-
-
-def _solve_pairings(Gz: np.ndarray, Gx: np.ndarray, rhs, pairs: tuple, table: np.ndarray, block: int, errors: list):
-    # G_P X = rhs(ts, ps, at) for the flat (trial_of, perm_of) list `pairs`, `block`
-    # systems per stacked solve, with G_P = Gz + P^T Gx P gathered per system; `at`
-    # indexes P^T M P, M[P[i], P[j]], in a flattened T x q x q stack.  Merges each
-    # block's failures into the trials' slots of errors and yields (ts, ps, X) for
-    # each block that has a solution
-    trial_of, perm_of = pairs
-    q = table.shape[1]
-    both = table[:, :, None] * q + table[:, None, :]
-    for b in range(0, len(trial_of), block):
-        ts, ps = trial_of[b:b + block], perm_of[b:b + block]
-        at = ts[:, None, None] * (q * q) + both[ps]
+    for b in range(0, len(trial_of), PAIRING_BLOCK):
+        ts, ps = trial_of[b:b + PAIRING_BLOCK], perm_of[b:b + PAIRING_BLOCK]
+        P = table[ps]
+        G = Gz[ts] + Gx[ts[:, None, None], P[:, :, None], P[:, None, :]]
         block_errs = [None] * len(ts)
-        X = lapack_stack(np.linalg.solve, (Gz[ts] + np.take(Gx, at), rhs(ts, ps, at)), block_errs, SINGULAR_PAIRING)
+        S = lapack_stack(np.linalg.solve, (G, Bz[ts] + Bx[ts[:, None], P]), block_errs, SINGULAR_PAIRING)
         for t, exc in zip(ts, block_errs):
             if exc is not None and errors[t] is None:
                 errors[t] = exc
-        if X is not None:
-            yield ts, ps, X
+        if S is not None:
+            A = np.concatenate([A_z[ts], A_x[ts[:, None], :, P].swapaxes(1, 2)], axis=1)
+            resid[ts, ps] = np.linalg.norm(L[ts] - A @ S, axis=(1, 2))
+    return resid, e
 
 
 def _screen(
@@ -346,28 +343,66 @@ def _screen(
 ) -> tuple[np.ndarray, np.ndarray]:
     # every permutation's screen score ||L||^2 - Re tr(G_P^-1 H_P) (T x q!) and
     # each trial's bound delta on its distance from the exact squared residual;
-    # H_P = B_P B_P^H = Hzz + Hzx[:, P] + Hzx^H[P, :] + Hxx[P][:, P]
+    # H_P = B_P B_P^H = Hzz + Hzx[:, P] + Hzx^H[P, :] + Hxx[P][:, P].  Reads
+    # errors and writes none: a trial that already failed, or whose elimination
+    # meets a pivot that is not positive and finite or a score that is not
+    # finite, scores NaN with delta = inf, so it keeps every permutation
     T, q = Gz.shape[:2]
     m = L.shape[1] // 2
     Hzz, Hzx, Hxx = (a @ b.conj().swapaxes(1, 2) for a, b in ((Bz, Bz), (Bz, Bx), (Bx, Bx)))
-
-    cols = np.arange(q)[:, None] * q + table[:, None, :]  # M P is M[i, P[j]]
-
-    def rhs(ts, ps, at):
-        cross = np.take(Hzx, ts[:, None, None] * (q * q) + cols[ps])
-        return Hzz[ts] + cross + cross.conj().swapaxes(1, 2) + np.take(Hxx, at)
-
-    traces = np.full((T, len(table)), np.nan)
-    every_pair = np.nonzero(np.ones(traces.shape, dtype=bool))
-    for ts, ps, X in _solve_pairings(Gz, Gx, rhs, every_pair, table, SCREEN_BLOCK, errors):
-        traces[ts, ps] = np.trace(X, axis1=1, axis2=2).real
+    # flat indices into a trial's q x q matrix for entry [i, j, p] of a q x q x q! stack:
+    # M[P[i], P[j]] and M[i, P[j]]; one np.take per pass gathers them for all its trials
+    both = np.moveaxis(table[:, :, None] * q + table[:, None, :], 0, -1)
+    right = np.arange(q)[:, None, None] * q + table.T
+    per_pass = max(1, SCREEN_BLOCK // len(table))
+    traces = np.empty((T, len(table)))
+    good = np.empty((T, len(table)), dtype=bool)
+    for t0 in range(0, T, per_pass):
+        ts = slice(t0, t0 + per_pass)
+        # the trial axis last: each is q^2 x trials, or q x q x trials
+        Gxt, Hzxt, Hxxt = (a[ts].reshape(-1, q * q).T for a in (Gx, Hzx, Hxx))
+        Gzt, Hzzt = (a[ts].transpose(1, 2, 0) for a in (Gz, Hzz))
+        G = np.take(Gxt, both, axis=0)
+        G += Gzt[:, :, None]
+        H = np.take(Hxxt, both, axis=0)
+        H += Hzzt[:, :, None]
+        cross = np.take(Hzxt, right, axis=0)  # Hzx[i, P[j]]
+        H += cross
+        H += np.conjugate(cross, out=cross).swapaxes(0, 1)
+        del cross  # not held through the elimination
+        traces[ts], good[ts] = (a.T for a in _eliminate(G, H))
+    bad = np.array([exc is not None for exc in errors], dtype=bool) | ~good.all(axis=1)
+    traces[bad] = np.nan
     norm2 = np.sum(L.real**2 + L.imag**2, axis=(1, 2))
     # lambda_max(G_P) <= tr(G_P) = 2mq, and lambda_min(G_P) >= max(lambda_min(Gz), lambda_min(Gx))
     lam = np.max(np.linalg.eigvalsh(np.stack([Gz, Gx]))[..., 0], axis=0)
     kappa = np.divide(2.0 * m * q, lam, out=np.full(T, np.inf), where=lam > 0)
     delta = SCREEN_ERROR_FACTOR * (m + q) * np.finfo(float).eps * kappa * norm2
     # a first-order bound: past ||L||^2, the whole range of residuals, it bounds nothing
-    return norm2[:, None] - traces, np.where(delta < norm2, delta, np.inf)
+    return norm2[:, None] - traces, np.where((delta < norm2) & ~bad, delta, np.inf)
+
+
+def _eliminate(G: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Re tr(G^-1 H) of each q x q system, the system axes last (q x q x ...), by unpivoted
+    # elimination G = W D W^H in place, with each step's row operation applied to H and
+    # its conjugate as a column operation: H becomes W^-1 H W^-H, so the trace is
+    # sum_k H_kk / d_k.  G is Hermitian positive definite, where the unpivoted
+    # elimination is backward stable.  Also gives whether every pivot d_k was positive
+    # and finite and the trace finite; where not, the trace is meaningless
+    q = G.shape[0]
+    with np.errstate(all="ignore"):  # a bad pivot is reported through good, not warned about
+        for k in range(q - 1):
+            l = G[k + 1:, k] / G[k, k].real
+            G[k + 1:, k + 1:] -= l[:, None] * G[k, k + 1:]
+            u = H[k + 1:, k] - l * H[k, k]
+            H[k + 1:, k + 1:] -= l[:, None] * H[k, k + 1:]
+            H[k + 1:, k + 1:] -= u[:, None] * np.conjugate(l, out=l)
+        # step k changes only rows and columns past k, so G[k, k] holds d_k and H[k, k] its term
+        diag = np.arange(q)
+        d = G[diag, diag].real
+        trace = np.sum(H[diag, diag].real / d, axis=0)
+        good = np.all((0.0 < d) & (d < np.inf), axis=0) & np.isfinite(trace)
+    return trace, good
 
 
 def estimate_stack(

@@ -2,10 +2,12 @@
 
 Every trial gets its own random stream derived from (master seed, SNR index,
 trial index) through a splitmix64-style avalanche.  The sweep's cells, its
-(SNR index, trial index) pairs in that order, are cut into stacks of up to
-STACK_TRIALS consecutive cells, so a stack may straddle two SNR points and
-only the sweep's last stack may be short.  Each stack, one task for the
-serial loop or the process pool, synthesizes its trials into one array, each
+(SNR index, trial index) pairs in that order, are cut into the fewest stacks
+of consecutive cells whose snapshots fit STACK_BYTES, that count rounded up
+to a multiple of the worker count and capped at one stack per cell, and the
+cut is as even as it can be: stack sizes differ by at most 1.  A stack may
+straddle two SNR points.  Each stack, one task for the serial loop or the
+process pool, synthesizes its trials into one array, each
 at its own point's noise variance, and estimates them in one pass
 (``estimator.estimate_stack``).  It stays arrays to the end: the stack's
 estimates are matched to the true sources in one pass over all permutations,
@@ -29,8 +31,6 @@ from .config import ExperimentConfig
 from .estimator import estimate_stack, permutation_table
 from .synthesis import _synthesize_into, separated_angle_sets
 
-# trials per estimator pass and per pool task; the gain from stacking levels off here
-STACK_TRIALS = 10
 # snapshot bytes per stack, which the QR holds twice; a long trial has little per-call cost to spread
 STACK_BYTES = 1 << 20
 
@@ -143,12 +143,24 @@ def default_workers() -> int:
     return 1
 
 
+def _cut(cells: list, trial_bytes: int, workers: int) -> list:
+    # the fewest stacks of trial_bytes-sized trials that fit STACK_BYTES, rounded up to a
+    # multiple of workers and at most one per cell, as runs of consecutive cells whose sizes
+    # differ by at most 1: an uneven cut such as 13 + 13 + 13 + 1 runs slower than 4 x 10
+    fewest = -(-len(cells) // max(1, STACK_BYTES // trial_bytes))
+    count = min(-(-fewest // workers) * workers, len(cells))
+    size, extra = divmod(len(cells), count)
+    bounds = [k * size + min(k, extra) for k in range(count + 1)]
+    return [cells[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
 def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarloReport:
     """Run trials x SNR points and aggregate RMSE/bias per source per SNR.
 
     The sweep's cells, (snr_index, trial_index) in that order, are cut into
-    tasks of up to STACK_TRIALS consecutive cells, fewer where their
-    snapshots would exceed STACK_BYTES; a task may straddle two SNR points.
+    the fewest tasks of consecutive cells whose snapshots fit STACK_BYTES,
+    rounded up to a multiple of ``workers`` and at most one per cell, with
+    sizes that differ by at most 1; a task may straddle two SNR points.
     Each trial seeds its own stream and both the serial loop and
     ``pool.map`` return the stacks in task order, so any worker count yields
     the same report.  The pool starts no more workers than there are tasks,
@@ -156,9 +168,8 @@ def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarlo
     """
     if workers is None:
         workers = default_workers()
-    per_stack = max(1, min(STACK_TRIALS, STACK_BYTES // (2 * cfg.m * cfg.M * np.dtype(complex).itemsize)))
     cells = [(si, ti) for si in range(len(cfg.snr_db_list)) for ti in range(cfg.trials)]
-    tasks = [(cfg, cells[start:start + per_stack]) for start in range(0, len(cells), per_stack)]
+    tasks = [(cfg, stack) for stack in _cut(cells, 2 * cfg.m * cfg.M * np.dtype(complex).itemsize, workers)]
     # with fork the pool starts all its workers at the first task, needed or not
     workers = min(workers, len(tasks))
     if workers == 1:

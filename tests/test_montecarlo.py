@@ -9,6 +9,8 @@ import laoa.montecarlo
 from laoa import DirectionPair, parse_config
 from laoa.montecarlo import (
     CSV_HEADER,
+    STACK_BYTES,
+    _cut,
     _match_to_truth,
     default_workers,
     monte_carlo,
@@ -185,11 +187,18 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize(
         "M, trials, snr_db_list, sizes",
-        [(50, 23, "20", [10, 10, 3]), (50, 3, "20, 10, 0, -10", [10, 2]), (5000, 3, "20", [1, 1, 1])],
+        [
+            (50, 23, "20", [23]),
+            (50, 3, "20, 10, 0, -10", [12]),
+            (5000, 3, "20", [1, 1, 1]),
+            (200, 23, "20", [12, 11]),
+            (200, 7, "20, 10, 0, -10", [14, 14]),
+        ],
     )
     def test_stacks_are_cut_by_trial_count_and_snapshot_bytes(self, monkeypatch, M, trials, snr_db_list, sizes):
-        # at M=5000 one trial's [Z; X] (1.28 MB) already exceeds STACK_BYTES;
-        # the stacks are cut from the (snr_index, trial_index) grid, so one may straddle SNR points
+        # STACK_BYTES holds 81 trials' [Z; X] at M=50 and 20 at M=200, and not one at M=5000
+        # (1.28 MB); the stacks are cut from the (snr_index, trial_index) grid, so one may
+        # straddle SNR points, and as evenly as the fewest stacks allow
         cfg = _cfg(M=M, trials=trials, snr_db_list=snr_db_list)
         seen, real = [], laoa.montecarlo.run_trials
         monkeypatch.setattr(laoa.montecarlo, "run_trials", lambda c, cells: seen.append(cells) or real(c, cells))
@@ -197,6 +206,23 @@ class TestMonteCarlo:
         assert [len(cells) for cells in seen] == sizes
         grid = [(si, ti) for si in range(len(cfg.snr_db_list)) for ti in range(cfg.trials)]
         assert [cell for cells in seen for cell in cells] == grid
+
+    @pytest.mark.parametrize("cells", [1, 2, 5, 20, 21, 40, 100, 101])
+    @pytest.mark.parametrize("M", [50, 200, 2000, 5000])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_cut_is_the_fewest_equal_stacks_that_fit(self, cells, M, workers):
+        grid = [(ti // 7, ti % 7) for ti in range(cells)]
+        trial_bytes = 2 * 8 * M * np.dtype(complex).itemsize
+        per_stack = max(1, STACK_BYTES // trial_bytes)
+        stacks = _cut(grid, trial_bytes, workers)
+        sizes = [len(stack) for stack in stacks]
+        assert [cell for stack in stacks for cell in stack] == grid
+        assert max(sizes) - min(sizes) <= 1
+        assert len(stacks) % workers == 0 or len(stacks) == cells
+        assert max(sizes) * trial_bytes <= STACK_BYTES or max(sizes) == 1  # a trial too large for one is alone
+        # no fewer stacks, a multiple of workers, would fit
+        fewer = len(stacks) - workers
+        assert fewer < 1 or -(-cells // fewer) > per_stack
 
     @pytest.mark.parametrize("signal_model", ["unit_power_random_phase", "qpsk"])
     def test_each_slice_holds_what_synthesize_draws_on_the_trials_stream(self, monkeypatch, signal_model):
@@ -213,9 +239,21 @@ class TestMonteCarlo:
             Z, X, _ = synthesize(cfg.source_set(), cfg.array_config(), cfg.M, sigma2, rng)
             assert np.array_equal(Y, np.vstack([Z.data, X.data]))
 
-    @pytest.mark.parametrize("trials, workers, pool_size", [(3, 2, None), (8, 2, 2), (8, 3, 2)])
-    def test_the_pool_starts_no_more_workers_than_there_are_tasks(self, monkeypatch, trials, workers, pool_size):
-        # 3 trials x 2 points is one task and runs in process; 8 x 2 is two tasks
+    @pytest.mark.parametrize(
+        "trials, snr_db_list, workers, pool_size, task_sizes",
+        [
+            (3, "20, 10", 2, 2, [3, 3]),
+            (8, "20, 10", 2, 2, [8, 8]),
+            (8, "20, 10", 3, 3, [6, 5, 5]),
+            (1, "20, 10", 3, 2, [1, 1]),
+            (1, "20", 2, None, None),
+        ],
+    )
+    def test_the_pool_starts_no_more_workers_than_there_are_tasks(
+        self, monkeypatch, trials, snr_db_list, workers, pool_size, task_sizes
+    ):
+        # a sweep of one cell is one task and runs in process; the cells of a larger sweep fit one
+        # stack, so they are cut into as many equal tasks as there are workers, or one per cell
         class InProcessPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
@@ -227,14 +265,17 @@ class TestMonteCarlo:
                 return False
 
             def map(self, fn, tasks):
+                tasks = list(tasks)
+                seen.extend(len(cells) for _, cells in tasks)
                 return map(fn, tasks)
 
-        sizes = []
-        cfg = _cfg(trials=trials, snr_db_list="20, 10")
+        sizes, seen = [], []
+        cfg = _cfg(trials=trials, snr_db_list=snr_db_list)
         serial = monte_carlo(cfg, workers=1).to_csv()
         monkeypatch.setattr(laoa.montecarlo, "ProcessPoolExecutor", InProcessPool)
         assert monte_carlo(cfg, workers=workers).to_csv() == serial
         assert sizes == ([] if pool_size is None else [pool_size])
+        assert seen == (task_sizes or [])
 
     def test_workers_do_not_change_bytes(self):
         cfg = _cfg(trials=6, snr_db_list="20, 10")

@@ -15,8 +15,16 @@ from hypothesis import given, settings, strategies as st
 import laoa.estimator
 from laoa import ArrayConfig, DirectionPair, SourceSet, pair_and_recover
 from laoa.array_model import steering_vector
-from laoa.errors import PairingAmbiguousWarning
-from laoa.estimator import PAIRING_BLOCK, SCREEN_ERROR_FACTOR, _pairing_residuals, _row_estimate, _screen, permutation_table
+from laoa.errors import ConvergenceFailure, PairingAmbiguousWarning
+from laoa.estimator import (
+    PAIRING_BLOCK,
+    SCREEN_ERROR_FACTOR,
+    _eliminate,
+    _pairing_residuals,
+    _row_estimate,
+    _screen,
+    permutation_table,
+)
 from laoa.linalg import lapack_stack
 from laoa.synthesis import electrical_angle_sets
 
@@ -160,6 +168,41 @@ def test_delta_covers_the_gap_between_screen_and_exact_scores(q, sep):
         norm2 = np.sum(np.abs(_screen_inputs(psi, xi, L)[-1]) ** 2, axis=(1, 2))
         kappa = delta / (SCREEN_ERROR_FACTOR * (CFG.m + q) * np.finfo(float).eps * norm2)
         assert kappa.max() > 1e6
+
+
+@pytest.mark.parametrize("q", [1, 3, 5])
+def test_the_elimination_gives_the_trace_an_lu_solve_gives(q):
+    # Re tr(G^-1 H) for Hermitian positive definite G (cond below ~1e3 here) and Hermitian H,
+    # the systems on the last axis, against LAPACK's LU solve of each system
+    rng = np.random.default_rng(q)
+    A = rng.standard_normal((50, 2 * q, q)) + 1j * rng.standard_normal((50, 2 * q, q))
+    B = rng.standard_normal((50, q, 16)) + 1j * rng.standard_normal((50, q, 16))
+    G, H = A.conj().swapaxes(1, 2) @ A, B @ B.conj().swapaxes(1, 2)
+    want = np.trace(np.linalg.solve(G, H), axis1=1, axis2=2).real
+    trace, good = _eliminate(G.transpose(1, 2, 0).copy(), H.transpose(1, 2, 0).copy())
+    assert good.all()
+    np.testing.assert_allclose(trace, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_a_singular_pairing_fails_in_the_exact_stage_only(q):
+    # two identical (psi, xi) pairs make some G_P exactly singular: the screen's elimination
+    # fails no trial and warns nothing (a RuntimeWarning is an error here), it gives that trial
+    # delta = inf, and the exact stage's LU fails it as the exhaustive search does
+    psi, xi, L = (np.array(a) for a in zip(*(_trial(q, 16, kind, 7) for kind in ("noisy", "identical_pair"))))
+    errors, want_errors = [None, None], [None, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cheap, delta = _screen(*_screen_inputs(psi, xi, L), permutation_table(q), errors)
+        assert errors == [None, None]
+        assert np.isfinite(delta[0]) and delta[1] == np.inf
+        _pairing_residuals(psi, xi, L, CFG.m, errors)
+    _exhaustive_pairing_residuals(psi, xi, L, CFG.m, want_errors)
+    assert errors[0] is None and isinstance(errors[1], ConvergenceFailure)
+    assert str(errors[1]) == str(want_errors[1])
+    got, want = _pair(psi, xi, L, _pairing_residuals), _pair(psi, xi, L, _exhaustive_pairing_residuals)
+    assert got[1][1][0] is ConvergenceFailure
+    assert got == want
 
 
 @pytest.mark.parametrize("q, sep", [(3, 1e-4), (5, 1e-3)])
