@@ -6,23 +6,28 @@ trial index) through a splitmix64-style avalanche.  The sweep's cells, its
 of consecutive cells whose snapshots fit STACK_BYTES, that count rounded up
 to a multiple of the worker count and capped at one stack per cell, and the
 cut is as even as it can be: stack sizes differ by at most 1.  A stack may
-straddle two SNR points.  Each stack, one task for the serial loop or the
-process pool, synthesizes its trials into one array, each
-at its own point's noise variance, and estimates them in one pass
-(``estimator.estimate_stack``).  It stays arrays to the end: the stack's
-estimates are matched to the true sources in one pass over all permutations,
-and a task returns T x q arrays of theta and phi errors plus each trial's
+straddle two SNR points.  Each stack, one task, synthesizes its trials
+into one array, each at its own point's noise variance, and estimates them
+in one pass (``estimator.estimate_stack``).  It stays arrays to the end:
+the stack's estimates are matched to the true sources in one pass over all
+permutations, and a task returns T x q arrays of theta and phi errors plus each trial's
 failure class name.  ``monte_carlo`` joins the tasks' arrays, which then run
 in cell order, and reduces each source's column at each SNR point under a
 mask of the trials that did not fail.  A trial's result depends on neither
 its stack nor its worker, so the report is byte-identical for any worker
 count and any split into stacks.  Estimator failures at low SNR are counted
 per SNR point, not raised: the failure rate is itself a result.
+
+A sweep of more than one task runs task k in worker process k % workers.
+The workers are started for the sweep (forked, where that is the start
+method) and joined before ``monte_carlo`` returns, so no process or thread
+outlives a sweep.
 """
 
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -121,15 +126,11 @@ def run_trial(cfg: ExperimentConfig, snr_index: int, trial_index: int) -> tuple[
     return run_trials(cfg, [(snr_index, trial_index)])
 
 
-def _run_trials_star(args):
-    return run_trials(*args)
-
-
 def default_workers() -> int:
     """Worker count from ``AOA_THREADS`` (default 1), capped at the CPU count.
 
-    With the ``fork`` start method the pool starts every worker at the first
-    task, so an uncapped value would fork that many processes.
+    A sweep starts one process per worker, so an uncapped value would start
+    that many processes.
     """
     env = os.environ.get("AOA_THREADS")
     if env is not None:
@@ -154,6 +155,49 @@ def _cut(cells: list, trial_bytes: int, workers: int) -> list:
     return [cells[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
+def _run_share(conn, cfg: ExperimentConfig, tasks: list) -> None:
+    # a worker process: sends its share's stacks, or the exception that stopped it
+    try:
+        stacks = list(map(run_trials, repeat(cfg), tasks))
+    except BaseException as exc:
+        stacks = exc
+    conn.send(stacks)
+
+
+def _run_shares(cfg: ExperimentConfig, tasks: list, workers: int) -> list:
+    # task k runs in worker process k % workers; the stacks return in task order
+    if workers == 1:
+        return list(map(run_trials, repeat(cfg), tasks))
+    ctx = multiprocessing.get_context()
+    children = []
+    try:
+        for k in range(workers):
+            receiver, sender = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_run_share, args=(sender, cfg, tasks[k::workers]))
+            child.start()
+            children.append((child, receiver))
+            sender.close()
+        stacks = [None] * len(tasks)
+        for k, (child, receiver) in enumerate(children):
+            try:
+                share = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a Monte Carlo worker process died (exit code {child.exitcode})") from None
+            if isinstance(share, BaseException):
+                raise share
+            stacks[k::workers] = share
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
+    return stacks
+
+
 def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarloReport:
     """Run trials x SNR points and aggregate RMSE/bias per source per SNR.
 
@@ -161,22 +205,18 @@ def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarlo
     the fewest tasks of consecutive cells whose snapshots fit STACK_BYTES,
     rounded up to a multiple of ``workers`` and at most one per cell, with
     sizes that differ by at most 1; a task may straddle two SNR points.
-    Each trial seeds its own stream and both the serial loop and
-    ``pool.map`` return the stacks in task order, so any worker count yields
-    the same report.  The pool starts no more workers than there are tasks,
-    and a sweep of one task runs in process.
+    Each trial seeds its own stream and the stacks are joined in task order,
+    so any worker count yields the same report.  Task k runs in worker
+    process k % workers; the workers are started for this sweep and joined
+    before it returns.  No more workers start than there are tasks, and a
+    sweep of one task runs in process.  A worker's exception is re-raised
+    here; a worker that dies raises ``RuntimeError``.
     """
     if workers is None:
         workers = default_workers()
     cells = [(si, ti) for si in range(len(cfg.snr_db_list)) for ti in range(cfg.trials)]
-    tasks = [(cfg, stack) for stack in _cut(cells, 2 * cfg.m * cfg.M * np.dtype(complex).itemsize, workers)]
-    # with fork the pool starts all its workers at the first task, needed or not
-    workers = min(workers, len(tasks))
-    if workers == 1:
-        stacks = [_run_trials_star(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            stacks = list(pool.map(_run_trials_star, tasks))
+    tasks = _cut(cells, 2 * cfg.m * cfg.M * np.dtype(complex).itemsize, workers)
+    stacks = _run_shares(cfg, tasks, min(workers, len(tasks)))
     theta_err = np.concatenate([stack[0] for stack in stacks])
     phi_err = np.concatenate([stack[1] for stack in stacks])
     failed = np.array([f is not None for stack in stacks for f in stack[2]], dtype=bool)

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+import time
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -240,48 +243,45 @@ class TestMonteCarlo:
             assert np.array_equal(Y, np.vstack([Z.data, X.data]))
 
     @pytest.mark.parametrize(
-        "trials, snr_db_list, workers, pool_size, task_sizes",
+        "trials, snr_db_list, workers, started",
         [
-            (3, "20, 10", 2, 2, [3, 3]),
-            (8, "20, 10", 2, 2, [8, 8]),
-            (8, "20, 10", 3, 3, [6, 5, 5]),
-            (1, "20, 10", 3, 2, [1, 1]),
-            (1, "20", 2, None, None),
+            (3, "20, 10", 2, [[3], [3]]),
+            (8, "20, 10", 2, [[8], [8]]),
+            (8, "20, 10", 3, [[6], [5], [5]]),
+            (1, "20, 10", 3, [[1], [1]]),
+            (1, "20", 2, []),
         ],
     )
-    def test_the_pool_starts_no_more_workers_than_there_are_tasks(
-        self, monkeypatch, trials, snr_db_list, workers, pool_size, task_sizes
+    def test_a_sweep_starts_no_more_workers_than_there_are_tasks(
+        self, monkeypatch, trials, snr_db_list, workers, started
     ):
         # a sweep of one cell is one task and runs in process; the cells of a larger sweep fit one
-        # stack, so they are cut into as many equal tasks as there are workers, or one per cell
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        # stack, so they are cut into as many equal tasks as there are workers, or one per cell;
+        # task k runs in worker k % workers
+        class InProcessContext:
+            Pipe = staticmethod(multiprocessing.Pipe)
 
-            def __enter__(self):
-                return self
+            @staticmethod
+            def Process(target, args):
+                shares.append([len(cells) for cells in args[2]])
+                return SimpleNamespace(start=lambda: target(*args), join=lambda: None, terminate=lambda: None)
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                tasks = list(tasks)
-                seen.extend(len(cells) for _, cells in tasks)
-                return map(fn, tasks)
-
-        sizes, seen = [], []
+        shares, ran, real = [], [], laoa.montecarlo.run_trials
         cfg = _cfg(trials=trials, snr_db_list=snr_db_list)
         serial = monte_carlo(cfg, workers=1).to_csv()
-        monkeypatch.setattr(laoa.montecarlo, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(laoa.montecarlo, "multiprocessing", SimpleNamespace(get_context=lambda: InProcessContext))
+        monkeypatch.setattr(laoa.montecarlo, "run_trials", lambda cfg, cells: ran.append(len(cells)) or real(cfg, cells))
         assert monte_carlo(cfg, workers=workers).to_csv() == serial
-        assert sizes == ([] if pool_size is None else [pool_size])
-        assert seen == (task_sizes or [])
+        assert shares == started
+        # the stub runs each share as its worker starts
+        assert ran == ([n for share in started for n in share] or [trials])
 
     def test_workers_do_not_change_bytes(self):
         cfg = _cfg(trials=6, snr_db_list="20, 10")
         serial = monte_carlo(cfg, workers=1).to_csv()
         parallel = monte_carlo(cfg, workers=3).to_csv()
         assert serial == parallel
+        assert multiprocessing.active_children() == []
 
     def test_rmse_bias_consistency(self):
         cfg = _cfg(trials=20, snr_db_list="10")
@@ -290,3 +290,41 @@ class TestMonteCarlo:
                 assert row["rmse_theta_deg"] >= abs(row["bias_theta_deg"]) - 1e-12
                 assert row["rmse_phi_deg"] >= abs(row["bias_phi_deg"]) - 1e-12
             assert row["failure_count"] + row["trials"] >= row["trials"]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the workers must inherit the patch")
+class TestWorkerFailures:
+    # a failing worker stops the sweep, and no worker process outlives it
+    def _patch(self, monkeypatch, first, second=None):
+        # the first worker runs the first task, of the first cell; the second runs the others
+        real = laoa.montecarlo.run_trials
+
+        def run_trials(cfg, cells):
+            action = first if cells[0] == (0, 0) else second
+            return action() if action else real(cfg, cells)
+
+        monkeypatch.setattr(laoa.montecarlo, "run_trials", run_trials)
+        return _cfg(trials=3, snr_db_list="20, 10")
+
+    def _raise(self):
+        raise ValueError("raised in a worker")
+
+    def test_a_workers_exception_is_raised_in_the_caller(self, monkeypatch):
+        cfg = self._patch(monkeypatch, self._raise)
+        with pytest.raises(ValueError, match="raised in a worker"):
+            monte_carlo(cfg, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_is_a_runtime_error(self, monkeypatch):
+        cfg = self._patch(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(RuntimeError, match="exit code 3"):
+            monte_carlo(cfg, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_worker_stops_the_others(self, monkeypatch):
+        cfg = self._patch(monkeypatch, self._raise, second=lambda: time.sleep(60))
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="raised in a worker"):
+            monte_carlo(cfg, workers=2)
+        assert time.monotonic() - t0 < 30
+        assert multiprocessing.active_children() == []

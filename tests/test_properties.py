@@ -26,8 +26,8 @@ from laoa import (
     steering_vector,
     synthesize,
 )
-from laoa.errors import AoaError, UnsupportedScenario
-from laoa.montecarlo import run_trial, run_trials
+from laoa.errors import AoaError, PairingAmbiguousWarning, ParseError, RankDeficiencyWarning, UnsupportedScenario
+from laoa.montecarlo import CSV_HEADER, monte_carlo, run_trial, run_trials
 from laoa.synthesis import generate_noise, generate_sources, separated_angle_sets
 
 _directions = st.tuples(st.floats(5.0, 175.0), st.floats(2.0, 178.0))
@@ -219,3 +219,60 @@ def _configs(draw):
 @given(cfg=_configs())
 def test_config_round_trips_through_its_text_form(cfg):
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+# --- accepted configs end to end -----------------------------------------------
+
+
+@st.composite
+def _config_texts(draw):
+    # m 3-10, q <= min(m - 2, 5), M from m - 1 (up to 4m, to keep trials short), spacing
+    # 0.05-0.5, SNR -300 dB to +inf: a config is accepted, or rejected by parse_config up front;
+    # m and q shrink toward the most sources (10 and 5)
+    m = 10 - draw(st.integers(0, 7))
+    q = min(m - 2, 5) - draw(st.integers(0, min(m - 2, 5) - 1))
+    # distinct 10-degree rows of theta and phi, jittered, keep many source sets separable
+    thetas = draw(st.lists(st.integers(1, 17), min_size=q, max_size=q, unique=True))
+    phis = draw(st.lists(st.integers(0, 18), min_size=q, max_size=q, unique=True))
+    jitter = st.floats(-4.0, 4.0)
+    sources = [(10 * t + draw(jitter), min(max(10 * p + draw(jitter), 0.0), 180.0)) for t, p in zip(thetas, phis)]
+    snrs = draw(st.lists(st.floats(-300.0, 300.0) | st.just(float("inf")), min_size=1, max_size=3, unique=True))
+    lines = {
+        "m": m,
+        "spacing_ratio": draw(st.floats(0.05, 0.5)),
+        "M": draw(st.integers(m - 1, 4 * m)),
+        "q": q,
+        "sources": ", ".join(f"{t!r}/{p!r}" for t, p in sources),
+        "signal_model": draw(st.sampled_from([s.value for s in SignalModel])),
+        "snr_db_list": ", ".join(repr(snr) for snr in snrs),
+        "trials": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "mode": draw(st.sampled_from([mode.value for mode in EstimatorMode])),
+        "output_path": "x.csv",
+    }
+    return "".join(f"{key} = {value}\n" for key, value in lines.items())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=_config_texts())
+def test_an_accepted_config_runs_to_a_full_report(text):
+    # no exception but a counted failure escapes a trial: one row per (SNR point, source), each
+    # with finite statistics, or with none where every trial of the point failed
+    try:
+        cfg = parse_config(text)
+    except ParseError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        warnings.simplefilter("ignore", PairingAmbiguousWarning)
+        rows = monte_carlo(cfg, workers=1).rows
+    assert [(r["snr_db"], r["source_index"]) for r in rows] == [
+        (snr, l) for snr in sorted(cfg.snr_db_list) for l in range(cfg.q)
+    ]
+    for row in rows:
+        stats = [row[k] for k in CSV_HEADER.split(",")[2:6]]
+        assert 0 <= row["failure_count"] <= row["trials"] == cfg.trials
+        if row["failure_count"] == cfg.trials:
+            assert stats == [None] * 4
+        else:
+            assert all(np.isfinite(stats))
