@@ -140,42 +140,35 @@ def directions_from_electrical(
     """
     scale = 2.0 * np.pi * cfg.spacing_ratio
     live = np.flatnonzero([exc is None for exc in errors])
-    shape = (len(live), psi.shape[1])
-    # flat over the live rows; each check sees only the pairs that passed the ones before
-    cos_theta = psi[live].reshape(-1) / scale
-    theta, sin_theta, cos_phi, phi = (np.full(cos_theta.shape, np.nan) for _ in range(4))
-    clamped = np.flatnonzero(np.abs(cos_theta) <= 1.0 + CLAMP_TOL)
-    theta[clamped] = np.arccos(np.clip(cos_theta[clamped], -1.0, 1.0))
-    sin_theta[clamped] = np.sin(theta[clamped])
-    guarded = clamped[~near_z_axis(np.rad2deg(theta[clamped]))]
-    cos_phi[guarded] = xi[live].reshape(-1)[guarded] / (scale * sin_theta[guarded])
-    mapped = guarded[np.abs(cos_phi[guarded]) <= 1.0 + CLAMP_TOL]
-    phi[mapped] = np.arccos(np.clip(cos_phi[mapped], -1.0, 1.0))
-
-    # checks passed per pair: 0 fails the psi clamp, 1 the guard, 2 the xi clamp, 3 maps
-    passed = np.zeros(cos_theta.shape, dtype=np.intp)
-    passed[clamped], passed[guarded], passed[mapped] = 1, 2, 3
-    passed = passed.reshape(shape)
-    failed = passed < 3
-    first = np.argmax(failed, axis=1)
-    for row in np.flatnonzero(failed.any(axis=1)):
-        i = row * shape[1] + first[row]
-        errors[live[row]] = _failure(passed[row, first[row]], cos_theta[i], theta[i], cos_phi[i])
-
+    cos_theta = psi[live] / scale
+    theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
+    theta_deg = np.rad2deg(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):  # sin(theta) = 0 only where the guard fails
+        cos_phi = xi[live] / (scale * np.sin(theta))
+    # per pair, whether it fails each check, in the order the scalar mapping runs them;
+    # written as "not <=" so a NaN argument fails its clamp
+    clamp = 1.0 + CLAMP_TOL
+    fails = np.stack([~(np.abs(cos_theta) <= clamp), near_z_axis(theta_deg), ~(np.abs(cos_phi) <= clamp)])
+    failed = fails.any(axis=0)
     ok = ~failed.any(axis=1)
-    theta_deg, phi_deg = np.full(psi.shape, np.nan), np.full(psi.shape, np.nan)
-    theta_deg[live[ok]] = np.rad2deg(theta.reshape(shape)[ok])
-    phi_deg[live[ok]] = np.rad2deg(phi.reshape(shape)[ok])
-    return theta_deg, phi_deg
+    for row in np.flatnonzero(~ok):
+        pair = np.argmax(failed[row])
+        check = np.argmax(fails[:, row, pair])
+        errors[live[row]] = _failure(check, cos_theta[row, pair], theta_deg[row, pair], cos_phi[row, pair])
+
+    out_theta, out_phi = np.full(psi.shape, np.nan), np.full(psi.shape, np.nan)
+    out_theta[live[ok]] = theta_deg[ok]
+    out_phi[live[ok]] = np.rad2deg(np.arccos(np.clip(cos_phi[ok], -1.0, 1.0)))
+    return out_theta, out_phi
 
 
-def _failure(passed: int, cos_theta: float, theta: float, cos_phi: float) -> AoaError:
-    # the exception of a pair that passed `passed` checks; numbers go through
-    # float() so that no numpy repr such as np.float64(...) reaches the message
-    if passed == 1:
+def _failure(check: int, cos_theta: float, theta_deg: float, cos_phi: float) -> AoaError:
+    # the exception of a pair whose first failing check is `check` (0 psi clamp, 1 guard, 2 xi
+    # clamp); float() keeps numpy reprs such as np.float64(...) out of the message
+    if check == 1:
         return DegenerateElevation(
-            f"theta = {float(np.rad2deg(theta)):.6g} deg is within {GUARD_DEG} deg of an "
+            f"theta = {float(theta_deg):.6g} deg is within {GUARD_DEG} deg of an "
             "array axis; azimuth is undefined"
         )
-    x, label = (cos_theta, "psi") if passed == 0 else (cos_phi, "xi")
+    x, label = (cos_theta, "psi") if check == 0 else (cos_phi, "xi")
     return OutOfRange(f"arccos argument {float(x)!r} derived from {label} exceeds [-1, 1] beyond CLAMP_TOL={CLAMP_TOL}")

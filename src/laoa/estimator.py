@@ -12,7 +12,7 @@ boundary types ``AoaEstimate`` and ``SourceEstimate``.  Every layer below it
 takes stacks only.  Each trial's result, failure and warnings do not depend
 on the other trials in its stack: numpy runs each item of a stacked call on
 its own, and a trial that fails is skipped by every later step (see
-``laoa.linalg`` for the ``errors`` lists that carry the failures).
+``laoa.linalg`` for the one ``errors`` list that carries the failures).
 
 The data are compressed once, at the entry.  A trial's two subarrays are
 stacked as Y = [Z; X] (2m x M), and one QR gives the triangular factor R of
@@ -253,12 +253,8 @@ def pair_and_recover(
     mags_z = np.array(root_mags_z, dtype=float)
     mags_x = np.asarray(root_mags_x, dtype=float)
 
-    live = np.flatnonzero([exc is None for exc in errors])
-    live_errs = [None] * len(live)
-    resid, e = _pairing_residuals(psi[live], xi[live], L[live], cfg.m, live_errs)
-    paired = np.array([exc is None for exc in live_errs], dtype=bool)
-    for j in np.flatnonzero(~paired):
-        errors[live[j]] = live_errs[j]
+    resid, e, live = _pairing_residuals(psi, xi, L, cfg.m, errors)
+    paired = np.array([errors[t] is None for t in live], dtype=bool)
     rows, resid = live[paired], resid[paired]
 
     order = np.argsort(resid, axis=1, kind="stable")
@@ -293,13 +289,16 @@ def pair_and_recover(
 
 def _pairing_residuals(
     psi: np.ndarray, xi: np.ndarray, L: np.ndarray, m: int, errors: list
-) -> tuple[np.ndarray, np.ndarray]:
-    # every permutation's residual per trial (T x q!), on L / 2^e, and the exponents e;
-    # a permutation the screen rules out reads +inf.  The search runs on
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # every permutation's residual per live trial (live x q!), on L / 2^e, the exponents e
+    # and the live rows, those whose slot was unset; a permutation the screen rules out
+    # reads +inf, and an exact-stage failure sets its trial's slot.  The search runs on
     # L / 2^e, whose largest entry lies in [1/2, 1), so the squared residuals
     # neither overflow nor underflow at any data scale; a power of two scales
     # exactly, so wherever the unscaled search works it gives the same bits
     # (ldexp: 2.0 ** -e would overflow for deeply subnormal L)
+    live = np.flatnonzero([exc is None for exc in errors])
+    psi, xi, L = psi[live], xi[live], L[live]
     e = np.frexp(np.max(np.abs(L), axis=(1, 2), initial=0.0))[1]
     shift = -e[:, None, None]
     L = np.ldexp(L.real, shift) + 1j * np.ldexp(L.imag, shift)
@@ -314,39 +313,34 @@ def _pairing_residuals(
     table = permutation_table(q)
     contenders = np.ones((len(psi), len(table)), dtype=bool)
     if len(table) > 2:
-        cheap, delta = _screen(Gz, Gx, Bz, Bx, L, table, errors)
+        cheap, delta = _screen(Gz, Gx, Bz, Bx, L, table)
         # any permutation among the exact best two has cheap <= c2 + 2 delta; a NaN score stays in
         threshold = np.partition(cheap, 1, axis=1)[:, 1] + 2.0 * delta
         contenders = ~(cheap > threshold[:, None])
 
-    # the exact stage: G_P S = B_P per contender, PAIRING_BLOCK systems per stacked solve,
-    # and each block's failures merged into its trials' slots
+    # the exact stage: G_P S = B_P per contender, PAIRING_BLOCK systems per stacked solve
     trial_of, perm_of = np.nonzero(contenders)
     resid = np.full(contenders.shape, np.inf)
     for b in range(0, len(trial_of), PAIRING_BLOCK):
         ts, ps = trial_of[b:b + PAIRING_BLOCK], perm_of[b:b + PAIRING_BLOCK]
         P = table[ps]
         G = Gz[ts] + Gx[ts[:, None, None], P[:, :, None], P[:, None, :]]
-        block_errs = [None] * len(ts)
-        S = lapack_stack(np.linalg.solve, (G, Bz[ts] + Bx[ts[:, None], P]), block_errs, SINGULAR_PAIRING)
-        for t, exc in zip(ts, block_errs):
-            if exc is not None and errors[t] is None:
-                errors[t] = exc
+        S = lapack_stack(np.linalg.solve, (G, Bz[ts] + Bx[ts[:, None], P]), errors, live[ts], SINGULAR_PAIRING)
         if S is not None:
             A = np.concatenate([A_z[ts], A_x[ts[:, None], :, P].swapaxes(1, 2)], axis=1)
             resid[ts, ps] = np.linalg.norm(L[ts] - A @ S, axis=(1, 2))
-    return resid, e
+    return resid, e, live
 
 
 def _screen(
-    Gz: np.ndarray, Gx: np.ndarray, Bz: np.ndarray, Bx: np.ndarray, L: np.ndarray, table: np.ndarray, errors: list
+    Gz: np.ndarray, Gx: np.ndarray, Bz: np.ndarray, Bx: np.ndarray, L: np.ndarray, table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     # every permutation's screen score ||L||^2 - Re tr(G_P^-1 H_P) (T x q!) and
     # each trial's bound delta on its distance from the exact squared residual;
-    # H_P = B_P B_P^H = Hzz + Hzx[:, P] + Hzx^H[P, :] + Hxx[P][:, P].  Reads
-    # errors and writes none: a trial that already failed, or whose elimination
-    # meets a pivot that is not positive and finite or a score that is not
-    # finite, scores NaN with delta = inf, so it keeps every permutation
+    # H_P = B_P B_P^H = Hzz + Hzx[:, P] + Hzx^H[P, :] + Hxx[P][:, P].  Fails no
+    # trial: one whose elimination meets a pivot that is not positive and finite
+    # or a score that is not finite scores NaN with delta = inf, so it keeps
+    # every permutation
     T, q = Gz.shape[:2]
     m = L.shape[1] // 2
     Hzz, Hzx, Hxx = (a @ b.conj().swapaxes(1, 2) for a, b in ((Bz, Bz), (Bz, Bx), (Bx, Bx)))
@@ -371,7 +365,7 @@ def _screen(
         H += np.conjugate(cross, out=cross).swapaxes(0, 1)
         del cross  # not held through the elimination
         traces[ts], good[ts] = (a.T for a in _eliminate(G, H))
-    bad = np.array([exc is not None for exc in errors], dtype=bool) | ~good.all(axis=1)
+    bad = ~good.all(axis=1)
     traces[bad] = np.nan
     norm2 = np.sum(L.real**2 + L.imag**2, axis=(1, 2))
     # lambda_max(G_P) <= tr(G_P) = 2mq, and lambda_min(G_P) >= max(lambda_min(Gz), lambda_min(Gx))

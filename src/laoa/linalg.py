@@ -13,8 +13,12 @@ stack in one LAPACK call; numpy runs the same routine on each item, so an
 item's result does not depend on its neighbours.  A layer raises for no item:
 an item that fails gets its ``AoaError`` in its slot, its outputs are
 undefined, and an item whose slot is already set gets no further checks or
-warnings.  Only the single-trial entry points ``estimate_2d_aoa`` and
-``direction_from_electrical`` raise a trial's failure (``raise_first``).
+warnings.  That list is the only place a failure is written, and a trial's
+first failure wins; where a stacked call's items are not the trials
+(``find_roots``' degree groups, the pairing's permutation systems),
+``lapack_stack`` maps each item to its trial's slot.  Only the single-trial
+entry points ``estimate_2d_aoa`` and ``direction_from_electrical`` raise a
+trial's failure (``raise_first``).
 
 ``solve_coeffs`` warns about nothing itself: it returns, per item, the rank
 it had to reduce the truncation to, and ``estimator.estimate_stack``, which
@@ -43,27 +47,29 @@ class EstimatorMode(Enum):
     TRUNCATED_SVD = "truncated_svd"
 
 
-def lapack_stack(fn, stacks: tuple, errors: list, what: str):
+def lapack_stack(fn, stacks: tuple, errors: list, slots, what: str):
     """``fn(*stacks)`` (``np.linalg.svd``, ``eigvals`` or ``solve``) in one call over stacks of matrices.
 
-    LAPACK failing on one item fails the whole call, so the items are then
-    tried one at a time, only to name the failing ones: each gets a
-    ConvergenceFailure in ``errors``, and one more stacked call, with their
-    matrices replaced by identities, gives every other item the result it
-    gets alone.  Returns None if every item fails.
+    ``slots[i]`` is the slot in ``errors`` of item i's trial; several items
+    may share one.  LAPACK failing on one item fails the whole call, so the
+    items are then tried one at a time, only to name the failing ones: each
+    gives its slot a ConvergenceFailure unless the slot is already set, and
+    one more stacked call, with their matrices replaced by identities, gives
+    every other item the result it gets alone.  Returns None if every item
+    fails.
     """
     try:
         return fn(*stacks)
     except np.linalg.LinAlgError:
         pass
     bad = []
-    for i in range(len(stacks[0])):
+    for i, slot in enumerate(slots):
         try:
             fn(*(s[i:i + 1] for s in stacks))
         except np.linalg.LinAlgError as exc:
             bad.append(i)
-            if errors[i] is None:
-                errors[i] = ConvergenceFailure(f"{what}: {exc}")
+            if errors[slot] is None:
+                errors[slot] = ConvergenceFailure(f"{what}: {exc}")
     if len(bad) == len(stacks[0]):
         return None
     patched = [s.copy() for s in stacks]
@@ -87,7 +93,7 @@ def svd(A: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if not np.all(np.isfinite(A)):
         raise ValueError("svd input contains non-finite entries")
 
-    factors = lapack_stack(lambda a: np.linalg.svd(a, full_matrices=False), (A,), errors, "SVD did not converge")
+    factors = lapack_stack(lambda a: np.linalg.svd(a, full_matrices=False), (A,), errors, range(len(A)), "SVD did not converge")
     if factors is None:  # every item failed, so every output is undefined
         T, n, k = A.shape
         r = min(n, k)

@@ -76,7 +76,8 @@ def _match_to_truth(theta_deg: np.ndarray, phi_deg: np.ndarray, truth) -> tuple[
     # assign each trial's estimates (T x q) to the ground-truth sources by
     # minimum total angular error and return the T x q errors in truth order;
     # cost[t, l, j] is the error of estimate j against source l, and ties go
-    # to the first permutation in itertools order
+    # to the first permutation in itertools order; a NaN row, a failed trial's,
+    # matches to NaN errors
     q = len(truth)
     true_theta = np.array([t.theta for t in truth])
     true_phi = np.array([t.phi for t in truth])
@@ -114,11 +115,8 @@ def run_trials(cfg: ExperimentConfig, cells) -> tuple[np.ndarray, np.ndarray, li
         rng = np.random.default_rng(trial_seed(cfg.seed, snr_index, trial_index))
         _synthesize_into(y, A_z, A_x, src, sigma2[snr_index], rng)
     est = estimate_stack(Y, cfg.q, array, cfg.mode)
-    failures = [None if exc is None else type(exc).__name__ for exc in est.errors]
-    ok = np.array([f is None for f in failures], dtype=bool)
-    theta_err, phi_err = np.full(est.theta_deg.shape, np.nan), np.full(est.phi_deg.shape, np.nan)
-    theta_err[ok], phi_err[ok] = _match_to_truth(est.theta_deg[ok], est.phi_deg[ok], cfg.sources)
-    return theta_err, phi_err, failures
+    theta_err, phi_err = _match_to_truth(est.theta_deg, est.phi_deg, cfg.sources)
+    return theta_err, phi_err, [None if exc is None else type(exc).__name__ for exc in est.errors]
 
 
 def run_trial(cfg: ExperimentConfig, snr_index: int, trial_index: int) -> tuple[np.ndarray, np.ndarray, list]:

@@ -53,8 +53,7 @@ def find_roots(c: np.ndarray, errors: list) -> np.ndarray:
         companion = np.zeros((len(idx), d, d), dtype=complex)
         companion[:, 0, :] = -p[:, 1:] / p[:, :1]
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1
-        group_errs = [None] * len(idx)
-        r = lapack_stack(np.linalg.eigvals, (companion,), group_errs, "companion-matrix eigenvalues did not converge")
+        r = lapack_stack(np.linalg.eigvals, (companion,), errors, idx, "companion-matrix eigenvalues did not converge")
         if r is not None:
             # one Newton step on P polishes the eigenvalues to P's own roots
             value, slope = _horner(a, r)
@@ -63,11 +62,9 @@ def find_roots(c: np.ndarray, errors: list) -> np.ndarray:
             # relative to 1 + sum_k |c_k| |y|^k; written as "not <=" so NaN fails too
             bad = ~(residual <= RESIDUAL_TOL * _polyval(np.abs(a), np.abs(r)))
             for j in np.flatnonzero(bad.any(axis=1)):
-                if group_errs[j] is None:
-                    group_errs[j] = ConvergenceFailure(f"root {r[j, np.argmax(bad[j])]} fails the residual bound")
+                if errors[idx[j]] is None:
+                    errors[idx[j]] = ConvergenceFailure(f"root {r[j, np.argmax(bad[j])]} fails the residual bound")
             roots[idx, :d] = r
-        for i, exc in zip(idx, group_errs):
-            errors[i] = exc
     return roots
 
 

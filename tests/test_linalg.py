@@ -13,7 +13,8 @@ from laoa import (
     svd,
     synthesize,
 )
-from laoa.errors import ConvergenceFailure, RankDeficiencyWarning, UnsupportedScenario
+from laoa.errors import ConvergenceFailure, NotEnoughRoots, RankDeficiencyWarning, UnsupportedScenario
+from laoa.linalg import lapack_stack
 
 
 def random_complex(rng, rows, cols):
@@ -82,6 +83,54 @@ class TestSvd:
         with pytest.raises(ValueError, match="non-finite"):
             svd(A, [None, None])
         assert calls == []
+
+
+def _marked(ids):
+    # 2 x 2 items; a negative id marks an item that _fails_on_marked fails on
+    items = np.stack([np.eye(2)] * len(ids))
+    items[:, 0, 1] = ids
+    return items
+
+
+def _fails_on_marked(a):
+    # a stand-in LAPACK routine: fails the whole call if any item is marked, naming the first
+    marked = a[:, 0, 1] < 0
+    if marked.any():
+        raise np.linalg.LinAlgError(f"item {a[np.argmax(marked), 0, 1]}")
+    return 2.0 * a
+
+
+class TestLapackStack:
+    """Each item's failure goes to its trial's slot, given by the slot map."""
+
+    def test_a_failing_item_keeps_a_preset_slot(self):
+        preset = NotEnoughRoots("set by an earlier layer")
+        errors = [preset, None]
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+        G = np.stack([singular, 3.0 * np.eye(2)])
+        b = np.ones((2, 2, 1))
+        x = lapack_stack(np.linalg.solve, (G, b), errors, [0, 1], "solve")
+        assert errors[0] is preset and errors[1] is None
+        np.testing.assert_array_equal(x[1], np.linalg.solve(G[1:], b[1:])[0])
+
+    def test_the_first_failing_item_of_a_slot_wins(self):
+        errors = [None, None]
+        a = _marked([-1.0, -2.0, 5.0])
+        out = lapack_stack(_fails_on_marked, (a,), errors, np.array([0, 0, 1]), "stand-in")
+        assert isinstance(errors[0], ConvergenceFailure)
+        assert str(errors[0]) == "stand-in: item -1.0"
+        assert errors[1] is None
+        np.testing.assert_array_equal(out[2], _fails_on_marked(a[2:])[0])
+
+    def test_every_item_failing_returns_none_and_sets_every_unset_slot(self):
+        preset = NotEnoughRoots("set by an earlier layer")
+        errors = [None, preset, None]
+        out = lapack_stack(_fails_on_marked, (_marked([-1.0, -2.0, -3.0, -4.0]),), errors, [2, 1, 0, 2], "stand-in")
+        assert out is None
+        assert str(errors[0]) == "stand-in: item -3.0"
+        assert errors[1] is preset
+        assert str(errors[2]) == "stand-in: item -1.0"
+        assert all(isinstance(errors[i], ConvergenceFailure) for i in (0, 2))
 
 
 class TestPaperOperator:

@@ -152,7 +152,11 @@ class TestMatchToTruth:
             for _ in range(6):
                 est = [SimpleNamespace(theta_deg=t.theta + rng.normal(0, 30), phi_deg=t.phi + rng.normal(0, 30)) for t in truth]
                 trials.append([est[j] for j in rng.permutation(q)])
-            assert _stacked_match(trials, truth) == [_loop_match(est, truth) for est in trials]
+            # a failed trial's row reads NaN: it matches to NaN errors and leaves the other rows alone
+            failed = [SimpleNamespace(theta_deg=np.nan, phi_deg=np.nan)] * q
+            got = _stacked_match(trials[:2] + [failed] + trials[2:], truth)
+            assert np.isnan(got.pop(2)).all()
+            assert got == [_loop_match(est, truth) for est in trials]
 
     def test_tie_keeps_the_first_permutation(self):
         # both assignments cost 30 degrees; the identity comes first

@@ -35,7 +35,9 @@ TRUE_PSI, TRUE_XI = electrical_angle_sets(SourceSet(tuple(DirectionPair(t, p) fo
 
 def _exhaustive_pairing_residuals(
     psi: np.ndarray, xi: np.ndarray, L: np.ndarray, m: int, errors: list
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    live = np.flatnonzero([exc is None for exc in errors])
+    psi, xi, L = psi[live], xi[live], L[live]
     e = np.frexp(np.max(np.abs(L), axis=(1, 2), initial=0.0))[1]
     shift = -e[:, None, None]
     L = np.ldexp(L.real, shift) + 1j * np.ldexp(L.imag, shift)
@@ -52,14 +54,13 @@ def _exhaustive_pairing_residuals(
         ts = slice(t0, t0 + trials_per_block)
         for p0 in range(0, len(table), PAIRING_BLOCK):
             perms = table[p0:p0 + PAIRING_BLOCK]
-            block_errs = errors[ts]
             S = lapack_stack(
                 np.linalg.solve,
                 (Gz[ts, None] + Gx[ts][:, perms[:, :, None], perms[:, None, :]], Bz[ts, None] + Bx[ts][:, perms]),
-                block_errs,
+                errors,
+                live[ts],
                 "singular pairing normal equations",
             )
-            errors[ts] = block_errs
             if S is None:
                 continue
             A = np.concatenate(
@@ -67,7 +68,7 @@ def _exhaustive_pairing_residuals(
                 axis=2,
             )
             resid[ts, p0:p0 + len(perms)] = np.linalg.norm(L[ts, None] - A @ S, axis=(2, 3))
-    return resid, e
+    return resid, e, live
 
 
 def _trial(q, k, kind, seed):
@@ -159,8 +160,8 @@ def _clustered(q, sep, trials=10, seed=0):
 @pytest.mark.parametrize("q, sep", [(3, 1.0), (3, 1e-3), (4, 0.3), (4, 1e-2), (5, 1.0), (5, 0.05)])
 def test_delta_covers_the_gap_between_screen_and_exact_scores(q, sep):
     psi, xi, L = _clustered(q, sep)
-    exact, _ = _exhaustive_pairing_residuals(psi, xi, L, CFG.m, [None] * len(psi))
-    cheap, delta = _screen(*_screen_inputs(psi, xi, L), permutation_table(q), [None] * len(psi))
+    exact, _, _ = _exhaustive_pairing_residuals(psi, xi, L, CFG.m, [None] * len(psi))
+    cheap, delta = _screen(*_screen_inputs(psi, xi, L), permutation_table(q))
     assert np.all(np.isfinite(delta))  # the screen prunes these trials, so the bound is what keeps them right
     assert np.all(np.abs(cheap - exact**2) <= delta[:, None])
     if sep < 0.1:
@@ -193,7 +194,7 @@ def test_a_singular_pairing_fails_in_the_exact_stage_only(q):
     errors, want_errors = [None, None], [None, None]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        cheap, delta = _screen(*_screen_inputs(psi, xi, L), permutation_table(q), errors)
+        cheap, delta = _screen(*_screen_inputs(psi, xi, L), permutation_table(q))
         assert errors == [None, None]
         assert np.isfinite(delta[0]) and delta[1] == np.inf
         _pairing_residuals(psi, xi, L, CFG.m, errors)
@@ -209,12 +210,12 @@ def test_a_singular_pairing_fails_in_the_exact_stage_only(q):
 def test_a_near_singular_trial_scores_every_permutation_exactly(q, sep):
     psi, xi, L = _clustered(q, sep)
     errors = [None] * len(psi)
-    resid, _ = _pairing_residuals(psi, xi, L, CFG.m, errors)
+    resid, _, _ = _pairing_residuals(psi, xi, L, CFG.m, errors)
     assert errors == [None] * len(psi)
     assert np.all(np.isfinite(resid))
 
 
 def test_separated_sources_leave_two_contenders_per_trial():
     psi, xi, L = (np.array(a) for a in zip(*(_trial(5, 16, "noisy", seed) for seed in range(10))))
-    resid, _ = _pairing_residuals(psi, xi, L, CFG.m, [None] * len(psi))
+    resid, _, _ = _pairing_residuals(psi, xi, L, CFG.m, [None] * len(psi))
     assert np.isfinite(resid).sum(axis=1).tolist() == [2] * len(psi)
