@@ -18,18 +18,13 @@ Example::
 """
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import ClassVar
 
 from .array_model import GUARD_DEG, ArrayConfig, DirectionPair, near_z_axis
 from .errors import ParseError, UnsupportedScenario
 from .estimator import EstimatorMode, check_scenario
 from .synthesis import SignalModel, SourceSet, separated_angle_sets
-
-_REQUIRED = (
-    "m", "spacing_ratio", "M", "q", "sources", "signal_model",
-    "snr_db_list", "trials", "seed", "mode", "output_path",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -90,6 +85,31 @@ class ExperimentConfig:
         return replace(self, seed=seed)
 
 
+def _listed(write):
+    return lambda items: ", ".join(map(write, items))
+
+
+def _read_sources(text: str) -> tuple[DirectionPair, ...]:
+    pairs = (s.strip().partition("/") for s in text.split(","))
+    return tuple(DirectionPair(theta=float(t), phi=float(p)) for t, _, p in pairs)
+
+
+# each key of a config file, in file order: how its value is read from the text and written back
+_KEYS = {
+    "m": (int, str),
+    "spacing_ratio": (float, repr),
+    "M": (int, str),
+    "q": (int, str),
+    "sources": (_read_sources, _listed(lambda d: f"{d.theta!r}/{d.phi!r}")),
+    "signal_model": (SignalModel, attrgetter("value")),
+    "snr_db_list": (lambda text: tuple(float(s) for s in text.split(",")), _listed(repr)),
+    "trials": (int, str),
+    "seed": (int, str),
+    "mode": (EstimatorMode, attrgetter("value")),
+    "output_path": (str, str),
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -104,32 +124,17 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
         values[key] = value
 
-    missing = [k for k in _REQUIRED if k not in values]
+    missing = [k for k in _KEYS if k not in values]
     if missing:
         raise ParseError(f"missing keys: {', '.join(missing)}")
-    unknown = [k for k in values if k not in _REQUIRED]
+    unknown = [k for k in values if k not in _KEYS]
     if unknown:
         raise ParseError(f"unknown keys: {', '.join(unknown)}")
 
     try:
-        sources = tuple(
-            DirectionPair(theta=float(t), phi=float(p))
-            for t, _, p in (s.strip().partition("/") for s in values["sources"].split(","))
-        )
-        return ExperimentConfig(
-            m=int(values["m"]),
-            spacing_ratio=float(values["spacing_ratio"]),
-            M=int(values["M"]),
-            q=int(values["q"]),
-            sources=sources,
-            signal_model=SignalModel(values["signal_model"]),
-            snr_db_list=tuple(float(s) for s in values["snr_db_list"].split(",")),
-            trials=int(values["trials"]),
-            seed=int(values["seed"]),
-            mode=EstimatorMode(values["mode"]),
-            output_path=values["output_path"],
-        )
-    except (ValueError, KeyError) as exc:
+        # values convert in file order, so of two bad values the earlier key's is reported
+        return ExperimentConfig(**{key: read(values[key]) for key, (read, _) in _KEYS.items()})
+    except ValueError as exc:
         raise ParseError(f"invalid config value: {exc}") from exc
 
 
@@ -139,19 +144,4 @@ def load_config(path) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    sources = ", ".join(f"{d.theta!r}/{d.phi!r}" for d in cfg.sources)
-    snrs = ", ".join(repr(s) for s in cfg.snr_db_list)
-    lines = [
-        f"m = {cfg.m}",
-        f"spacing_ratio = {cfg.spacing_ratio!r}",
-        f"M = {cfg.M}",
-        f"q = {cfg.q}",
-        f"sources = {sources}",
-        f"signal_model = {cfg.signal_model.value}",
-        f"snr_db_list = {snrs}",
-        f"trials = {cfg.trials}",
-        f"seed = {cfg.seed}",
-        f"mode = {cfg.mode.value}",
-        f"output_path = {cfg.output_path}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {write(getattr(cfg, key))}\n" for key, (_, write) in _KEYS.items())

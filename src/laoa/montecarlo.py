@@ -21,7 +21,8 @@ per SNR point, not raised: the failure rate is itself a result.
 A sweep of more than one task runs task k in worker process k % workers.
 The workers are started for the sweep (forked, where that is the start
 method) and joined before ``monte_carlo`` returns, so no process or thread
-outlives a sweep.
+outlives a sweep.  A worker whose caller is killed exits when it tries to
+return its share.
 """
 
 import multiprocessing
@@ -153,13 +154,20 @@ def _cut(cells: list, trial_bytes: int, workers: int) -> list:
     return [cells[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
-def _run_share(conn, cfg: ExperimentConfig, tasks: list) -> None:
-    # a worker process: sends its share's stacks, or the exception that stopped it
+def _run_share(conn, cfg: ExperimentConfig, tasks: list, inherited: list) -> None:
+    # a worker process: sends its share's stacks, or the exception that stopped it; a forked
+    # worker holds copies of its own pipe's read end and of every earlier worker's, and would
+    # block for good in send once its caller is gone unless it closes them first
+    for receiver in inherited:
+        receiver.close()
     try:
         stacks = list(map(run_trials, repeat(cfg), tasks))
     except BaseException as exc:
         stacks = exc
-    conn.send(stacks)
+    try:
+        conn.send(stacks)
+    except BrokenPipeError:
+        pass  # the caller is gone, and no one is left to read the share
 
 
 def _run_shares(cfg: ExperimentConfig, tasks: list, workers: int) -> list:
@@ -171,7 +179,8 @@ def _run_shares(cfg: ExperimentConfig, tasks: list, workers: int) -> list:
     try:
         for k in range(workers):
             receiver, sender = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_run_share, args=(sender, cfg, tasks[k::workers]))
+            receivers = [r for _, r in children] + [receiver]
+            child = ctx.Process(target=_run_share, args=(sender, cfg, tasks[k::workers], receivers))
             child.start()
             children.append((child, receiver))
             sender.close()
@@ -208,10 +217,13 @@ def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarlo
     process k % workers; the workers are started for this sweep and joined
     before it returns.  No more workers start than there are tasks, and a
     sweep of one task runs in process.  A worker's exception is re-raised
-    here; a worker that dies raises ``RuntimeError``.
+    here; a worker that dies raises ``RuntimeError``.  ``workers`` below 1
+    is a ``ValueError`` before any task is cut or started.
     """
     if workers is None:
         workers = default_workers()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cells = [(si, ti) for si in range(len(cfg.snr_db_list)) for ti in range(cfg.trials)]
     tasks = _cut(cells, 2 * cfg.m * cfg.M * np.dtype(complex).itemsize, workers)
     stacks = _run_shares(cfg, tasks, min(workers, len(tasks)))

@@ -1,9 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from laoa import ArrayConfig, DirectionPair, SnapshotMatrix, SourceSet, Subarray, synthesize, write_matrix_file
+import laoa.cli
+from laoa import (
+    ArrayConfig, DirectionPair, SnapshotMatrix, SourceSet, Subarray, load_config, synthesize, write_matrix_file,
+)
 from laoa.cli import main
 from laoa.errors import ConvergenceFailure
+from laoa.montecarlo import run_trials
 
 CONFIG = """\
 m = 8
@@ -36,6 +42,31 @@ def test_simulate(config_file, capsys):
     assert lines[0].startswith("source,theta_true")
     fields = lines[1].split(",")
     assert abs(float(fields[3])) < 1e-6  # theta error at SNR 300 dB
+
+
+def test_simulate_seed_override_is_the_config_seed(config_file, capsys):
+    path, _ = config_file
+    path.write_text(path.read_text().replace("snr_db_list = 300", "snr_db_list = 10"))
+    assert main(["simulate", "--config", str(path)]) == 0
+    own = capsys.readouterr().out
+    assert main(["simulate", "--config", str(path), "--seed", "7"]) == 0
+    overridden = capsys.readouterr().out
+    path.write_text(path.read_text().replace("seed = 42", "seed = 7"))
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert overridden == capsys.readouterr().out != own
+
+
+def test_simulate_reports_a_failing_trial_as_a_data_error(config_file, capsys):
+    # q = 5 at -10 dB: the trial that fails first is found through run_trials, which the CLI also runs
+    path, _ = config_file
+    path.write_text(path.read_text().replace("M = 50", "M = 64").replace("q = 1", "q = 5")
+                    .replace("sources = 60/45", "sources = 30/40, 60/100, 100/60, 140/130, 80/150")
+                    .replace("snr_db_list = 300", "snr_db_list = -10").replace("trials = 2", "trials = 10"))
+    failures = run_trials(load_config(path), [(0, t) for t in range(10)])[2]
+    trial, failure = next((t, f) for t, f in enumerate(failures) if f is not None)
+    assert main(["simulate", "--config", str(path), "--trial", str(trial)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"trial failed: {failure}\n" and captured.out == ""
 
 
 def test_simulate_rejects_snr_outside_the_list(config_file, capsys):
@@ -131,6 +162,30 @@ def test_estimate_from_files(tmp_path, capsys):
     values = [float(f) for f in out.strip().split("\n")[1].split(",")]
     assert values[1] == pytest.approx(60.0, abs=1e-6)
     assert values[2] == pytest.approx(45.0, abs=1e-6)
+
+
+def test_estimate_warns_of_an_ambiguous_pairing(tmp_path, capsys, monkeypatch):
+    zf, xf = _write_pair(tmp_path)
+    args = ["estimate", "--z-file", str(zf), "--x-file", str(xf), "--q", "1", "--spacing-ratio", "0.5"]
+    assert main(args) == 0
+    plain = capsys.readouterr()
+    assert "ambiguous" not in plain.err
+    real = laoa.cli.estimate_2d_aoa
+    monkeypatch.setattr(laoa.cli, "estimate_2d_aoa", lambda *a: replace(real(*a), pairing_ambiguous=True))
+    assert main(args) == 0
+    flagged = capsys.readouterr()
+    assert flagged.out == plain.out
+    assert flagged.err == plain.err + "# warning: pairing ambiguous\n"
+
+
+def test_estimate_rejects_unequal_subarray_sizes(tmp_path, capsys):
+    zf, _ = _write_pair(tmp_path)
+    (tmp_path / "m6").mkdir()
+    _, xf = _write_pair(tmp_path / "m6", m=6)
+    rc = main(["estimate", "--z-file", str(zf), "--x-file", str(xf), "--q", "1", "--spacing-ratio", "0.5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "subarray sizes differ: 8 vs 6\n" and captured.out == ""
 
 
 def test_estimate_rejects_swapped_files(tmp_path, capsys):

@@ -3,6 +3,7 @@ from dataclasses import fields
 import pytest
 
 from laoa import ExperimentConfig, parse_config, serialize_config
+from laoa.config import _KEYS
 from laoa.errors import ParseError
 from laoa.estimator import EstimatorMode
 from laoa.synthesis import SignalModel
@@ -38,6 +39,32 @@ def test_round_trip_lossless():
     again = parse_config(serialize_config(cfg))
     assert again == cfg
     assert serialize_config(again) == serialize_config(cfg)
+
+
+def test_the_key_table_follows_the_config_fields():
+    assert list(_KEYS) == [f.name for f in fields(ExperimentConfig)]
+
+
+def test_serialize_the_readme_config():
+    assert serialize_config(parse_config(GOOD)) == (
+        "m = 8\n"
+        "spacing_ratio = 0.5\n"
+        "M = 200\n"
+        "q = 2\n"
+        "sources = 30.0/40.0, 70.0/120.0\n"
+        "signal_model = unit_power_random_phase\n"
+        "snr_db_list = 0.0, 10.0, 20.0, 30.0\n"
+        "trials = 500\n"
+        "seed = 12345\n"
+        "mode = truncated_svd\n"
+        "output_path = report.csv\n"
+    )
+
+
+def test_missing_keys_are_listed_in_file_order():
+    text = "".join(line + "\n" for line in GOOD.splitlines() if not line.startswith(("mode", "M ", "sources")))
+    with pytest.raises(ParseError, match="^missing keys: M, sources, mode$"):
+        parse_config(text)
 
 
 def test_missing_key():

@@ -1,5 +1,8 @@
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
 from itertools import permutations
 from types import SimpleNamespace
@@ -9,7 +12,7 @@ import pytest
 
 import laoa.estimator
 import laoa.montecarlo
-from laoa import DirectionPair, parse_config
+from laoa import DirectionPair, parse_config, serialize_config
 from laoa.montecarlo import (
     CSV_HEADER,
     STACK_BYTES,
@@ -268,7 +271,9 @@ class TestMonteCarlo:
             @staticmethod
             def Process(target, args):
                 shares.append([len(cells) for cells in args[2]])
-                return SimpleNamespace(start=lambda: target(*args), join=lambda: None, terminate=lambda: None)
+                # no read ends to close: in process, they are the caller's own
+                return SimpleNamespace(start=lambda: target(*args[:3], []),
+                                       join=lambda: None, terminate=lambda: None)
 
         shares, ran, real = [], [], laoa.montecarlo.run_trials
         cfg = _cfg(trials=trials, snr_db_list=snr_db_list)
@@ -279,6 +284,15 @@ class TestMonteCarlo:
         assert shares == started
         # the stub runs each share as its worker starts
         assert ran == ([n for share in started for n in share] or [trials])
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_a_worker_count_below_one_is_rejected_before_any_task(self, monkeypatch, workers):
+        calls = []
+        monkeypatch.setattr(laoa.montecarlo, "_cut", lambda *args: calls.append("cut"))
+        monkeypatch.setattr(laoa.montecarlo, "_run_shares", lambda *args: calls.append("run"))
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            monte_carlo(_cfg(), workers=workers)
+        assert calls == []
 
     def test_workers_do_not_change_bytes(self):
         cfg = _cfg(trials=6, snr_db_list="20, 10")
@@ -332,3 +346,62 @@ class TestWorkerFailures:
             monte_carlo(cfg, workers=2)
         assert time.monotonic() - t0 < 30
         assert multiprocessing.active_children() == []
+
+
+# the caller, in its own process: writes each worker's pid to stdout as the worker starts its first stack
+_KILLED_CALLER = """
+import os, sys
+import laoa.montecarlo
+from laoa import parse_config
+
+real, seen = laoa.montecarlo.run_trials, set()
+
+def run_trials(cfg, cells):
+    if os.getpid() not in seen:
+        seen.add(os.getpid())
+        os.write(1, b"%d\\n" % os.getpid())  # one write: the two workers' lines do not interleave
+    return real(cfg, cells)
+
+laoa.montecarlo.run_trials = run_trials
+laoa.montecarlo.monte_carlo(parse_config(sys.argv[1]), workers=2)
+"""
+
+
+def _running(pid):
+    # an exited worker that its new parent has not reaped yet is a zombie, and counts as gone
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork" or not os.path.isdir("/proc"),
+                    reason="forked workers, found through /proc")
+def test_workers_exit_once_their_caller_is_killed():
+    # each worker's share of 12000 trials returns more than a pipe's 64 KiB buffer, so a worker
+    # that still held a read end of its own pipe would block in send for good
+    text = serialize_config(_cfg(m=4, M=3, snr_db_list="0, 10, 20, 30", trials=6000))
+    src = os.path.dirname(os.path.dirname(laoa.montecarlo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    caller = subprocess.Popen([sys.executable, "-c", _KILLED_CALLER, text], stdout=subprocess.PIPE, env=env)
+    workers = []
+    try:
+        while len(workers) < 2:
+            line = caller.stdout.readline()
+            assert line, "the caller ended before both workers started"
+            workers.append(int(line))
+        caller.kill()
+        # killed, not finished: the workers still had their shares to return
+        assert caller.wait() == -signal.SIGKILL
+        deadline = time.monotonic() + 20
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert [pid for pid in workers if _running(pid)] == []
+    finally:
+        caller.kill()
+        caller.wait()
+        caller.stdout.close()
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
