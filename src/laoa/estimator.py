@@ -42,14 +42,16 @@ two halves.
 
 The screen scores every permutation with q x q matrices only:
 cheap_P = ||L||^2 - Re tr(G_P^-1 H_P), with H_P = B_P B_P^H gathered from
-the three products Bz Bz^H, Bz Bx^H and Bx Bx^H.  It takes the trace by
-elimination in numpy, not by a LAPACK solve per system: in a pass of
-SCREEN_BLOCK systems of whole trials, the system index on the last axis,
-the unpivoted elimination G_P = W D W^H (W unit lower triangular) applies
-each step's row operation to H_P and its conjugate as a column operation,
-so tr(G_P^-1 H_P) is the sum of (W^-1 H_P W^-H)_kk / d_k.  G_P is a Gram
-matrix, Hermitian positive definite, and the unpivoted elimination is
-backward stable for it.  In exact arithmetic cheap_P is the squared
+the three products Bz Bz^H, Bz Bx^H and Bx Bx^H.  Each pass of SCREEN_BLOCK
+systems of whole trials, the system index on the last axis, builds per
+trial one table of every sum an entry of G_P or H_P can take, and gathers
+all of the pass's G_P and H_P from it by one np.take.  It takes the trace
+by elimination in numpy, not by a LAPACK solve per system: the unpivoted
+elimination G_P = W D W^H (W unit lower triangular) applies each step's
+row operation to G_P and H_P in one numpy call, and its conjugate to H_P
+as a column operation, so tr(G_P^-1 H_P) is the sum of
+(W^-1 H_P W^-H)_kk / d_k.  G_P is a Gram matrix, Hermitian positive
+definite, and the unpivoted elimination is backward stable for it.  In exact arithmetic cheap_P is the squared
 residual, but the subtraction cancels: rounding in B_P, H_P, ||L||^2 and
 the elimination moves cheap_P by O((m + q) eps kappa ||L||^2), since
 tr(G_P^-1 H_P) <= ||L||^2.  The stated bound is
@@ -204,9 +206,8 @@ def estimate_electrical(
     selected = select_unit_roots(roots, q, errors)
     angles = electrical_angles_from_roots(roots, selected)
     order = np.argsort(angles, axis=-1, kind="stable")
-    selected = np.take_along_axis(selected, order, axis=-1)
-    mags = np.abs(np.take_along_axis(roots, selected, axis=-1))
-    return np.take_along_axis(angles, order, axis=-1), mags, reduced
+    rows = np.arange(len(roots))[:, None]
+    return angles[rows, order], np.abs(roots[rows, selected[rows, order]]), reduced
 
 
 def pair_and_recover(
@@ -281,9 +282,10 @@ def pair_and_recover(
     theta, phi = directions_from_electrical(psi, xi_paired, cfg, errors)
 
     failed = np.array([exc is not None for exc in errors], dtype=bool)
-    for a in (psi, xi_paired, mags_z, mags_x_paired, residual):
-        a[failed] = np.nan
-    ambiguous[failed] = False
+    if failed.any():
+        for a in (psi, xi_paired, mags_z, mags_x_paired, residual):
+            a[failed] = np.nan
+        ambiguous[failed] = False
     return StackEstimate(theta, phi, psi, xi_paired, mags_z, mags_x_paired, residual, ambiguous, errors)
 
 
@@ -302,18 +304,20 @@ def _pairing_residuals(
     e = np.frexp(np.max(np.abs(L), axis=(1, 2), initial=0.0))[1]
     shift = -e[:, None, None]
     L = np.ldexp(L.real, shift) + 1j * np.ldexp(L.imag, shift)
-    A_z = steering_vector(psi, m)
-    A_x = steering_vector(xi, m)
-    q = psi.shape[1]
+    T, q = psi.shape
+    # both halves' steering matrices and Gram matrices as one 2T stack, Z's then X's
+    A_zx = steering_vector(np.concatenate([psi, xi]), m)
+    A_zxH = A_zx.conj().swapaxes(1, 2)
+    G_zx = A_zxH @ A_zx
+    A_z, A_x, Gz, Gx = A_zx[:T], A_zx[T:], G_zx[:T], G_zx[T:]
 
     # the Gram matrix and right-hand side of permutation P are gathered from
     # those of the two halves: A^H A = Gz + P^T Gx P, A^H L = Bz + P^T Bx
-    Gz, Gx = A_z.conj().swapaxes(1, 2) @ A_z, A_x.conj().swapaxes(1, 2) @ A_x
-    Bz, Bx = A_z.conj().swapaxes(1, 2) @ L[:, :m], A_x.conj().swapaxes(1, 2) @ L[:, m:]
+    Bz, Bx = A_zxH[:T] @ L[:, :m], A_zxH[T:] @ L[:, m:]
     table = permutation_table(q)
-    contenders = np.ones((len(psi), len(table)), dtype=bool)
+    contenders = np.ones((T, len(table)), dtype=bool)
     if len(table) > 2:
-        cheap, delta = _screen(Gz, Gx, Bz, Bx, L, table)
+        cheap, delta = _screen(G_zx, Bz, Bx, L, table)
         # any permutation among the exact best two has cheap <= c2 + 2 delta; a NaN score stays in
         threshold = np.partition(cheap, 1, axis=1)[:, 1] + 2.0 * delta
         contenders = ~(cheap > threshold[:, None])
@@ -333,63 +337,73 @@ def _pairing_residuals(
 
 
 def _screen(
-    Gz: np.ndarray, Gx: np.ndarray, Bz: np.ndarray, Bx: np.ndarray, L: np.ndarray, table: np.ndarray
+    G_zx: np.ndarray, Bz: np.ndarray, Bx: np.ndarray, L: np.ndarray, table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     # every permutation's screen score ||L||^2 - Re tr(G_P^-1 H_P) (T x q!) and
     # each trial's bound delta on its distance from the exact squared residual;
-    # H_P = B_P B_P^H = Hzz + Hzx[:, P] + Hzx^H[P, :] + Hxx[P][:, P].  Fails no
-    # trial: one whose elimination meets a pivot that is not positive and finite
+    # G_zx is the 2T stack [Gz; Gx] and H_P = B_P B_P^H = Hzz + Hzx[:, P] + Hzx^H[P, :] + Hxx[P][:, P].
+    # Fails no trial: one whose elimination meets a pivot that is not positive and finite
     # or a score that is not finite scores NaN with delta = inf, so it keeps
     # every permutation
-    T, q = Gz.shape[:2]
+    T, q = Bz.shape[:2]
     m = L.shape[1] // 2
     Hzz, Hzx, Hxx = (a @ b.conj().swapaxes(1, 2) for a, b in ((Bz, Bz), (Bz, Bx), (Bx, Bx)))
-    # flat indices into a trial's q x q matrix for entry [i, j, p] of a q x q x q! stack:
-    # M[P[i], P[j]] and M[i, P[j]]; one np.take per pass gathers them for all its trials
-    both = np.moveaxis(table[:, :, None] * q + table[:, None, :], 0, -1)
-    right = np.arange(q)[:, None, None] * q + table.T
+    index = _screen_index(q)
     per_pass = max(1, SCREEN_BLOCK // len(table))
     traces = np.empty((T, len(table)))
     good = np.empty((T, len(table)), dtype=bool)
     for t0 in range(0, T, per_pass):
         ts = slice(t0, t0 + per_pass)
-        # the trial axis last: each is q^2 x trials, or q x q x trials
-        Gxt, Hzxt, Hxxt = (a[ts].reshape(-1, q * q).T for a in (Gx, Hzx, Hxx))
-        Gzt, Hzzt = (a[ts].transpose(1, 2, 0) for a in (Gz, Hzz))
-        G = np.take(Gxt, both, axis=0)
-        G += Gzt[:, :, None]
-        H = np.take(Hxxt, both, axis=0)
-        H += Hzzt[:, :, None]
-        cross = np.take(Hzxt, right, axis=0)  # Hzx[i, P[j]]
-        H += cross
-        H += np.conjugate(cross, out=cross).swapaxes(0, 1)
-        del cross  # not held through the elimination
-        traces[ts], good[ts] = (a.T for a in _eliminate(G, H))
+        # the pass's trials on the last axis: each is q x q x trials
+        gz, gx, hzz, hzx, hxx = (a[ts].transpose(1, 2, 0) for a in (G_zx[:T], G_zx[T:], Hzz, Hzx, Hxx))
+        # per trial, the tables G_P and H_P are gathered from: G[i, j, a, b] = Gx[a, b] + Gz[i, j]
+        # and H[i, j, a, b] = ((Hxx[a, b] + Hzz[i, j]) + Hzx[i, b]) + conj(Hzx[j, a]), so that
+        # G_P[i, j] = G[i, j, P[i], P[j]] and H_P[i, j] = H[i, j, P[i], P[j]]
+        tables = np.empty((2, q, q, q, q, gz.shape[-1]), dtype=complex)
+        np.add(gx, gz[:, :, None, None], out=tables[0])
+        np.add(hxx, hzz[:, :, None, None], out=tables[1])
+        tables[1] += hzx[:, None, None]
+        tables[1] += np.conjugate(hzx)[:, :, None]
+        GH = np.take(tables.reshape(-1, gz.shape[-1]), index, axis=0)
+        del tables  # not held through the elimination
+        traces[ts], good[ts] = (a.T for a in _eliminate(GH))
     bad = ~good.all(axis=1)
     traces[bad] = np.nan
     norm2 = np.sum(L.real**2 + L.imag**2, axis=(1, 2))
     # lambda_max(G_P) <= tr(G_P) = 2mq, and lambda_min(G_P) >= max(lambda_min(Gz), lambda_min(Gx))
-    lam = np.max(np.linalg.eigvalsh(np.stack([Gz, Gx]))[..., 0], axis=0)
+    lam = np.max(np.linalg.eigvalsh(G_zx)[:, 0].reshape(2, T), axis=0)
     kappa = np.divide(2.0 * m * q, lam, out=np.full(T, np.inf), where=lam > 0)
     delta = SCREEN_ERROR_FACTOR * (m + q) * np.finfo(float).eps * kappa * norm2
     # a first-order bound: past ||L||^2, the whole range of residuals, it bounds nothing
     return norm2[:, None] - traces, np.where((delta < norm2) & ~bad, delta, np.inf)
 
 
-def _eliminate(G: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Re tr(G^-1 H) of each q x q system, the system axes last (q x q x ...), by unpivoted
-    # elimination G = W D W^H in place, with each step's row operation applied to H and
-    # its conjugate as a column operation: H becomes W^-1 H W^-H, so the trace is
-    # sum_k H_kk / d_k.  G is Hermitian positive definite, where the unpivoted
-    # elimination is backward stable.  Also gives whether every pivot d_k was positive
-    # and finite and the trace finite; where not, the trace is meaningless
-    q = G.shape[0]
+@lru_cache(maxsize=8)
+def _screen_index(q: int) -> np.ndarray:
+    # flat index into a trial's tables [G; H] (2 x q x q x q x q, see _screen) of entry
+    # [i, j, g, p] of a q x q x 2 x q! stack: table g at [i, j, P[i], P[j]], P = permutation p;
+    # one np.take per pass gathers G_P (g = 0) and H_P (g = 1) for all its trials
+    table = permutation_table(q).T
+    i, j, g = np.arange(q)[:, None, None, None], np.arange(q)[:, None, None], np.arange(2)[:, None]
+    index = (((g * q + i) * q + j) * q + table[:, None, None]) * q + table[:, None]
+    index.flags.writeable = False
+    return index
+
+
+def _eliminate(GH: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Re tr(G^-1 H) of each q x q system, G = GH[:, :, 0] and H = GH[:, :, 1], the system axes
+    # last (q x q x 2 x ...), by unpivoted elimination G = W D W^H in place, with each step's
+    # row operation applied to H and its conjugate as a column operation: H becomes
+    # W^-1 H W^-H, so the trace is sum_k H_kk / d_k.  G is Hermitian positive definite, where
+    # the unpivoted elimination is backward stable.  Also gives whether every pivot d_k was
+    # positive and finite and the trace finite; where not, the trace is meaningless
+    q = GH.shape[0]
+    G, H = GH[:, :, 0], GH[:, :, 1]
     with np.errstate(all="ignore"):  # a bad pivot is reported through good, not warned about
         for k in range(q - 1):
             l = G[k + 1:, k] / G[k, k].real
-            G[k + 1:, k + 1:] -= l[:, None] * G[k, k + 1:]
             u = H[k + 1:, k] - l * H[k, k]
-            H[k + 1:, k + 1:] -= l[:, None] * H[k, k + 1:]
+            GH[k + 1:, k + 1:] -= l[:, None, None] * GH[k, k + 1:]  # G's row operation and H's
             H[k + 1:, k + 1:] -= u[:, None] * np.conjugate(l, out=l)
         # step k changes only rows and columns past k, so G[k, k] holds d_k and H[k, k] its term
         diag = np.arange(q)

@@ -7,13 +7,17 @@ of consecutive cells whose snapshots fit STACK_BYTES, that count rounded up
 to a multiple of the worker count and capped at one stack per cell, and the
 cut is as even as it can be: stack sizes differ by at most 1.  A stack may
 straddle two SNR points.  Each stack, one task, synthesizes its trials
-into one array, each at its own point's noise variance, and estimates them
-in one pass (``estimator.estimate_stack``).  It stays arrays to the end:
-the stack's estimates are matched to the true sources in one pass over all
-permutations, and a task returns T x q arrays of theta and phi errors plus each trial's
-failure class name.  ``monte_carlo`` joins the tasks' arrays, which then run
-in cell order, and reduces each source's column at each SNR point under a
-mask of the trials that did not fail.  A trial's result depends on neither
+into one array, each at its own point's noise variance: only the draws run
+per trial, on the trial's own stream, and the rest of the synthesis runs
+once for the stack.  It estimates them in one pass
+(``estimator.estimate_stack``) and stays arrays to the end: the stack's
+estimates are matched to the true sources in one pass over all
+permutations, and a task returns T x q arrays of theta and phi errors plus
+each trial's failure class name.  ``monte_carlo`` joins the tasks' arrays,
+which then run in cell order, and reduces each SNR point's surviving trials
+in one pass: one contiguous block with a row per source and statistic,
+each row summed as its own 1-D array is, so every statistic is the
+``np.mean`` of that source's errors.  A trial's result depends on neither
 its stack nor its worker, so the report is byte-identical for any worker
 count and any split into stacks.  Estimator failures at low SNR are counted
 per SNR point, not raised: the failure rate is itself a result.
@@ -21,8 +25,8 @@ per SNR point, not raised: the failure rate is itself a result.
 A sweep of more than one task runs task k in worker process k % workers.
 The workers are started for the sweep (forked, where that is the start
 method) and joined before ``monte_carlo`` returns, so no process or thread
-outlives a sweep.  A worker whose caller is killed exits when it tries to
-return its share.
+outlives a sweep.  A worker whose caller is killed exits before its next
+stack, unless a fork server started it.
 """
 
 import multiprocessing
@@ -32,10 +36,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .array_model import steering_vector
 from .config import ExperimentConfig
 from .estimator import estimate_stack, permutation_table
-from .synthesis import _synthesize_into, separated_angle_sets
+from .synthesis import _synthesize_stack
 
 # snapshot bytes per stack, which the QR holds twice; a long trial has little per-call cost to spread
 STACK_BYTES = 1 << 20
@@ -69,7 +72,7 @@ class MonteCarloReport:
     def to_csv(self) -> str:
         columns = CSV_HEADER.split(",")
         lines = [CSV_HEADER]
-        lines += (",".join("" if row[k] is None else repr(row[k]) for k in columns) for row in self.rows)
+        lines += [",".join(["" if row[k] is None else repr(row[k]) for k in columns]) for row in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -85,36 +88,30 @@ def _match_to_truth(theta_deg: np.ndarray, phi_deg: np.ndarray, truth) -> tuple[
     cost = np.abs(theta_deg[:, None, :] - true_theta[:, None]) + np.abs(phi_deg[:, None, :] - true_phi[:, None])
     table = permutation_table(q)
     best = table[np.argmin(cost[:, np.arange(q), table].sum(axis=2), axis=1)]
-    return (
-        np.take_along_axis(theta_deg, best, axis=1) - true_theta,
-        np.take_along_axis(phi_deg, best, axis=1) - true_phi,
-    )
+    rows = np.arange(len(best))[:, None]
+    return theta_deg[rows, best] - true_theta, phi_deg[rows, best] - true_phi
 
 
 def run_trials(cfg: ExperimentConfig, cells) -> tuple[np.ndarray, np.ndarray, list]:
     """Trials of the sweep's cells as one stack: their angle errors and failures.
 
     ``cells`` is a sequence of (snr_index, trial_index) pairs, which may
-    belong to several SNR points.  Each trial is synthesized on its own
-    stream, at the noise variance of its point in ``cfg.snr_db_list``,
-    straight into its slice of one T x 2m x M stack, which
-    ``estimate_stack`` runs in one pass; each result is exactly the one the
-    trial gets alone.  The source angles and steering matrices depend only
-    on the config, so the stack builds them once; each slice holds exactly
-    the data ``synthesize`` gives its stream.
+    belong to several SNR points.  Each trial draws on its own stream, at
+    the noise variance of its point in ``cfg.snr_db_list``, into one
+    T x 2m x M stack, which ``estimate_stack`` runs in one pass; each result
+    is exactly the one the trial gets alone.  The draws run per trial and
+    the rest of the synthesis once for the stack
+    (``synthesis._synthesize_stack``); each slice holds exactly the data
+    ``synthesize`` gives its stream.
 
     Returns the theta and phi errors in degrees (T x q in cell order, source
     l of the config in column l; NaN rows for failed trials) and, per trial,
     the class name of the estimator error it fails with, or None.
     """
     sigma2 = [cfg.noise_variance(snr_db) for snr_db in cfg.snr_db_list]
-    src, array = cfg.source_set(), cfg.array_config()
-    psis, xis = separated_angle_sets(src, array)
-    A_z, A_x = steering_vector(psis, cfg.m), steering_vector(xis, cfg.m)
-    Y = np.empty((len(cells), 2 * cfg.m, cfg.M), dtype=complex)
-    for y, (snr_index, trial_index) in zip(Y, cells):
-        rng = np.random.default_rng(trial_seed(cfg.seed, snr_index, trial_index))
-        _synthesize_into(y, A_z, A_x, src, sigma2[snr_index], rng)
+    rngs = (np.random.default_rng(trial_seed(cfg.seed, si, ti)) for si, ti in cells)
+    array = cfg.array_config()
+    Y = _synthesize_stack(cfg.source_set(), array, cfg.M, [sigma2[si] for si, _ in cells], rngs)[0]
     est = estimate_stack(Y, cfg.q, array, cfg.mode)
     theta_err, phi_err = _match_to_truth(est.theta_deg, est.phi_deg, cfg.sources)
     return theta_err, phi_err, [None if exc is None else type(exc).__name__ for exc in est.errors]
@@ -154,14 +151,21 @@ def _cut(cells: list, trial_bytes: int, workers: int) -> list:
     return [cells[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
-def _run_share(conn, cfg: ExperimentConfig, tasks: list, inherited: list) -> None:
+def _run_share(conn, cfg: ExperimentConfig, tasks: list, inherited: list, caller: int | None) -> None:
     # a worker process: sends its share's stacks, or the exception that stopped it; a forked
     # worker holds copies of its own pipe's read end and of every earlier worker's, and would
-    # block for good in send once its caller is gone unless it closes them first
+    # block for good in send once its caller is gone unless it closes them first.  Between
+    # stacks it checks that its parent is still the caller (pid `caller`; None where a fork
+    # server is the parent): once the caller is gone no one is left to read the share, so
+    # the worker returns without sending
     for receiver in inherited:
         receiver.close()
+    stacks = []
     try:
-        stacks = list(map(run_trials, repeat(cfg), tasks))
+        for cells in tasks:
+            if caller is not None and os.getppid() != caller:
+                return
+            stacks.append(run_trials(cfg, cells))
     except BaseException as exc:
         stacks = exc
     try:
@@ -175,12 +179,15 @@ def _run_shares(cfg: ExperimentConfig, tasks: list, workers: int) -> list:
     if workers == 1:
         return list(map(run_trials, repeat(cfg), tasks))
     ctx = multiprocessing.get_context()
+    # a worker's parent is the caller, unless a fork server starts it: the server outlives the
+    # caller while its workers run, so they cannot see the caller go
+    caller = None if ctx.get_start_method() == "forkserver" else os.getpid()
     children = []
     try:
         for k in range(workers):
             receiver, sender = ctx.Pipe(duplex=False)
             receivers = [r for _, r in children] + [receiver]
-            child = ctx.Process(target=_run_share, args=(sender, cfg, tasks[k::workers], receivers))
+            child = ctx.Process(target=_run_share, args=(sender, cfg, tasks[k::workers], receivers, caller))
             child.start()
             children.append((child, receiver))
             sender.close()
@@ -227,8 +234,8 @@ def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarlo
     cells = [(si, ti) for si in range(len(cfg.snr_db_list)) for ti in range(cfg.trials)]
     tasks = _cut(cells, 2 * cfg.m * cfg.M * np.dtype(complex).itemsize, workers)
     stacks = _run_shares(cfg, tasks, min(workers, len(tasks)))
-    theta_err = np.concatenate([stack[0] for stack in stacks])
-    phi_err = np.concatenate([stack[1] for stack in stacks])
+    # one row per cell, theta's q errors then phi's
+    errors = np.concatenate([np.concatenate(stack[:2], axis=1) for stack in stacks])
     failed = np.array([f is not None for stack in stacks for f in stack[2]], dtype=bool)
 
     columns = CSV_HEADER.split(",")
@@ -236,16 +243,17 @@ def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarlo
     for si, snr_db in enumerate(cfg.snr_db_list):
         point = slice(si * cfg.trials, (si + 1) * cfg.trials)
         ok = ~failed[point]
-        failures = int(np.count_nonzero(failed[point]))
-        for source_index in range(cfg.q):
-            stats = (None,) * 4  # AllTrialsFailed: the row has empty statistics
-            if ok.any():
-                # each source's errors as one 1-D array: a 2-D reduction would sum in another order
-                te = theta_err[point, source_index][ok]
-                pe = phi_err[point, source_index][ok]
-                stats = (float(np.sqrt(np.mean(te**2))), float(np.sqrt(np.mean(pe**2))),
-                         float(np.mean(te)), float(np.mean(pe)))
-            rows.append(dict(zip(columns, (snr_db, source_index, *stats, failures, cfg.trials))))
+        n = int(np.count_nonzero(ok))
+        stats = [(None,) * 4] * cfg.q  # AllTrialsFailed: the rows have empty statistics
+        if n:
+            # one contiguous 2q x n block, each source's errors a row: a row reduced along the
+            # last axis is summed as its 1-D array is, in np.mean's pairwise order
+            block = np.ascontiguousarray(errors[point][ok].T)
+            rms = np.sqrt(np.add.reduce(block**2, axis=-1) / n).tolist()
+            mean = (np.add.reduce(block, axis=-1) / n).tolist()
+            stats = zip(rms[:cfg.q], rms[cfg.q:], mean[:cfg.q], mean[cfg.q:])
+        for source_index, row_stats in enumerate(stats):
+            rows.append(dict(zip(columns, (snr_db, source_index, *row_stats, cfg.trials - n, cfg.trials))))
 
     rows.sort(key=lambda r: (r["snr_db"], r["source_index"]))
     return MonteCarloReport(rows=tuple(rows))

@@ -73,8 +73,10 @@ def _horner(poly: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = np.zeros_like(y)
     dp = np.zeros_like(y)
     for k in range(poly.shape[1] - 1, -1, -1):
-        dp = dp * y + p
-        p = p * y + poly[:, k:k + 1]
+        dp *= y
+        dp += p
+        p *= y
+        p += poly[:, k:k + 1]
     return p, dp
 
 
@@ -82,7 +84,8 @@ def _polyval(poly: np.ndarray, y: np.ndarray) -> np.ndarray:
     # the value alone, in the same steps as np.polyval
     p = np.zeros_like(y)
     for k in range(poly.shape[1] - 1, -1, -1):
-        p = p * y + poly[:, k:k + 1]
+        p *= y
+        p += poly[:, k:k + 1]
     return p
 
 

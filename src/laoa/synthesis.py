@@ -7,6 +7,14 @@ Builds the two data matrices
 where the steering matrices share one common source matrix S, the noise is
 circular complex AWGN, and rearranges one subarray's sensor columns into the
 overdetermined linear-prediction system P C = P1.
+
+Synthesis runs on a stack of trials, each on its own random stream: only
+the draws run per trial, in the seeding contract's order (S's phases, then
+Z's real and imaginary noise, then X's), and the phase scaling, ``exp``,
+the steering products and the noise scaling and adds run once for the
+stack.  ``synthesize`` is a stack of one, and each trial of a stack holds
+exactly what ``synthesize`` gives its stream; ``generate_sources`` and
+``generate_noise`` draw the same streams one matrix at a time.
 """
 
 from dataclasses import dataclass
@@ -79,13 +87,17 @@ def generate_sources(src: SourceSet, snapshots: int, rng: np.random.Generator) -
     uniformly from the four rotated constellation points.
     """
     q = src.q
-    if snapshots < q:
-        raise UnsupportedScenario(f"need M >= q for full-rank S, got M={snapshots}, q={q}")
+    _check_snapshots(q, snapshots)
     if src.signal_model is SignalModel.UNIT_POWER_RANDOM_PHASE:
         phase = rng.uniform(0.0, 2.0 * np.pi, size=(q, snapshots))
     else:
         phase = np.pi / 4 + (np.pi / 2) * rng.integers(0, 4, size=(q, snapshots))
     return np.exp(1j * phase)
+
+
+def _check_snapshots(q: int, snapshots: int) -> None:
+    if snapshots < q:
+        raise UnsupportedScenario(f"need M >= q for full-rank S, got M={snapshots}, q={q}")
 
 
 def generate_noise(m: int, snapshots: int, sigma2: float, rng: np.random.Generator) -> np.ndarray:
@@ -149,47 +161,59 @@ def synthesize(
     sigma2: float,
     rng: np.random.Generator,
 ) -> tuple[SnapshotMatrix, SnapshotMatrix, np.ndarray]:
-    """Generate (Z, X, S) for one noise realization.
+    """Generate (Z, X, S) for one noise realization: a stack of one.
 
     Both subarrays observe the same source matrix S; the noise draws are
     independent.  S is returned so tests can use it as an oracle.  Z and X
     are the two halves of one new 2m x M array, [Z; X].
     """
+    Y, S = _synthesize_stack(src, cfg, snapshots, [sigma2], [rng])
+    return SnapshotMatrix(Y[0, :cfg.m], Subarray.Z), SnapshotMatrix(Y[0, cfg.m:], Subarray.X), S[0]
+
+
+def _synthesize_stack(
+    src: SourceSet, cfg: ArrayConfig, snapshots: int, sigma2, rngs
+) -> tuple[np.ndarray, np.ndarray]:
+    # T trials at once, trial t at noise variance sigma2[t] on stream rngs[t]: returns Y
+    # (T x 2m x M), trial t's [Z; X], and S (T x q x M).  Only the draws run per trial, each
+    # into its slice of a stack buffer in the seeding contract's order: S's phases, then
+    # Z's real and imaginary noise, then X's, the streams generate_sources and
+    # generate_noise draw (rng.uniform(0, 2 pi) is 2 pi times rng.random).  The phase
+    # scaling, exp, the two matmuls, the noise scaling and the adds to the real and
+    # imaginary views of Y then run once for the stack.  A trial at sigma2 = 0 draws no
+    # noise and adds zeros, as generate_noise's zeros do: -0.0 becomes +0.0
     psis, xis = separated_angle_sets(src, cfg)
-    out = np.empty((2 * cfg.m, snapshots), dtype=complex)
-    S = _synthesize_into(out, steering_vector(psis, cfg.m), steering_vector(xis, cfg.m), src, sigma2, rng)
-    return (
-        SnapshotMatrix(out[:cfg.m], Subarray.Z),
-        SnapshotMatrix(out[cfg.m:], Subarray.X),
-        S,
-    )
-
-
-def _synthesize_into(
-    out: np.ndarray, A_z: np.ndarray, A_x: np.ndarray, src: SourceSet, sigma2: float, rng: np.random.Generator
-) -> np.ndarray:
-    # one trial's draws, in the seeding contract's order (S, then Z's real and
-    # imaginary noise, then X's), written to out = [Z; X] (2m x M); returns S.
-    # The steering matrices depend only on the config, so a Monte Carlo stack
-    # builds them once.  One draw of all four noise parts is the stream that
-    # generate_noise draws for Z and then X, and adding the scaled parts to the
-    # real and imaginary views of out gives its bits with no complex temporary.
-    # Z and X are indexed, not reshaped: reshaping a non-contiguous out copies.
-    m, snapshots = A_z.shape[0], out.shape[1]
-    S = generate_sources(src, snapshots, rng)
-    Z, X = out[:m], out[m:]
-    np.matmul(A_z, S, out=Z)
-    np.matmul(A_x, S, out=X)
-    scale = _noise_scale(sigma2)
-    if scale is None:
-        out += 0.0  # as adding generate_noise's zeros: -0.0 becomes +0.0
-        return S
-    noise = rng.standard_normal((2, 2, m, snapshots))
-    noise *= scale
-    for half, (re, im) in zip((Z, X), noise):
-        half.real += re
-        half.imag += im
-    return S
+    q, m = src.q, cfg.m
+    _check_snapshots(q, snapshots)
+    scales = [_noise_scale(s) for s in sigma2]
+    T = len(scales)
+    qpsk = src.signal_model is SignalModel.QPSK
+    phase = np.empty((T, q, snapshots), dtype=np.int64 if qpsk else float)
+    noise = np.empty((T, 2, 2, m, snapshots))  # (Z, X) x (real, imaginary) per trial
+    for draw, parts, scale, rng in zip(phase, noise, scales, rngs, strict=True):
+        if qpsk:
+            draw[...] = rng.integers(0, 4, size=(q, snapshots))
+        else:
+            rng.random(out=draw)
+        if scale is None:
+            parts.fill(0.0)
+        else:
+            rng.standard_normal(out=parts)
+    if qpsk:
+        phase = np.pi / 4 + (np.pi / 2) * phase
+    else:
+        phase *= 2.0 * np.pi
+    S = 1j * phase
+    del phase
+    np.exp(S, out=S)
+    Y = np.empty((T, 2 * m, snapshots), dtype=complex)
+    np.matmul(steering_vector(psis, m), S, out=Y[:, :m])
+    np.matmul(steering_vector(xis, m), S, out=Y[:, m:])
+    noise *= np.array([0.0 if scale is None else scale for scale in scales])[:, None, None, None, None]
+    halves = Y.reshape(T, 2, m, snapshots)
+    halves.real += noise[:, :, 0]
+    halves.imag += noise[:, :, 1]
+    return Y, S
 
 
 def build_lp_system(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -236,10 +236,11 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("signal_model", ["unit_power_random_phase", "qpsk"])
     def test_each_slice_holds_what_synthesize_draws_on_the_trials_stream(self, monkeypatch, signal_model):
-        # the stack builds the steering matrices once, but every draw stays on the trial's stream,
-        # at its own SNR point's noise variance, also where the stack straddles two points
-        cfg = _cfg(q=2, sources="30/40, 70/120", signal_model=signal_model, trials=7, snr_db_list="0, 10")
-        cells = [(0, 5), (0, 6), (1, 0), (1, 1), (1, 2)]
+        # the stack draws each trial on its own stream into stack buffers and does the rest once
+        # for the stack, each trial at its own SNR point's noise variance: the stack straddles
+        # three points, and the noiseless one (inf dB, no noise draw) sits between noisy ones
+        cfg = _cfg(q=2, sources="30/40, 70/120", signal_model=signal_model, trials=7, snr_db_list="0, inf, 10")
+        cells = [(0, 5), (0, 6), (1, 0), (1, 1), (2, 0), (1, 6), (2, 1)]
         stacks, real = [], laoa.montecarlo.estimate_stack
         monkeypatch.setattr(laoa.montecarlo, "estimate_stack", lambda Y, *a: stacks.append(Y.copy()) or real(Y, *a))
         laoa.montecarlo.run_trials(cfg, cells)
@@ -247,7 +248,40 @@ class TestMonteCarlo:
             rng = np.random.default_rng(trial_seed(cfg.seed, snr_index, trial_index))
             sigma2 = cfg.noise_variance(cfg.snr_db_list[snr_index])
             Z, X, _ = synthesize(cfg.source_set(), cfg.array_config(), cfg.M, sigma2, rng)
-            assert np.array_equal(Y, np.vstack([Z.data, X.data]))
+            assert Y.tobytes() == np.vstack([Z.data, X.data]).tobytes()
+
+    def test_each_statistic_is_np_mean_of_its_sources_surviving_errors(self, monkeypatch):
+        # run_trials stubbed with seeded errors of mixed magnitudes and NaN rows for failed
+        # trials: at 300 trials per point, every trial fails at -10 dB, 100 survive at 0 dB,
+        # 200 at 10 dB and all 300 at 20 dB, so the pairwise sum splits past 128 on most rows;
+        # each statistic must be, bit for bit, np.mean of its source's 1-D array
+        def errors(si, ti):
+            rng = np.random.default_rng([si, ti])
+            return rng.standard_normal((2, 3)) * 10.0 ** rng.uniform(-3, 3, (2, 3))
+
+        def fails(si, ti):
+            return si == 0 or (si == 1 and ti % 3 != 0) or (si == 2 and ti % 3 == 0)
+
+        def run_trials(cfg, cells):
+            e = np.array([np.full((2, 3), np.nan) if fails(*cell) else errors(*cell) for cell in cells])
+            return e[:, 0], e[:, 1], ["OutOfRange" if fails(*cell) else None for cell in cells]
+
+        monkeypatch.setattr(laoa.montecarlo, "run_trials", run_trials)
+        cfg = _cfg(q=3, sources="30/40, 70/120, 110/80", trials=300, snr_db_list="-10, 0, 10, 20")
+        rows = monte_carlo(cfg, workers=1).rows
+        assert [row["failure_count"] for row in rows[::3]] == [300, 200, 100, 0]
+        for si, snr_db in enumerate(cfg.snr_db_list):
+            kept = [errors(si, ti) for ti in range(cfg.trials) if not fails(si, ti)]
+            for source_index, row in enumerate(rows[3 * si:3 * si + 3]):
+                assert (row["snr_db"], row["source_index"], row["trials"]) == (snr_db, source_index, 300)
+                if not kept:
+                    assert [row[k] for k in CSV_HEADER.split(",")[2:6]] == [None] * 4
+                    continue
+                te, pe = (np.array([e[k, source_index] for e in kept]) for k in (0, 1))
+                want = (np.sqrt(np.mean(te**2)), np.sqrt(np.mean(pe**2)), np.mean(te), np.mean(pe))
+                got = tuple(row[k] for k in CSV_HEADER.split(",")[2:6])
+                assert got == tuple(map(float, want))
+                assert list(map(repr, got)) == [repr(float(w)) for w in want]
 
     @pytest.mark.parametrize(
         "trials, snr_db_list, workers, started",
@@ -267,12 +301,14 @@ class TestMonteCarlo:
         # task k runs in worker k % workers
         class InProcessContext:
             Pipe = staticmethod(multiprocessing.Pipe)
+            get_start_method = staticmethod(lambda: "fork")
 
             @staticmethod
             def Process(target, args):
                 shares.append([len(cells) for cells in args[2]])
-                # no read ends to close: in process, they are the caller's own
-                return SimpleNamespace(start=lambda: target(*args[:3], []),
+                # no read ends to close: in process, they are the caller's own; and in process the
+                # share's parent, whose exit would stop it, is this process's parent
+                return SimpleNamespace(start=lambda: target(*args[:3], [], os.getppid()),
                                        join=lambda: None, terminate=lambda: None)
 
         shares, ran, real = [], [], laoa.montecarlo.run_trials
@@ -293,6 +329,19 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
             monte_carlo(_cfg(), workers=workers)
         assert calls == []
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_workers_started_without_fork_give_the_same_report(self, monkeypatch, method):
+        # a spawned worker's parent is the caller, but a fork server's worker's parent is the
+        # server: a worker must not take that for its caller being gone and return nothing
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        cfg = _cfg(trials=3, snr_db_list="20, 10")
+        serial = monte_carlo(cfg, workers=1).to_csv()
+        ctx = multiprocessing.get_context(method)
+        monkeypatch.setattr(laoa.montecarlo, "multiprocessing", SimpleNamespace(get_context=lambda: ctx))
+        assert monte_carlo(cfg, workers=2).to_csv() == serial
+        assert multiprocessing.active_children() == []
 
     def test_workers_do_not_change_bytes(self):
         cfg = _cfg(trials=6, snr_db_list="20, 10")
@@ -379,9 +428,11 @@ def _running(pid):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork" or not os.path.isdir("/proc"),
                     reason="forked workers, found through /proc")
 def test_workers_exit_once_their_caller_is_killed():
-    # each worker's share of 12000 trials returns more than a pipe's 64 KiB buffer, so a worker
-    # that still held a read end of its own pipe would block in send for good
-    text = serialize_config(_cfg(m=4, M=3, snr_db_list="0, 10, 20, 30", trials=6000))
+    # each worker's share is 12000 trials at M = 3000, two per stack: ~40 s of work, against a
+    # few ms per stack, so a worker that ran its share out after its caller was killed would
+    # outlive the kill by far more than the 5 s allowed, and one that stops at its next stack
+    # does not
+    text = serialize_config(_cfg(m=4, M=3000, snr_db_list="0, 10, 20, 30", trials=6000))
     src = os.path.dirname(os.path.dirname(laoa.montecarlo.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     caller = subprocess.Popen([sys.executable, "-c", _KILLED_CALLER, text], stdout=subprocess.PIPE, env=env)
@@ -394,7 +445,7 @@ def test_workers_exit_once_their_caller_is_killed():
         caller.kill()
         # killed, not finished: the workers still had their shares to return
         assert caller.wait() == -signal.SIGKILL
-        deadline = time.monotonic() + 20
+        deadline = time.monotonic() + 5
         while any(map(_running, workers)) and time.monotonic() < deadline:
             time.sleep(0.1)
         assert [pid for pid in workers if _running(pid)] == []

@@ -143,7 +143,7 @@ def _screen_inputs(psi, xi, L):
     L = np.ldexp(L.real, -e[:, None, None]) + 1j * np.ldexp(L.imag, -e[:, None, None])
     A_z, A_x = steering_vector(psi, CFG.m), steering_vector(xi, CFG.m)
     AzH, AxH = A_z.conj().swapaxes(1, 2), A_x.conj().swapaxes(1, 2)
-    return AzH @ A_z, AxH @ A_x, AzH @ L[:, :CFG.m], AxH @ L[:, CFG.m:], L
+    return np.concatenate([AzH @ A_z, AxH @ A_x]), AzH @ L[:, :CFG.m], AxH @ L[:, CFG.m:], L
 
 
 def _clustered(q, sep, trials=10, seed=0):
@@ -180,7 +180,7 @@ def test_the_elimination_gives_the_trace_an_lu_solve_gives(q):
     B = rng.standard_normal((50, q, 16)) + 1j * rng.standard_normal((50, q, 16))
     G, H = A.conj().swapaxes(1, 2) @ A, B @ B.conj().swapaxes(1, 2)
     want = np.trace(np.linalg.solve(G, H), axis1=1, axis2=2).real
-    trace, good = _eliminate(G.transpose(1, 2, 0).copy(), H.transpose(1, 2, 0).copy())
+    trace, good = _eliminate(np.stack([G, H], axis=1).transpose(2, 3, 1, 0).copy())
     assert good.all()
     np.testing.assert_allclose(trace, want, rtol=1e-12)
 

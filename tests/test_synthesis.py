@@ -13,7 +13,7 @@ from laoa import (
     synthesize,
 )
 from laoa.errors import UnsupportedScenario
-from laoa.synthesis import _synthesize_into, electrical_angle_sets
+from laoa.synthesis import _synthesize_stack, electrical_angle_sets
 
 CFG = ArrayConfig(m=6, spacing_ratio=0.5)
 
@@ -145,13 +145,18 @@ class TestDrawOrder:
         assert Z.data.tobytes() == Z_want.tobytes()
         assert X.data.tobytes() == X_want.tobytes()
 
-    def test_a_non_contiguous_output_gets_the_noise(self):
+    def test_every_trial_of_a_stack_gets_its_noise(self):
+        # the noise is added to the real and imaginary views of the stack's strided halves;
+        # a trial with noise must differ from its noiseless product by the noise, and every
+        # trial must hold what synthesize gives its stream alone
         src = _sources(*self.SRC)
-        Z, X, _ = synthesize(src, CFG, 40, 0.3, np.random.default_rng(8))
+        sigma2, seeds = [0.3, 0.0, 0.3], [8, 9, 10]
+        Y, S = _synthesize_stack(src, CFG, 40, sigma2, [np.random.default_rng(seed) for seed in seeds])
         psis, xis = electrical_angle_sets(src, CFG)
-        out = np.zeros((40, 2 * CFG.m), dtype=complex).T  # a view whose halves are strided
-        _synthesize_into(out, steering_vector(psis, CFG.m), steering_vector(xis, CFG.m), src, 0.3,
-                         np.random.default_rng(8))
-        # a strided matmul output may differ in the last bits; dropped noise would be ~0.5 off
-        np.testing.assert_allclose(out[:CFG.m], Z.data, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out[CFG.m:], X.data, rtol=0, atol=1e-12)
+        A = np.vstack([steering_vector(psis, CFG.m), steering_vector(xis, CFG.m)])
+        for y, s, v, seed in zip(Y, S, sigma2, seeds, strict=True):
+            Z, X, S_one = synthesize(src, CFG, 40, v, np.random.default_rng(seed))
+            assert y.tobytes() == np.vstack([Z.data, X.data]).tobytes()
+            assert s.tobytes() == S_one.tobytes()
+            # dropped noise would leave the product alone; the noise's std is sqrt(0.3 / 2) per part
+            assert (np.max(np.abs(y - A @ s)) > 0.1) == (v > 0)
