@@ -25,12 +25,15 @@ per SNR point, not raised: the failure rate is itself a result.
 A sweep of more than one task runs task k in worker process k % workers.
 The workers are started for the sweep (forked, where that is the start
 method) and joined before ``monte_carlo`` returns, so no process or thread
-outlives a sweep.  A worker whose caller is killed exits before its next
-stack, unless a fork server started it.
+outlives a sweep.  Each worker sends each stack through its own pipe as it
+finishes, and the caller reads them in task order.  The caller holds the
+only read end of each pipe, so a worker whose caller is killed fails its
+next send and exits, whatever the start method.
 """
 
 import multiprocessing
 import os
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -151,56 +154,48 @@ def _cut(cells: list, trial_bytes: int, workers: int) -> list:
     return [cells[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
-def _run_share(conn, cfg: ExperimentConfig, tasks: list, inherited: list, caller: int | None) -> None:
-    # a worker process: sends its share's stacks, or the exception that stopped it; a forked
-    # worker holds copies of its own pipe's read end and of every earlier worker's, and would
-    # block for good in send once its caller is gone unless it closes them first.  Between
-    # stacks it checks that its parent is still the caller (pid `caller`; None where a fork
-    # server is the parent): once the caller is gone no one is left to read the share, so
-    # the worker returns without sending
+def _run_share(conn, cfg: ExperimentConfig, tasks: list, inherited: list) -> None:
+    # a worker process: sends each stack of its share as it finishes, or the exception that
+    # stopped it.  A forked worker holds copies of its own pipe's read end and of every earlier
+    # worker's, and closes them first: then the caller holds the only read end, so once the
+    # caller is gone the worker's next send fails and it returns
     for receiver in inherited:
         receiver.close()
-    stacks = []
     try:
         for cells in tasks:
-            if caller is not None and os.getppid() != caller:
-                return
-            stacks.append(run_trials(cfg, cells))
-    except BaseException as exc:
-        stacks = exc
-    try:
-        conn.send(stacks)
+            conn.send(run_trials(cfg, cells))
     except BrokenPipeError:
         pass  # the caller is gone, and no one is left to read the share
+    except BaseException as exc:
+        with suppress(BrokenPipeError):
+            conn.send(exc)
 
 
 def _run_shares(cfg: ExperimentConfig, tasks: list, workers: int) -> list:
-    # task k runs in worker process k % workers; the stacks return in task order
+    # task k runs in worker process k % workers; the stacks are read in task order
     if workers == 1:
         return list(map(run_trials, repeat(cfg), tasks))
     ctx = multiprocessing.get_context()
-    # a worker's parent is the caller, unless a fork server starts it: the server outlives the
-    # caller while its workers run, so they cannot see the caller go
-    caller = None if ctx.get_start_method() == "forkserver" else os.getpid()
     children = []
     try:
         for k in range(workers):
             receiver, sender = ctx.Pipe(duplex=False)
             receivers = [r for _, r in children] + [receiver]
-            child = ctx.Process(target=_run_share, args=(sender, cfg, tasks[k::workers], receivers, caller))
+            child = ctx.Process(target=_run_share, args=(sender, cfg, tasks[k::workers], receivers))
             child.start()
             children.append((child, receiver))
             sender.close()
-        stacks = [None] * len(tasks)
-        for k, (child, receiver) in enumerate(children):
+        stacks = []
+        for k in range(len(tasks)):
+            child, receiver = children[k % workers]
             try:
-                share = receiver.recv()
+                stack = receiver.recv()
             except EOFError:
                 child.join()
                 raise RuntimeError(f"a Monte Carlo worker process died (exit code {child.exitcode})") from None
-            if isinstance(share, BaseException):
-                raise share
-            stacks[k::workers] = share
+            if isinstance(stack, BaseException):
+                raise stack
+            stacks.append(stack)
     except BaseException:
         for child, _ in children:
             child.terminate()

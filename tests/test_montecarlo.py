@@ -301,15 +301,12 @@ class TestMonteCarlo:
         # task k runs in worker k % workers
         class InProcessContext:
             Pipe = staticmethod(multiprocessing.Pipe)
-            get_start_method = staticmethod(lambda: "fork")
 
             @staticmethod
             def Process(target, args):
                 shares.append([len(cells) for cells in args[2]])
-                # no read ends to close: in process, they are the caller's own; and in process the
-                # share's parent, whose exit would stop it, is this process's parent
-                return SimpleNamespace(start=lambda: target(*args[:3], [], os.getppid()),
-                                       join=lambda: None, terminate=lambda: None)
+                # no read ends to close: in process, they are the caller's own
+                return SimpleNamespace(start=lambda: target(*args[:3], []), join=lambda: None, terminate=lambda: None)
 
         shares, ran, real = [], [], laoa.montecarlo.run_trials
         cfg = _cfg(trials=trials, snr_db_list=snr_db_list)
@@ -332,8 +329,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_workers_started_without_fork_give_the_same_report(self, monkeypatch, method):
-        # a spawned worker's parent is the caller, but a fork server's worker's parent is the
-        # server: a worker must not take that for its caller being gone and return nothing
+        # a spawned or fork server's worker inherits no read end, and sends its stacks as a forked one does
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method here")
         cfg = _cfg(trials=3, snr_db_list="20, 10")
@@ -343,10 +339,19 @@ class TestMonteCarlo:
         assert monte_carlo(cfg, workers=2).to_csv() == serial
         assert multiprocessing.active_children() == []
 
-    def test_workers_do_not_change_bytes(self):
-        cfg = _cfg(trials=6, snr_db_list="20, 10")
+    @pytest.mark.parametrize(
+        "overrides, workers",
+        [
+            (dict(trials=6, snr_db_list="20, 10"), 3),
+            # one trial's snapshots per stack at M = 3000: 202 stacks, 101 per worker, so the
+            # stacks must be read in task order, and a worker's sends run far past a pipe's buffer
+            (dict(M=3000, trials=101, snr_db_list="20, 10"), 2),
+        ],
+    )
+    def test_workers_do_not_change_bytes(self, overrides, workers):
+        cfg = _cfg(**overrides)
         serial = monte_carlo(cfg, workers=1).to_csv()
-        parallel = monte_carlo(cfg, workers=3).to_csv()
+        parallel = monte_carlo(cfg, workers=workers).to_csv()
         assert serial == parallel
         assert multiprocessing.active_children() == []
 
@@ -359,9 +364,15 @@ class TestMonteCarlo:
             assert row["failure_count"] + row["trials"] >= row["trials"]
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the workers must inherit the patch")
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the workers must inherit the patch")
 class TestWorkerFailures:
-    # a failing worker stops the sweep, and no worker process outlives it
+    # a failing worker stops the sweep, and no worker process outlives it; the workers are forked
+    # whatever the default start method, so that they inherit the patched run_trials
+    @pytest.fixture(autouse=True)
+    def _fork(self, monkeypatch):
+        ctx = multiprocessing.get_context("fork")
+        monkeypatch.setattr(laoa.montecarlo, "multiprocessing", SimpleNamespace(get_context=lambda: ctx))
+
     def _patch(self, monkeypatch, first, second=None):
         # the first worker runs the first task, of the first cell; the second runs the others
         real = laoa.montecarlo.run_trials
@@ -396,22 +407,39 @@ class TestWorkerFailures:
         assert time.monotonic() - t0 < 30
         assert multiprocessing.active_children() == []
 
+    def test_a_worker_that_raises_after_sending_a_stack_raises_in_the_caller(self, monkeypatch):
+        # two trials' snapshots per stack at m = 4, M = 3000: the 8 cells are 4 tasks of 2, so each
+        # worker sends its first stack and then raises on its second
+        real, ran = laoa.montecarlo.run_trials, []
+        cfg = _cfg(m=4, M=3000, trials=4, snr_db_list="20, 10")
 
-# the caller, in its own process: writes each worker's pid to stdout as the worker starts its first stack
+        def run_trials(cfg, cells):
+            ran.append(cells)  # each forked worker appends to its own copy
+            if len(ran) == 2:
+                self._raise()
+            return real(cfg, cells)
+
+        monkeypatch.setattr(laoa.montecarlo, "run_trials", run_trials)
+        with pytest.raises(ValueError, match="raised in a worker"):
+            monte_carlo(cfg, workers=2)
+        assert multiprocessing.active_children() == []
+
+
+# the caller, in its own process, under the start method sys.argv[2]: writes both workers' pids to
+# stdout once it has started them; a patched run_trials would not reach a spawned worker, so a
+# thread watches the caller's children instead
 _KILLED_CALLER = """
-import os, sys
+import multiprocessing, os, sys, threading, time
 import laoa.montecarlo
 from laoa import parse_config
 
-real, seen = laoa.montecarlo.run_trials, set()
+def report():
+    while len(workers := multiprocessing.active_children()) < 2:
+        time.sleep(0.01)
+    os.write(1, b"".join(b"%d\\n" % worker.pid for worker in workers))
 
-def run_trials(cfg, cells):
-    if os.getpid() not in seen:
-        seen.add(os.getpid())
-        os.write(1, b"%d\\n" % os.getpid())  # one write: the two workers' lines do not interleave
-    return real(cfg, cells)
-
-laoa.montecarlo.run_trials = run_trials
+multiprocessing.set_start_method(sys.argv[2])
+threading.Thread(target=report, daemon=True).start()
 laoa.montecarlo.monte_carlo(parse_config(sys.argv[1]), workers=2)
 """
 
@@ -425,17 +453,20 @@ def _running(pid):
         return False
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork" or not os.path.isdir("/proc"),
-                    reason="forked workers, found through /proc")
-def test_workers_exit_once_their_caller_is_killed():
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="the workers are found through /proc")
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_workers_exit_once_their_caller_is_killed(method):
     # each worker's share is 12000 trials at M = 3000, two per stack: ~40 s of work, against a
     # few ms per stack, so a worker that ran its share out after its caller was killed would
-    # outlive the kill by far more than the 5 s allowed, and one that stops at its next stack
-    # does not
+    # outlive the kill by far more than the 5 s allowed, and one whose next send fails does not;
+    # under a fork server the caller is not the workers' parent, so their parent cannot tell
+    # them that the caller is gone
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
     text = serialize_config(_cfg(m=4, M=3000, snr_db_list="0, 10, 20, 30", trials=6000))
     src = os.path.dirname(os.path.dirname(laoa.montecarlo.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    caller = subprocess.Popen([sys.executable, "-c", _KILLED_CALLER, text], stdout=subprocess.PIPE, env=env)
+    caller = subprocess.Popen([sys.executable, "-c", _KILLED_CALLER, text, method], stdout=subprocess.PIPE, env=env)
     workers = []
     try:
         while len(workers) < 2:
