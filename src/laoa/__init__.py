@@ -13,14 +13,7 @@ from .array_model import (
     xi_from_direction,
 )
 from .config import ExperimentConfig, load_config, parse_config, serialize_config
-from .estimator import (
-    AoaEstimate,
-    EstimatorMode,
-    SourceEstimate,
-    estimate_2d_aoa,
-    estimate_electrical,
-    pair_and_recover,
-)
+from .estimator import EstimatorMode, StackEstimate, estimate_2d_aoa, pair_and_recover
 from .linalg import solve_coeffs, svd
 from .matio import read_matrix_file, write_matrix_file
 from .montecarlo import MonteCarloReport, monte_carlo, run_trial, trial_seed

@@ -52,12 +52,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _print_estimate(est) -> None:
+    # row 0 of a stack of one; .tolist() keeps numpy reprs out of the printed fields
     print("source,theta_deg,phi_deg,psi_hat,xi_hat,root_magnitude_z,root_magnitude_x")
-    for i, s in enumerate(est.sources):
-        print(f"{i},{s.theta_deg!r},{s.phi_deg!r},{s.psi_hat!r},{s.xi_hat!r},"
-              f"{s.root_magnitude_z!r},{s.root_magnitude_x!r}")
-    print(f"# pairing_residual = {est.pairing_residual!r}", file=sys.stderr)
-    if est.pairing_ambiguous:
+    columns = (est.theta_deg, est.phi_deg, est.psi_hat, est.xi_hat, est.mag_z, est.mag_x)
+    for i, row in enumerate(zip(*(a[0].tolist() for a in columns))):
+        print(",".join(map(repr, (i, *row))))
+    print(f"# pairing_residual = {est.pairing_residual[0].tolist()!r}", file=sys.stderr)
+    if est.pairing_ambiguous[0]:
         print("# warning: pairing ambiguous", file=sys.stderr)
 
 

@@ -7,12 +7,12 @@ stack, which spreads numpy's per-call cost over the trials.  It returns one
 (theta, phi), (psi, xi) and root magnitudes (T x q each), the pairing
 residual and ambiguity flag (T each), and the ``errors`` list that names
 each failed trial's AoaError, whose rows read NaN.  ``estimate_2d_aoa`` is a
-stack of one: it raises the trial's failure and turns row 0 into the
-boundary types ``AoaEstimate`` and ``SourceEstimate``.  Every layer below it
-takes stacks only.  Each trial's result, failure and warnings do not depend
-on the other trials in its stack: numpy runs each item of a stacked call on
-its own, and a trial that fails is skipped by every later step (see
-``laoa.linalg`` for the one ``errors`` list that carries the failures).
+stack of one: it raises the trial's failure and returns the StackEstimate of
+its one row.  Every layer below it takes stacks only.  Each trial's result,
+failure and warnings do not depend on the other trials in its stack: numpy
+runs each item of a stacked call on its own, and a trial that fails is
+skipped by every later step (see ``laoa.linalg`` for the one ``errors`` list
+that carries the failures).
 
 The data are compressed once, at the entry.  A trial's two subarrays are
 stacked as Y = [Z; X] (2m x M), and one QR gives the triangular factor R of
@@ -136,23 +136,6 @@ def permutation_table(q: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class SourceEstimate:
-    theta_deg: float
-    phi_deg: float
-    psi_hat: float
-    xi_hat: float
-    root_magnitude_z: float
-    root_magnitude_x: float
-
-
-@dataclass(frozen=True)
-class AoaEstimate:
-    sources: tuple[SourceEstimate, ...]
-    pairing_residual: float
-    pairing_ambiguous: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class StackEstimate:
     """A stack's estimates as arrays, one row per trial.
@@ -174,16 +157,6 @@ class StackEstimate:
     pairing_residual: np.ndarray
     pairing_ambiguous: np.ndarray
     errors: list
-
-
-def _row_estimate(result: StackEstimate, t: int = 0) -> AoaEstimate:
-    # trial t of a stack as the boundary types; .tolist() keeps numpy reprs out of printed fields
-    columns = (result.theta_deg, result.phi_deg, result.psi_hat, result.xi_hat, result.mag_z, result.mag_x)
-    return AoaEstimate(
-        sources=tuple(SourceEstimate(*source) for source in zip(*(a[t].tolist() for a in columns))),
-        pairing_residual=float(result.pairing_residual[t]),
-        pairing_ambiguous=bool(result.pairing_ambiguous[t]),
-    )
 
 
 def estimate_electrical(
@@ -475,12 +448,13 @@ def estimate_2d_aoa(
     q: int,
     cfg: ArrayConfig,
     mode: EstimatorMode = EstimatorMode.TRUNCATED_SVD,
-) -> AoaEstimate:
+) -> StackEstimate:
     """Full 2D AOA pipeline on one pair of subarray snapshot matrices: a stack of one.
 
     Checks the shapes, then runs ``estimate_stack`` on [Z; X], which checks
     the scenario once, compresses [Z; X] to its triangular factor R (see the
-    module docstring) and runs both subarrays and the pairing on R.
+    module docstring) and runs both subarrays and the pairing on R.  Returns
+    that stack's StackEstimate: row 0 of each array is the estimate.
 
     Raises
     ------
@@ -498,4 +472,4 @@ def estimate_2d_aoa(
         raise ValueError(f"Z and X must both be cfg.m x M = {m} x M, got {Z.data.shape} and {X.data.shape}")
     result = estimate_stack(np.vstack([Z.data, X.data])[None], q, cfg, mode)
     raise_first(result.errors)
-    return _row_estimate(result)
+    return result

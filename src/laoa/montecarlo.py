@@ -6,10 +6,12 @@ trial index) through a splitmix64-style avalanche.  The sweep's cells, its
 of consecutive cells whose snapshots fit STACK_BYTES, that count rounded up
 to a multiple of the worker count and capped at one stack per cell, and the
 cut is as even as it can be: stack sizes differ by at most 1.  A stack may
-straddle two SNR points.  Each stack, one task, synthesizes its trials
-into one array, each at its own point's noise variance: only the draws run
-per trial, on the trial's own stream, and the rest of the synthesis runs
-once for the stack.  It estimates them in one pass
+straddle two SNR points.  A task is a range of flat cell indices, cell k
+being divmod(k, trials), so no list of the cells is built before the first
+trial, and a worker is sent only its tasks' bounds.  Each stack, one task,
+synthesizes its trials into one array, each at its own point's noise
+variance: only the draws run per trial, on the trial's own stream, and the
+rest of the synthesis runs once for the stack.  It estimates them in one pass
 (``estimator.estimate_stack``) and stays arrays to the end: the stack's
 estimates are matched to the true sources in one pass over all
 permutations, and a task returns T x q arrays of theta and phi errors plus
@@ -143,7 +145,7 @@ def default_workers() -> int:
     return 1
 
 
-def _cut(cells: list, trial_bytes: int, workers: int) -> list:
+def _cut(cells, trial_bytes: int, workers: int) -> list:
     # the fewest stacks of trial_bytes-sized trials that fit STACK_BYTES, rounded up to a
     # multiple of workers and at most one per cell, as runs of consecutive cells whose sizes
     # differ by at most 1: an uneven cut such as 13 + 13 + 13 + 1 runs slower than 4 x 10
@@ -154,6 +156,11 @@ def _cut(cells: list, trial_bytes: int, workers: int) -> list:
     return [cells[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
+def _run_task(cfg: ExperimentConfig, task: range) -> tuple[np.ndarray, np.ndarray, list]:
+    # flat cell index k is cell (snr_index, trial_index) = divmod(k, trials)
+    return run_trials(cfg, [divmod(k, cfg.trials) for k in task])
+
+
 def _run_share(conn, cfg: ExperimentConfig, tasks: list, inherited: list) -> None:
     # a worker process: sends each stack of its share as it finishes, or the exception that
     # stopped it.  A forked worker holds copies of its own pipe's read end and of every earlier
@@ -162,8 +169,8 @@ def _run_share(conn, cfg: ExperimentConfig, tasks: list, inherited: list) -> Non
     for receiver in inherited:
         receiver.close()
     try:
-        for cells in tasks:
-            conn.send(run_trials(cfg, cells))
+        for task in tasks:
+            conn.send(_run_task(cfg, task))
     except BrokenPipeError:
         pass  # the caller is gone, and no one is left to read the share
     except BaseException as exc:
@@ -174,7 +181,7 @@ def _run_share(conn, cfg: ExperimentConfig, tasks: list, inherited: list) -> Non
 def _run_shares(cfg: ExperimentConfig, tasks: list, workers: int) -> list:
     # task k runs in worker process k % workers; the stacks are read in task order
     if workers == 1:
-        return list(map(run_trials, repeat(cfg), tasks))
+        return list(map(_run_task, repeat(cfg), tasks))
     ctx = multiprocessing.get_context()
     children = []
     try:
@@ -226,8 +233,7 @@ def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarlo
         workers = default_workers()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    cells = [(si, ti) for si in range(len(cfg.snr_db_list)) for ti in range(cfg.trials)]
-    tasks = _cut(cells, 2 * cfg.m * cfg.M * np.dtype(complex).itemsize, workers)
+    tasks = _cut(range(len(cfg.snr_db_list) * cfg.trials), 2 * cfg.m * cfg.M * np.dtype(complex).itemsize, workers)
     stacks = _run_shares(cfg, tasks, min(workers, len(tasks)))
     # one row per cell, theta's q errors then phi's
     errors = np.concatenate([np.concatenate(stack[:2], axis=1) for stack in stacks])

@@ -57,7 +57,7 @@ def test_criterion_1_noiseless_exact_recovery():
         src = _random_scenario(rng, cfg, q=3)
         Z, X, _ = synthesize(src, cfg, 50, 0.0, rng)
         est = estimate_2d_aoa(Z, X, 3, cfg, EstimatorMode.NOISELESS)
-        got = sorted((s.theta_deg, s.phi_deg) for s in est.sources)
+        got = sorted(zip(est.theta_deg[0].tolist(), est.phi_deg[0].tolist()))
         want = sorted((d.theta, d.phi) for d in src.directions)
         if max(
             max(abs(g[0] - w[0]), abs(g[1] - w[1])) for g, w in zip(got, want)
@@ -195,7 +195,7 @@ def test_criterion_7_pairing_correctness():
         src = _random_scenario(rng, cfg, q=2, theta_range=(15.0, 165.0), phi_range=(10.0, 170.0))
         Z, X, _ = synthesize(src, cfg, 50, 0.0, rng)
         est = estimate_2d_aoa(Z, X, 2, cfg, EstimatorMode.NOISELESS)
-        got = sorted((s.theta_deg, s.phi_deg) for s in est.sources)
+        got = sorted(zip(est.theta_deg[0].tolist(), est.phi_deg[0].tolist()))
         want = sorted((d.theta, d.phi) for d in src.directions)
         if max(abs(g[0] - w[0]) + abs(g[1] - w[1]) for g, w in zip(got, want)) < 1e-6:
             correct += 1

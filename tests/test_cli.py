@@ -5,10 +5,12 @@ import pytest
 
 import laoa.cli
 from laoa import (
-    ArrayConfig, DirectionPair, SnapshotMatrix, SourceSet, Subarray, load_config, synthesize, write_matrix_file,
+    ArrayConfig, DirectionPair, SnapshotMatrix, SourceSet, Subarray, load_config, read_matrix_file, synthesize,
+    write_matrix_file,
 )
 from laoa.cli import main
 from laoa.errors import ConvergenceFailure
+from laoa.estimator import estimate_stack
 from laoa.montecarlo import run_trials
 
 CONFIG = """\
@@ -164,6 +166,27 @@ def test_estimate_from_files(tmp_path, capsys):
     assert values[2] == pytest.approx(45.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("q, M", [(1, 64), (2, 2000), (5, 64)])
+def test_estimate_prints_row_0_of_the_stack_estimate(tmp_path, capsys, q, M):
+    # stdout is the header plus the repr of each field of estimate_stack's row 0, in column
+    # order, and stderr opens with the repr of its pairing residual
+    cfg = ArrayConfig(m=8, spacing_ratio=0.5)
+    pairs = ((30, 40), (60, 100), (100, 60), (140, 130), (80, 150))[:q]
+    src = SourceSet(tuple(DirectionPair(t, p) for t, p in pairs))
+    Z, X, _ = synthesize(src, cfg, M, 0.01, np.random.default_rng(q))
+    zf, xf = tmp_path / "z.mat", tmp_path / "x.mat"
+    write_matrix_file(Z, zf)
+    write_matrix_file(X, xf)
+    assert main(["estimate", "--z-file", str(zf), "--x-file", str(xf), "--q", str(q), "--spacing-ratio", "0.5"]) == 0
+    out, err = capsys.readouterr()
+    est = estimate_stack(np.vstack([read_matrix_file(zf).data, read_matrix_file(xf).data])[None], q, cfg)
+    columns = (est.theta_deg, est.phi_deg, est.psi_hat, est.xi_hat, est.mag_z, est.mag_x)
+    rows = [",".join([repr(i)] + [repr(float(a[0, i])) for a in columns]) for i in range(q)]
+    header = "source,theta_deg,phi_deg,psi_hat,xi_hat,root_magnitude_z,root_magnitude_x"
+    assert out == "\n".join([header, *rows]) + "\n"
+    assert err.split("\n")[0] == f"# pairing_residual = {float(est.pairing_residual[0])!r}"
+
+
 def test_estimate_warns_of_an_ambiguous_pairing(tmp_path, capsys, monkeypatch):
     zf, xf = _write_pair(tmp_path)
     args = ["estimate", "--z-file", str(zf), "--x-file", str(xf), "--q", "1", "--spacing-ratio", "0.5"]
@@ -171,7 +194,7 @@ def test_estimate_warns_of_an_ambiguous_pairing(tmp_path, capsys, monkeypatch):
     plain = capsys.readouterr()
     assert "ambiguous" not in plain.err
     real = laoa.cli.estimate_2d_aoa
-    monkeypatch.setattr(laoa.cli, "estimate_2d_aoa", lambda *a: replace(real(*a), pairing_ambiguous=True))
+    monkeypatch.setattr(laoa.cli, "estimate_2d_aoa", lambda *a: replace(real(*a), pairing_ambiguous=np.array([True])))
     assert main(args) == 0
     flagged = capsys.readouterr()
     assert flagged.out == plain.out

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -216,6 +217,20 @@ class TestMonteCarlo:
         assert [len(cells) for cells in seen] == sizes
         grid = [(si, ti) for si in range(len(cfg.snr_db_list)) for ti in range(cfg.trials)]
         assert [cell for cells in seen for cell in cells] == grid
+
+    def test_the_tasks_are_ranges_of_flat_cell_indices(self, monkeypatch):
+        # a task holds only its bounds: planning a sweep builds no list of its cells, and a
+        # worker's share of a 4 x 250000-cell sweep at M = 3 pickles to a few KB
+        cuts, real = [], laoa.montecarlo._cut
+        monkeypatch.setattr(laoa.montecarlo, "_cut", lambda *args: cuts.append(real(*args)) or cuts[-1])
+        cfg = _cfg(M=5000, trials=3, snr_db_list="20, 10")
+        monte_carlo(cfg, workers=1)
+        (tasks,) = cuts
+        assert [type(task) for task in tasks] == [range] * 6
+        assert [k for task in tasks for k in task] == list(range(6))
+        share = real(range(4 * 250_000), 2 * 8 * 3 * np.dtype(complex).itemsize, 2)[0::2]
+        assert all(type(task) is range for task in share)
+        assert len(pickle.dumps(share)) < 64 * 1024
 
     @pytest.mark.parametrize("cells", [1, 2, 5, 20, 21, 40, 100, 101])
     @pytest.mark.parametrize("M", [50, 200, 2000, 5000])

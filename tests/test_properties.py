@@ -46,7 +46,7 @@ def test_noiseless_estimate_recovers_separated_geometries(pairs, seed):
     Z, X, _ = synthesize(src, cfg, 50, 0.0, np.random.default_rng(seed))
     est = estimate_2d_aoa(Z, X, len(pairs), cfg, EstimatorMode.NOISELESS)
     # psi separation keeps the true thetas far apart, so sorting pairs them up
-    got = sorted((s.theta_deg, s.phi_deg) for s in est.sources)
+    got = sorted(zip(est.theta_deg[0].tolist(), est.phi_deg[0].tolist()))
     np.testing.assert_allclose(got, sorted(pairs), rtol=0, atol=1e-8)
 
 
@@ -165,7 +165,7 @@ def test_estimate_does_not_depend_on_the_order_of_the_sources(pairs, order, sigm
             est = estimate_2d_aoa(SnapshotMatrix(Y[:8], Subarray.Z), SnapshotMatrix(Y[8:], Subarray.X), len(pairs), cfg)
         except AoaError as exc:
             return type(exc)
-        return sorted((s.theta_deg, s.phi_deg) for s in est.sources)
+        return sorted(zip(est.theta_deg[0].tolist(), est.phi_deg[0].tolist()))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
