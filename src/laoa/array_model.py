@@ -7,7 +7,9 @@ and X axes, sharing the corner element at the origin.  A far-field source at
     psi = 2*pi*(d/lambda)*cos(theta)              (Z-subarray)
     xi  = 2*pi*(d/lambda)*sin(theta)*cos(phi)     (X-subarray)
 
-Angles are degrees at the API boundary and radians internally.
+``electrical_angles`` is this mapping on arrays and ``directions_from_electrical``
+its inverse on a T x q stack; the scalar functions are stacks of one over
+them.  Angles are degrees at the API boundary and radians internally.
 """
 
 from dataclasses import dataclass
@@ -77,16 +79,22 @@ def near_z_axis(theta_deg: float | np.ndarray) -> bool | np.ndarray:
     return np.minimum(theta_deg, 180.0 - theta_deg) < GUARD_DEG
 
 
+def electrical_angles(directions, cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The (psi, xi) of a sequence of directions: two arrays, one entry per direction."""
+    theta = np.deg2rad([d.theta for d in directions])
+    phi = np.deg2rad([d.phi for d in directions])
+    scale = 2.0 * np.pi * cfg.spacing_ratio
+    return scale * np.cos(theta), scale * np.sin(theta) * np.cos(phi)
+
+
 def psi_from_direction(direction: DirectionPair, cfg: ArrayConfig) -> float:
-    """Electrical angle of the Z-subarray: 2*pi*(d/lambda)*cos(theta)."""
-    return 2.0 * np.pi * cfg.spacing_ratio * np.cos(np.deg2rad(direction.theta))
+    """Electrical angle of the Z-subarray: ``electrical_angles`` on a stack of one."""
+    return electrical_angles([direction], cfg)[0][0]
 
 
 def xi_from_direction(direction: DirectionPair, cfg: ArrayConfig) -> float:
-    """Electrical angle of the X-subarray: 2*pi*(d/lambda)*sin(theta)*cos(phi)."""
-    t = np.deg2rad(direction.theta)
-    p = np.deg2rad(direction.phi)
-    return 2.0 * np.pi * cfg.spacing_ratio * np.sin(t) * np.cos(p)
+    """Electrical angle of the X-subarray: ``electrical_angles`` on a stack of one."""
+    return electrical_angles([direction], cfg)[1][0]
 
 
 def steering_vector(electrical_angle: float | np.ndarray, m: int) -> np.ndarray:

@@ -219,13 +219,13 @@ def pair_and_recover(
         If q! exceeds PERMUTATION_BUDGET.
     """
     psi = np.array(psi_hats, dtype=float)
-    xi = np.asarray(xi_hats, dtype=float)
+    xi = np.array(xi_hats, dtype=float)
     if xi.shape != psi.shape:
         raise ValueError("psi and xi sets must have equal length")
     q = psi.shape[-1]
     _check_pairing_budget(q)
     mags_z = np.array(root_mags_z, dtype=float)
-    mags_x = np.asarray(root_mags_x, dtype=float)
+    mags_x = np.array(root_mags_x, dtype=float)
 
     resid, e, live = _pairing_residuals(psi, xi, L, cfg.m, errors)
     paired = np.array([errors[t] is None for t in live], dtype=bool)
@@ -246,20 +246,19 @@ def pair_and_recover(
             "two pairings fit the data almost equally well; keeping the best", PairingAmbiguousWarning, stacklevel=2
         )
 
+    # the paired rows are written in place; every other row is a failed trial's, set to NaN below
     perm = permutation_table(q)[order[:, 0]]
-    xi_paired, mags_x_paired = np.full(psi.shape, np.nan), np.full(psi.shape, np.nan)
-    residual = np.full(len(psi), np.nan)
-    xi_paired[rows] = xi[rows[:, None], perm]
-    mags_x_paired[rows] = mags_x[rows[:, None], perm]
+    xi[rows] = xi[rows[:, None], perm]
+    mags_x[rows] = mags_x[rows[:, None], perm]
+    residual = np.empty(len(psi))
     residual[rows] = np.ldexp(best, e[paired])
-    theta, phi = directions_from_electrical(psi, xi_paired, cfg, errors)
+    theta, phi = directions_from_electrical(psi, xi, cfg, errors)
 
     failed = np.array([exc is not None for exc in errors], dtype=bool)
-    if failed.any():
-        for a in (psi, xi_paired, mags_z, mags_x_paired, residual):
-            a[failed] = np.nan
-        ambiguous[failed] = False
-    return StackEstimate(theta, phi, psi, xi_paired, mags_z, mags_x_paired, residual, ambiguous, errors)
+    for a in (psi, xi, mags_z, mags_x, residual):
+        a[failed] = np.nan
+    ambiguous[failed] = False
+    return StackEstimate(theta, phi, psi, xi, mags_z, mags_x, residual, ambiguous, errors)
 
 
 def _pairing_residuals(

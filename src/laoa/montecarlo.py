@@ -88,8 +88,7 @@ def _match_to_truth(theta_deg: np.ndarray, phi_deg: np.ndarray, truth) -> tuple[
     # to the first permutation in itertools order; a NaN row, a failed trial's,
     # matches to NaN errors
     q = len(truth)
-    true_theta = np.array([t.theta for t in truth])
-    true_phi = np.array([t.phi for t in truth])
+    true_theta, true_phi = np.array([(t.theta, t.phi) for t in truth]).T
     cost = np.abs(theta_deg[:, None, :] - true_theta[:, None]) + np.abs(phi_deg[:, None, :] - true_phi[:, None])
     table = permutation_table(q)
     best = table[np.argmin(cost[:, np.arange(q), table].sum(axis=2), axis=1)]

@@ -12,8 +12,9 @@ Synthesis runs on a stack of trials, each on its own random stream: only
 the draws run per trial, in the seeding contract's order (S's phases, then
 Z's real and imaginary noise, then X's), and the phase scaling, ``exp``,
 the steering products and the noise scaling and adds run once for the
-stack.  ``synthesize`` is a stack of one, and each trial of a stack holds
-exactly what ``synthesize`` gives its stream; ``generate_sources`` and
+stack, with the sources' (psi, xi) from ``array_model.electrical_angles``.
+``synthesize`` is a stack of one, and each trial of a stack holds exactly
+what ``synthesize`` gives its stream; ``generate_sources`` and
 ``generate_noise`` draw the same streams one matrix at a time.
 """
 
@@ -22,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .array_model import ArrayConfig, DirectionPair, psi_from_direction, xi_from_direction, steering_vector
+from .array_model import ArrayConfig, DirectionPair, electrical_angles, steering_vector
 from .errors import UnsupportedScenario
 
 MIN_ELECTRICAL_SEPARATION = 0.1  # radians, circular distance
@@ -107,51 +108,41 @@ def generate_noise(m: int, snapshots: int, sigma2: float, rng: np.random.Generat
     forces the pseudo-covariance E[n n^T] to vanish.
     """
     scale = _noise_scale(sigma2)
-    if scale is None:
+    if scale == 0.0:
         return np.zeros((m, snapshots), dtype=complex)
     return scale * (rng.standard_normal((m, snapshots)) + 1j * rng.standard_normal((m, snapshots)))
 
 
-def _noise_scale(sigma2: float) -> float | None:
-    # the standard deviation sqrt(sigma2 / 2) of each real part, or None at
-    # sigma2 = 0, which draws nothing from the stream
+def _noise_scale(sigma2: float) -> float:
+    # the standard deviation sqrt(sigma2 / 2) of each real part; it is 0.0 only at
+    # sigma2 = 0 (or -0.0), which draws nothing from the stream
     if sigma2 < 0:
         raise ValueError("sigma2 must be >= 0")
-    return None if sigma2 == 0.0 else np.sqrt(sigma2 / 2.0)
-
-
-def electrical_angle_sets(src: SourceSet, cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-source (psi, xi) arrays for a given geometry."""
-    psis = np.array([psi_from_direction(d, cfg) for d in src.directions])
-    xis = np.array([xi_from_direction(d, cfg) for d in src.directions])
-    return psis, xis
-
-
-def _check_separation(values: np.ndarray, label: str) -> None:
-    # circular distance on (-pi, pi]: the steering roots live on the unit circle
-    for i in range(len(values)):
-        for k in range(i + 1, len(values)):
-            delta = abs(values[i] - values[k]) % (2.0 * np.pi)
-            delta = min(delta, 2.0 * np.pi - delta)
-            if delta < MIN_ELECTRICAL_SEPARATION:
-                raise UnsupportedScenario(
-                    f"sources {i} and {k} have {label} separated by only {delta:.4g} rad "
-                    f"(< {MIN_ELECTRICAL_SEPARATION}); steering matrix would be near rank-deficient"
-                )
+    return 0.0 if sigma2 == 0.0 else np.sqrt(sigma2 / 2.0)
 
 
 def separated_angle_sets(src: SourceSet, cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-source (psi, xi) arrays, checked for MIN_ELECTRICAL_SEPARATION.
+
+    Every pair's circular distance on (-pi, pi] is taken at once; the first
+    pair i < k too close is reported, psi's before xi's, in row order.
 
     Raises
     ------
     UnsupportedScenario
         If two sources are closer than MIN_ELECTRICAL_SEPARATION in psi or in xi.
     """
-    psis, xis = electrical_angle_sets(src, cfg)
-    _check_separation(psis, "psi")
-    _check_separation(xis, "xi")
-    return psis, xis
+    angles = np.array(electrical_angles(src.directions, cfg))
+    delta = np.abs(angles[:, :, None] - angles[:, None, :]) % (2.0 * np.pi)
+    delta = np.minimum(delta, 2.0 * np.pi - delta)
+    close = np.argwhere(np.triu(delta < MIN_ELECTRICAL_SEPARATION, 1))
+    if len(close):
+        label, i, k = close[0]
+        raise UnsupportedScenario(
+            f"sources {i} and {k} have {('psi', 'xi')[label]} separated by only {delta[label, i, k]:.4g} rad "
+            f"(< {MIN_ELECTRICAL_SEPARATION}); steering matrix would be near rank-deficient"
+        )
+    return angles[0], angles[1]
 
 
 def synthesize(
@@ -195,7 +186,7 @@ def _synthesize_stack(
             draw[...] = rng.integers(0, 4, size=(q, snapshots))
         else:
             rng.random(out=draw)
-        if scale is None:
+        if scale == 0.0:
             parts.fill(0.0)
         else:
             rng.standard_normal(out=parts)
@@ -209,7 +200,7 @@ def _synthesize_stack(
     Y = np.empty((T, 2 * m, snapshots), dtype=complex)
     np.matmul(steering_vector(psis, m), S, out=Y[:, :m])
     np.matmul(steering_vector(xis, m), S, out=Y[:, m:])
-    noise *= np.array([0.0 if scale is None else scale for scale in scales])[:, None, None, None, None]
+    noise *= np.array(scales)[:, None, None, None, None]
     halves = Y.reshape(T, 2, m, snapshots)
     halves.real += noise[:, :, 0]
     halves.imag += noise[:, :, 1]

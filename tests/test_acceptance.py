@@ -22,7 +22,8 @@ from laoa import (
     synthesize,
 )
 from laoa.montecarlo import monte_carlo, run_trial
-from laoa.synthesis import MIN_ELECTRICAL_SEPARATION, electrical_angle_sets
+from laoa.array_model import electrical_angles
+from laoa.synthesis import MIN_ELECTRICAL_SEPARATION
 
 
 def _report(name, ok):
@@ -38,7 +39,7 @@ def _random_scenario(rng, cfg, q, theta_range=(5.0, 175.0), phi_range=(2.0, 178.
             for _ in range(q)
         )
         src = SourceSet(directions=pairs)
-        psis, xis = electrical_angle_sets(src, cfg)
+        psis, xis = electrical_angles(src.directions, cfg)
         sep_ok = True
         for vals in (psis, xis):
             d = np.abs(vals[:, None] - vals[None, :]) % (2 * np.pi)
@@ -200,7 +201,7 @@ def test_criterion_7_pairing_correctness():
         if max(abs(g[0] - w[0]) + abs(g[1] - w[1]) for g, w in zip(got, want)) < 1e-6:
             correct += 1
         # residual ratio between the wrong and right association
-        psis, xis = electrical_angle_sets(src, cfg)
+        psis, xis = electrical_angles(src.directions, cfg)
         Y = np.vstack([Z.data, X.data])
 
         def resid(xi_order):

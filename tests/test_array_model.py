@@ -9,7 +9,7 @@ from laoa import (
     steering_vector,
     xi_from_direction,
 )
-from laoa.array_model import directions_from_electrical
+from laoa.array_model import directions_from_electrical, electrical_angles
 from laoa.errors import DegenerateElevation, OutOfRange
 
 
@@ -62,8 +62,28 @@ class TestForwardMapping:
             assert abs(psi_from_direction(d, cfg)) <= bound + 1e-12
             assert bound <= np.pi + 1e-12
 
+    def test_array_mapping_keeps_the_scalar_order_of_operations(self):
+        # ((2 pi d/lambda) cos theta) and (((2 pi d/lambda) sin theta) cos phi), bit for bit,
+        # and the scalar functions are its stack of one
+        rng = np.random.default_rng(8)
+        for q in range(1, 8):
+            cfg = ArrayConfig(m=3, spacing_ratio=float(rng.uniform(0.01, 0.5)))
+            dirs = [DirectionPair(float(rng.uniform(0.01, 179.99)), float(rng.uniform(0, 180))) for _ in range(q)]
+            psi, xi = electrical_angles(dirs, cfg)
+            assert psi.shape == xi.shape == (q,)
+            for d, p, x in zip(dirs, psi, xi):
+                t, f = np.deg2rad(d.theta), np.deg2rad(d.phi)
+                assert p == 2.0 * np.pi * cfg.spacing_ratio * np.cos(t) == psi_from_direction(d, cfg)
+                assert x == 2.0 * np.pi * cfg.spacing_ratio * np.sin(t) * np.cos(f) == xi_from_direction(d, cfg)
+
 
 class TestSteeringVector:
+    @pytest.mark.parametrize("m", [1, 0, -2])
+    def test_needs_two_elements(self, m):
+        with pytest.raises(ValueError) as info:
+            steering_vector(0.5, m)
+        assert f"m must be >= 2, got {m}" in str(info.value)
+
     def test_zero_phase(self):
         assert np.array_equal(steering_vector(0.0, 4), np.ones(4, dtype=complex))
 

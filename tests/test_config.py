@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -114,14 +114,43 @@ def test_seed_override():
         ("sources = 30/40, 70/120", "sources = 30/40, 0.5/120", "source 1 at theta = 0.5 deg .* Z axis"),
         ("sources = 30/40, 70/120", "sources = 179.5/40, 70/120", "source 0 at theta = 179.5 deg .* Z axis"),
         ("snr_db_list = 0, 10, 20, 30", "snr_db_list = 10, 0, 10", "repeats an entry"),
+        ("q = 2", "q 2", r"expected 'key = value', got 'q 2' \(line 5\)"),
+        # (0, 2) and (1, 2) are both too close in psi, (1, 2) the closer: the first pair in row order is named
+        ("q = 2\nsources = 30/40, 70/120", "q = 4\nsources = 90/20, 87.8/60, 88.6/100, 140/140",
+         r"^invalid config value: sources 0 and 2 have psi separated by only 0\.07676 rad \(< 0\.1\); "
+         "steering matrix would be near rank-deficient$"),
+        # every psi is far from the others, so xi's check is the one that fails
+        ("q = 2\nsources = 30/40, 70/120", "q = 3\nsources = 30/40, 60/88, 100/89",
+         r"^invalid config value: sources 1 and 2 have xi separated by only 0\.04096 rad \(< 0\.1\); "
+         "steering matrix would be near rank-deficient$"),
+        # psi = +-3.1397 lie 6.279 rad apart on the line but 0.0038 rad apart on the circle
+        ("sources = 30/40, 70/120", "sources = 2/40, 178/120", r"sources 0 and 1 have psi separated by only 0\.003828 rad"),
     ],
     ids=["q_too_large", "too_few_snapshots", "psi_too_close", "xi_too_close",
          "snr_nan", "snr_minus_inf", "snr_overflows", "power_is_not_a_key",
-         "near_z_axis", "near_minus_z_axis", "snr_repeated"],
+         "near_z_axis", "near_minus_z_axis", "snr_repeated", "line_without_equals",
+         "psi_first_pair_named", "xi_only", "psi_across_pi"],
 )
 def test_rejects_scenarios_the_estimator_cannot_handle(old, new, match):
     with pytest.raises(ParseError, match=match):
         parse_config(GOOD.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "change, fragment",
+    [
+        ({"trials": 0}, "trials must be >= 1"),
+        ({"snr_db_list": ()}, "snr_db_list must be nonempty"),
+        ({"seed": -1}, "seed must be a 64-bit unsigned integer"),
+        ({"seed": 2 ** 64}, "seed must be a 64-bit unsigned integer"),
+    ],
+    ids=["no_trials", "no_snr_points", "negative_seed", "seed_past_64_bits"],
+)
+def test_config_object_checks(change, fragment):
+    # ExperimentConfig's own checks, on a config built in code: a file's empty snr_db_list fails in its reader first
+    with pytest.raises(ValueError) as info:
+        replace(parse_config(GOOD), **change)
+    assert fragment in str(info.value)
 
 
 def test_a_source_at_the_elevation_guard_is_accepted():

@@ -19,7 +19,7 @@ from laoa import (
     pair_and_recover,
     synthesize,
 )
-from laoa.array_model import steering_vector
+from laoa.array_model import electrical_angles, steering_vector
 from laoa.errors import (
     AoaError,
     ConvergenceFailure,
@@ -30,7 +30,7 @@ from laoa.errors import (
     UnsupportedScenario,
 )
 from laoa.estimator import PAIRING_AMBIGUITY_REL_TOL, estimate_electrical, estimate_stack, permutation_table
-from laoa.synthesis import Subarray, electrical_angle_sets
+from laoa.synthesis import Subarray
 
 
 def _setup(pairs, m=8, M=50, sigma2=0.0, seed=0, spacing=0.5):
@@ -60,6 +60,29 @@ def _stacked_residual(psis, xis, Y, cfg):
     return float(np.linalg.norm(Y - A @ S))
 
 
+_CFG6 = ArrayConfig(m=6, spacing_ratio=0.5)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: pair_and_recover(np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 12, 12)), _CFG6,
+                                  np.ones((1, 2)), np.ones((1, 3)), [None]), "psi and xi sets must have equal length"),
+        (lambda: pair_and_recover(np.zeros((2, 2)), np.zeros((1, 2)), np.zeros((2, 12, 12)), _CFG6,
+                                  np.ones((2, 2)), np.ones((1, 2)), [None, None]), "psi and xi sets must have equal length"),
+        (lambda: estimate_stack(np.zeros((12, 20), dtype=complex), 2, _CFG6, EstimatorMode.TRUNCATED_SVD),
+         "Y must be T x 2m x M with 2m = 12, got (12, 20)"),
+        (lambda: estimate_stack(np.zeros((1, 6, 20), dtype=complex), 2, _CFG6, EstimatorMode.TRUNCATED_SVD),
+         "Y must be T x 2m x M with 2m = 12, got (1, 6, 20)"),
+    ],
+    ids=["pair_set_sizes_differ", "pair_trial_counts_differ", "stack_not_3d", "stack_rows_not_2m"],
+)
+def test_input_checks(call, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert fragment in str(info.value)
+
+
 class TestEstimateElectrical:
     def test_single_source(self):
         cfg, src, Z, _ = _setup([(60, 90)], m=4, M=10)
@@ -82,7 +105,7 @@ class TestEstimateElectrical:
 class TestPairing:
     def test_single_source_identity(self):
         cfg, src, Z, X = _setup([(60, 45)], m=6, M=30)
-        psis, xis = electrical_angle_sets(src, cfg)
+        psis, xis = electrical_angles(src.directions, cfg)
         errors = [None]
         mags = np.ones((1, 1))
         est = pair_and_recover(psis[None], xis[None], _stacked(Z, X)[None], cfg, mags, mags, errors)
@@ -92,7 +115,7 @@ class TestPairing:
 
     def test_two_sources_correct_pairing(self):
         cfg, src, Z, X = _setup([(30, 40), (70, 120)], m=8, M=50)
-        psis, xis = electrical_angle_sets(src, cfg)
+        psis, xis = electrical_angles(src.directions, cfg)
         Y = _stacked(Z, X)
         errors = [None]
         est = pair_and_recover(psis[None], xis[None], Y[None], cfg, np.ones((1, 2)), np.ones((1, 2)), errors)
@@ -107,7 +130,7 @@ class TestPairing:
     def test_similar_elevations_still_unambiguous(self):
         # elevations as close as min_sep allows; only xi distinguishes the sources
         cfg, src, Z, X = _setup([(60, 60), (66, 120)], m=8, M=50)
-        psis, xis = electrical_angle_sets(src, cfg)
+        psis, xis = electrical_angles(src.directions, cfg)
         errors = [None]
         mags = np.ones((1, 2))
         est = pair_and_recover(psis[None], xis[None], _stacked(Z, X)[None], cfg, mags, mags, errors)
@@ -171,7 +194,7 @@ class TestPairingOracle:
     def test_matches_lstsq_per_permutation(self, q, M_of_q, sigma2, jitter):
         M = M_of_q(q)
         cfg, src, Z, X = _setup(FIVE_SOURCES[:q], m=8, M=M, sigma2=sigma2, seed=10 * q + M)
-        psis, xis = electrical_angle_sets(src, cfg)
+        psis, xis = electrical_angles(src.directions, cfg)
         rng = np.random.default_rng(q)
         # estimate-like inputs: perturbed and each set sorted on its own
         psis = sorted(np.asarray(psis) + rng.normal(0, jitter, q))

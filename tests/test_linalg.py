@@ -28,6 +28,22 @@ def eig_singular_values(A):
 
 
 class TestSvd:
+    @pytest.mark.parametrize(
+        "A, fragment",
+        [
+            (np.zeros((0, 3, 2)), "svd expects a nonempty stack of matrices"),
+            (np.zeros((2, 0, 2)), "svd expects a nonempty stack of matrices"),
+            (np.eye(3), "svd expects a nonempty stack of matrices"),
+            (np.ones(4), "svd expects a nonempty stack of matrices"),
+            (np.full((1, 2, 2), np.inf), "svd input contains non-finite entries"),
+        ],
+        ids=["no_items", "empty_items", "one_matrix", "vector", "non_finite"],
+    )
+    def test_input_checks(self, A, fragment):
+        with pytest.raises(ValueError) as info:
+            svd(A, [None] * max(1, len(A)))
+        assert fragment in str(info.value)
+
     def test_diagonal(self):
         errors = [None]
         U, sigma, V = (f[0] for f in svd(np.diag([3.0, 1.0]).astype(complex)[None], errors))
@@ -188,9 +204,9 @@ class TestSolveCoeffs:
         errors = [None]
         c, reduced = solve_coeffs(*build_lp_system(Z.data.T[None]), 2, EstimatorMode.TRUNCATED_SVD, errors)
         assert errors == [None] and reduced.tolist() == [-1]
-        from laoa.synthesis import electrical_angle_sets
+        from laoa.array_model import electrical_angles
 
-        psis, _ = electrical_angle_sets(src, cfg)
+        psis, _ = electrical_angles(src.directions, cfg)
         poly = np.concatenate(([1.0], c[0]))
         for psi in psis:
             y = np.exp(1j * psi)

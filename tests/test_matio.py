@@ -71,6 +71,16 @@ def test_comments_and_blank_lines(tmp_path):
     np.testing.assert_array_equal(snap.data, [[1 + 2j], [3 + 4j]])
 
 
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "\n   # indented comment\n\n\t\n"],
+                         ids=["empty", "comment", "comments_and_blanks"])
+def test_a_file_without_a_header_is_empty(tmp_path, text):
+    path = tmp_path / "m.mat"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        read_matrix_file(path)
+    assert "empty matrix file" in str(info.value)
+
+
 def test_short_row_reports_line(tmp_path):
     path = tmp_path / "m.mat"
     path.write_text("aoa-matrix 1 2 3 Z\n1:0 2:0 3:0\n1:0 2:0\n")

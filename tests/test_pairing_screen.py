@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import laoa.estimator
-from laoa import ArrayConfig, DirectionPair, SourceSet, pair_and_recover
-from laoa.array_model import steering_vector
+from laoa import ArrayConfig, DirectionPair, pair_and_recover
+from laoa.array_model import electrical_angles, steering_vector
 from laoa.errors import ConvergenceFailure, PairingAmbiguousWarning
 from laoa.estimator import (
     PAIRING_BLOCK,
@@ -26,11 +26,10 @@ from laoa.estimator import (
     permutation_table,
 )
 from laoa.linalg import lapack_stack
-from laoa.synthesis import electrical_angle_sets
 
 CFG = ArrayConfig(m=8, spacing_ratio=0.5)
 FIVE_SOURCES = [(30, 40), (60, 100), (100, 60), (140, 130), (80, 150)]
-TRUE_PSI, TRUE_XI = electrical_angle_sets(SourceSet(tuple(DirectionPair(t, p) for t, p in FIVE_SOURCES)), CFG)
+TRUE_PSI, TRUE_XI = electrical_angles([DirectionPair(t, p) for t, p in FIVE_SOURCES], CFG)
 
 
 def _exhaustive_pairing_residuals(

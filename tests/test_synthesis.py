@@ -5,6 +5,7 @@ from laoa import (
     ArrayConfig,
     DirectionPair,
     SignalModel,
+    SnapshotMatrix,
     SourceSet,
     build_lp_system,
     generate_noise,
@@ -13,13 +14,33 @@ from laoa import (
     synthesize,
 )
 from laoa.errors import UnsupportedScenario
-from laoa.synthesis import _synthesize_stack, electrical_angle_sets
+from laoa.array_model import electrical_angles
+from laoa.synthesis import MIN_ELECTRICAL_SEPARATION, Subarray, _synthesize_stack, separated_angle_sets
 
 CFG = ArrayConfig(m=6, spacing_ratio=0.5)
 
 
 def _sources(*pairs):
     return SourceSet(directions=tuple(DirectionPair(t, p) for t, p in pairs))
+
+
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: SourceSet(directions=()), "need at least one source"),
+        (lambda: SnapshotMatrix(np.zeros((1, 5)), Subarray.Z), "must be m x M with m >= 2, M >= 1, got (1, 5)"),
+        (lambda: SnapshotMatrix(np.zeros((3, 0)), Subarray.X), "must be m x M with m >= 2, M >= 1, got (3, 0)"),
+        (lambda: SnapshotMatrix(np.zeros(4), Subarray.Z), "must be m x M with m >= 2, M >= 1, got (4,)"),
+        (lambda: SnapshotMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]), Subarray.Z), "contains non-finite entries"),
+        (lambda: SnapshotMatrix(np.array([[1.0, 0.0], [np.inf, 1.0]]), Subarray.X), "contains non-finite entries"),
+        (lambda: generate_noise(2, 3, -1e-300, np.random.default_rng(0)), "sigma2 must be >= 0"),
+    ],
+    ids=["no_sources", "one_row", "no_snapshots", "not_a_matrix", "nan_entry", "inf_entry", "negative_noise"],
+)
+def test_input_checks(build, fragment):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert fragment in str(info.value)
 
 
 class TestGenerateSources:
@@ -97,6 +118,35 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="separated"):
             synthesize(src, CFG, 20, 0.0, np.random.default_rng(10))
 
+    def test_separation_check_matches_the_pairwise_loop(self):
+        # the loop over pairs that the array check replaced, as the reference: the same
+        # first pair (psi before xi, i < k in row order) and the same distance, or no error
+        def loop_message(angles):
+            for label, values in zip(("psi", "xi"), angles):
+                for i in range(len(values)):
+                    for k in range(i + 1, len(values)):
+                        delta = abs(values[i] - values[k]) % (2.0 * np.pi)
+                        delta = min(delta, 2.0 * np.pi - delta)
+                        if delta < MIN_ELECTRICAL_SEPARATION:
+                            return f"sources {i} and {k} have {label} separated by only {delta:.4g} rad "
+            return None
+
+        rng = np.random.default_rng(12)
+        outcomes = set()
+        for _ in range(300):
+            q = int(rng.integers(2, 8))
+            cfg = ArrayConfig(m=9, spacing_ratio=float(rng.uniform(0.05, 0.5)))
+            src = _sources(*zip(rng.uniform(1, 179, q).tolist(), rng.uniform(0, 180, q).tolist()))
+            want = loop_message(electrical_angles(src.directions, cfg))
+            try:
+                separated_angle_sets(src, cfg)
+                got = None
+            except UnsupportedScenario as exc:
+                got = str(exc).split("(<")[0]
+            assert got == want
+            outcomes.add(None if want is None else want.split()[5])
+        assert outcomes == {None, "psi", "xi"}
+
     def test_determinism(self):
         src = _sources((40, 30), (110, 100))
         a = synthesize(src, CFG, 30, 0.5, np.random.default_rng(11))
@@ -132,13 +182,13 @@ class TestDrawOrder:
     SRC = ((60, 45), (100, 120))
 
     @pytest.mark.parametrize("model", list(SignalModel))
-    @pytest.mark.parametrize("sigma2", [0.3, 0.0])
+    @pytest.mark.parametrize("sigma2", [0.3, 0.0, -0.0])
     def test_synthesize_is_sources_then_z_noise_then_x_noise(self, model, sigma2):
         src = SourceSet(directions=tuple(DirectionPair(t, p) for t, p in self.SRC), signal_model=model)
         Z, X, S = synthesize(src, CFG, 40, sigma2, np.random.default_rng(7))
         rng = np.random.default_rng(7)
         S_want = generate_sources(src, 40, rng)
-        psis, xis = electrical_angle_sets(src, CFG)
+        psis, xis = electrical_angles(src.directions, CFG)
         Z_want = steering_vector(psis, CFG.m) @ S_want + generate_noise(CFG.m, 40, sigma2, rng)
         X_want = steering_vector(xis, CFG.m) @ S_want + generate_noise(CFG.m, 40, sigma2, rng)
         assert S.tobytes() == S_want.tobytes()
@@ -152,7 +202,7 @@ class TestDrawOrder:
         src = _sources(*self.SRC)
         sigma2, seeds = [0.3, 0.0, 0.3], [8, 9, 10]
         Y, S = _synthesize_stack(src, CFG, 40, sigma2, [np.random.default_rng(seed) for seed in seeds])
-        psis, xis = electrical_angle_sets(src, CFG)
+        psis, xis = electrical_angles(src.directions, CFG)
         A = np.vstack([steering_vector(psis, CFG.m), steering_vector(xis, CFG.m)])
         for y, s, v, seed in zip(Y, S, sigma2, seeds, strict=True):
             Z, X, S_one = synthesize(src, CFG, 40, v, np.random.default_rng(seed))
