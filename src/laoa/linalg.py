@@ -1,8 +1,10 @@
 """Complex dense SVD, the truncated-SVD coefficient solve and stacked LAPACK calls.
 
 The SVD is LAPACK's (through ``np.linalg.svd``).  The coefficient solve
-inverts the q largest singular values (truncated SVD) or every numerically
-nonzero one (plain minimum-norm least squares).  The solve sums
+has one rank rule for both modes: an item's numerical rank counts its
+singular values above REL_RANK_TOL * sigma_1.  Plain minimum-norm least
+squares inverts that many; the truncated SVD inverts the q largest, or
+that many where the rank falls below q.  The solve sums
 u_k v_k^H / sigma_k, which does not depend on the phase LAPACK picks for
 each singular pair.
 
@@ -139,16 +141,13 @@ def solve_coeffs(
         if errors[i] is None:
             errors[i] = ConvergenceFailure("coefficient solve overflowed: the largest singular value of P is not finite")
     cutoff = np.where(s1 > 0, REL_RANK_TOL * s1, 0.0)
+    rank = np.sum(sigma > cutoff[:, None], axis=1)
 
     reduced = np.full(len(P), -1)
     if mode is EstimatorMode.TRUNCATED_SVD:
-        rank = np.full(len(P), q)
-        for i in np.flatnonzero(sigma[:, q - 1] <= cutoff):
-            rank[i] = np.sum(sigma[i, :q] > cutoff[i])
-            if errors[i] is None:
-                reduced[i] = rank[i]
-    else:
-        rank = np.sum(sigma > cutoff[:, None], axis=1)
+        rank = np.minimum(rank, q)
+        short = (rank < q) & np.array([exc is None for exc in errors])
+        reduced[short] = rank[short]
 
     inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=np.arange(sigma.shape[1]) < rank[:, None])
     c = ((V * inv[:, None, :]) @ (U.conj().swapaxes(1, 2) @ P1[:, :, None]))[:, :, 0]

@@ -97,7 +97,7 @@ def _parse_bulk(body, rows, cols):
 
 def _parse_entries(body, rows, cols):
     """Parse entry by entry, raising a ``ParseError`` at the first bad row or entry."""
-    data = np.empty((rows, cols), dtype=complex)
+    entries = []
     for r, (lineno, line) in enumerate(body):
         tokens = line.split()
         if len(tokens) != cols:
@@ -108,9 +108,10 @@ def _parse_entries(body, rows, cols):
         for c, tok in enumerate(tokens):
             try:
                 re_s, im_s = tok.split(":")
-                data[r, c] = complex(float(re_s), float(im_s))
+                entries.append(complex(float(re_s), float(im_s)))
             except ValueError:
                 raise ParseError(f"bad complex entry {tok!r}", line=lineno, column=c + 1)
+    data = np.array(entries, dtype=complex).reshape(rows, cols)  # sized by the rows read, not by the header
     if not np.all(np.isfinite(data)):
         # one whole-array check; the position is looked up only on failure
         r, c = np.argwhere(~np.isfinite(data))[0]

@@ -246,11 +246,11 @@ def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarlo
         n = int(np.count_nonzero(ok))
         stats = [(None,) * 4] * cfg.q  # AllTrialsFailed: the rows have empty statistics
         if n:
-            # one contiguous 2q x n block, each source's errors a row: a row reduced along the
-            # last axis is summed as its 1-D array is, in np.mean's pairwise order
+            # one contiguous 2q x n block, each source's errors a row: a row's mean along the
+            # last axis is summed as its 1-D array's is, in pairwise order
             block = np.ascontiguousarray(errors[point][ok].T)
-            rms = np.sqrt(np.add.reduce(block**2, axis=-1) / n).tolist()
-            mean = (np.add.reduce(block, axis=-1) / n).tolist()
+            rms = np.sqrt((block**2).mean(axis=-1)).tolist()
+            mean = block.mean(axis=-1).tolist()
             stats = zip(rms[:cfg.q], rms[cfg.q:], mean[:cfg.q], mean[cfg.q:])
         for source_index, row_stats in enumerate(stats):
             rows.append(dict(zip(columns, (snr_db, source_index, *row_stats, cfg.trials - n, cfg.trials))))

@@ -5,7 +5,7 @@ model its signal roots lie exactly on the unit circle at e^{j*psi_l}.  Roots
 are the eigenvalues of the companion matrix (as in ``np.roots``), a
 backward-stable method (Edelman & Murakami, Math. Comp. 1995), each polished
 by one Newton step on P itself and then checked against a relative residual
-bound.
+bound, which evaluates P and its majorant with ``np.polyval``.
 
 Each function takes a stack of polynomials or root sets (one row per trial)
 and its ``errors`` list, as every layer does (see ``laoa.linalg``).  The
@@ -58,9 +58,12 @@ def find_roots(c: np.ndarray, errors: list) -> np.ndarray:
             # one Newton step on P polishes the eigenvalues to P's own roots
             value, slope = _horner(a, r)
             r = r - value / slope
-            residual = np.abs(_polyval(a, r))
+            # np.polyval runs y = y * r + p_k over p's first axis, so p_k can be a column:
+            # coefficient k of every row, highest degree first
+            coeffs = a.T[::-1, :, None]
+            residual = np.abs(np.polyval(coeffs, r))
             # relative to 1 + sum_k |c_k| |y|^k; written as "not <=" so NaN fails too
-            bad = ~(residual <= RESIDUAL_TOL * _polyval(np.abs(a), np.abs(r)))
+            bad = ~(residual <= RESIDUAL_TOL * np.polyval(np.abs(coeffs), np.abs(r)))
             for j in np.flatnonzero(bad.any(axis=1)):
                 if errors[idx[j]] is None:
                     errors[idx[j]] = ConvergenceFailure(f"root {r[j, np.argmax(bad[j])]} fails the residual bound")
@@ -78,15 +81,6 @@ def _horner(poly: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p *= y
         p += poly[:, k:k + 1]
     return p, dp
-
-
-def _polyval(poly: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # the value alone, in the same steps as np.polyval
-    p = np.zeros_like(y)
-    for k in range(poly.shape[1] - 1, -1, -1):
-        p *= y
-        p += poly[:, k:k + 1]
-    return p
 
 
 def select_unit_roots(roots: np.ndarray, q: int, errors: list) -> np.ndarray:

@@ -115,9 +115,9 @@ def generate_noise(m: int, snapshots: int, sigma2: float, rng: np.random.Generat
 
 def _noise_scale(sigma2: float) -> float:
     # the standard deviation sqrt(sigma2 / 2) of each real part; it is 0.0 only at
-    # sigma2 = 0 (or -0.0), which draws nothing from the stream
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be >= 0")
+    # sigma2 = 0 (or -0.0), which draws nothing from the stream; "not" rejects NaN too
+    if not 0 <= sigma2 < np.inf:
+        raise ValueError(f"sigma2 must be >= 0 and finite, got {sigma2}")
     return 0.0 if sigma2 == 0.0 else np.sqrt(sigma2 / 2.0)
 
 
@@ -156,8 +156,11 @@ def synthesize(
 
     Both subarrays observe the same source matrix S; the noise draws are
     independent.  S is returned so tests can use it as an oracle.  Z and X
-    are the two halves of one new 2m x M array, [Z; X].
+    are the two halves of one new 2m x M array, [Z; X].  It checks what an
+    ``ExperimentConfig`` checks for a Monte Carlo stack: separation, M >= q.
     """
+    separated_angle_sets(src, cfg)
+    _check_snapshots(src.q, snapshots)
     Y, S = _synthesize_stack(src, cfg, snapshots, [sigma2], [rng])
     return SnapshotMatrix(Y[0, :cfg.m], Subarray.Z), SnapshotMatrix(Y[0, cfg.m:], Subarray.X), S[0]
 
@@ -172,10 +175,10 @@ def _synthesize_stack(
     # generate_noise draw (rng.uniform(0, 2 pi) is 2 pi times rng.random).  The phase
     # scaling, exp, the two matmuls, the noise scaling and the adds to the real and
     # imaginary views of Y then run once for the stack.  A trial at sigma2 = 0 draws no
-    # noise and adds zeros, as generate_noise's zeros do: -0.0 becomes +0.0
-    psis, xis = separated_angle_sets(src, cfg)
+    # noise and adds zeros, as generate_noise's zeros do: -0.0 becomes +0.0.  The sources'
+    # separation and M >= q are the caller's to check
+    psis, xis = electrical_angles(src.directions, cfg)
     q, m = src.q, cfg.m
-    _check_snapshots(q, snapshots)
     scales = [_noise_scale(s) for s in sigma2]
     T = len(scales)
     qpsk = src.signal_model is SignalModel.QPSK

@@ -14,7 +14,7 @@ from laoa import (
     synthesize,
 )
 from laoa.errors import ConvergenceFailure, NotEnoughRoots, RankDeficiencyWarning, UnsupportedScenario
-from laoa.linalg import lapack_stack
+from laoa.linalg import REL_RANK_TOL, lapack_stack
 
 
 def random_complex(rng, rows, cols):
@@ -253,6 +253,78 @@ class TestSolveCoeffs:
         _, reduced = solve_coeffs(P, P1, 1, EstimatorMode.TRUNCATED_SVD, errors)
         assert isinstance(errors[0], ConvergenceFailure) and reduced.tolist() == [-1]
         assert "non-finite coefficients" in str(errors[0])
+
+    @staticmethod
+    def loop_solve_coeffs(P, P1, q, mode, errors):
+        # the per-item rank loop the one vectorized rank replaced, as the reference
+        U, sigma, V = svd(P, errors)
+        s1 = sigma[:, 0]
+        for i in np.flatnonzero(~np.isfinite(s1)):
+            if errors[i] is None:
+                errors[i] = ConvergenceFailure("coefficient solve overflowed: the largest singular value of P is not finite")
+        cutoff = np.where(s1 > 0, REL_RANK_TOL * s1, 0.0)
+        reduced = np.full(len(P), -1)
+        if mode is EstimatorMode.TRUNCATED_SVD:
+            rank = np.full(len(P), q)
+            for i in np.flatnonzero(sigma[:, q - 1] <= cutoff):
+                rank[i] = np.sum(sigma[i, :q] > cutoff[i])
+                if errors[i] is None:
+                    reduced[i] = rank[i]
+        else:
+            rank = np.sum(sigma > cutoff[:, None], axis=1)
+        inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=np.arange(sigma.shape[1]) < rank[:, None])
+        c = ((V * inv[:, None, :]) @ (U.conj().swapaxes(1, 2) @ P1[:, :, None]))[:, :, 0]
+        for i in np.flatnonzero(~np.all(np.isfinite(c), axis=1)):
+            if errors[i] is None:
+                errors[i] = ConvergenceFailure("coefficient solve gave non-finite coefficients")
+        return c, reduced
+
+    @staticmethod
+    def rank_edge_stack(rng, n, k, q):
+        # one n x k system per kind: full rank, all zero, zero columns from the q-th on (an exact
+        # zero q-th singular value), a product of rank q - 1, the q-th singular value just above or
+        # below REL_RANK_TOL * sigma_1, and a diagonal whose q-th value is that cutoff exactly.  At
+        # q = 1 the cutoff scales with the q-th value itself, so only the all-zero items fall short
+        def with_sigma(s):
+            W = np.linalg.qr(random_complex(rng, n, k))[0]
+            Vh = np.linalg.qr(random_complex(rng, k, k))[0]
+            return (W * s) @ Vh
+        s = np.sort(rng.uniform(0.5, 2.0, k))[::-1]
+        edge = []
+        for factor in (1.001, 0.999):
+            t = s.copy()
+            t[q - 1:] = REL_RANK_TOL * s[0] * factor * np.linspace(1.0, 0.5, k - q + 1)
+            edge.append(with_sigma(t))
+        zero_cols = random_complex(rng, n, k)
+        zero_cols[:, q - 1:] = 0
+        diagonal = np.zeros((n, k), dtype=complex)
+        diagonal[np.arange(k), np.arange(k)] = np.concatenate((s[:q - 1], [REL_RANK_TOL * s[0]], np.zeros(k - q)))
+        low = random_complex(rng, n, q - 1) @ random_complex(rng, q - 1, k) if q > 1 else np.zeros((n, k))
+        return np.stack([random_complex(rng, n, k), np.zeros((n, k)), zero_cols, low, *edge, diagonal]).astype(complex)
+
+    @pytest.mark.parametrize("mode", list(EstimatorMode))
+    def test_one_rank_rule_gives_the_loops_bits(self, mode):
+        rng = np.random.default_rng(37)
+        outcomes = set()
+        for m in range(3, 9):
+            k = m - 1
+            for q in range(1, m - 1):
+                n = int(rng.integers(k, 3 * k + 1))
+                P = np.concatenate([self.rank_edge_stack(rng, n, k, q) for _ in range(3)])
+                P1 = random_complex(rng, len(P), n)
+                preset = rng.random(len(P)) < 0.25
+                errors = [ConvergenceFailure("preset") if p else None for p in preset]
+                want_errors = list(errors)
+                c, reduced = solve_coeffs(P, P1, q, mode, errors)
+                want_c, want_reduced = self.loop_solve_coeffs(P, P1, q, mode, want_errors)
+                assert c.tobytes() == want_c.tobytes()
+                assert reduced.tolist() == want_reduced.tolist()
+                assert [repr(e) for e in errors] == [repr(e) for e in want_errors]
+                outcomes.update(reduced.tolist())
+        if mode is EstimatorMode.TRUNCATED_SVD:
+            assert {-1, 0, 1, 2}.issubset(outcomes)
+        else:
+            assert outcomes == {-1}
 
     def test_solution_ignores_singular_vector_phases(self, monkeypatch):
         src = SourceSet(directions=(DirectionPair(30, 40), DirectionPair(70, 120)))

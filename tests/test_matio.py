@@ -88,6 +88,14 @@ def test_short_row_reports_line(tmp_path):
         read_matrix_file(path)
 
 
+def test_a_huge_declared_width_is_checked_before_any_allocation(tmp_path):
+    # 2 x 10^12 complex entries would be 29.1 TiB; the first row refutes the header first
+    path = tmp_path / "m.mat"
+    path.write_text("aoa-matrix 1 2 1000000000000 Z\n1:2 3:4\n5:6 7:8\n")
+    with pytest.raises(ParseError, match=r"^row 1 has 2 entries, header declares 1000000000000 \(line 2\)$"):
+        read_matrix_file(path)
+
+
 def test_row_count_mismatch(tmp_path):
     path = tmp_path / "m.mat"
     path.write_text("aoa-matrix 1 3 1 Z\n1:0\n2:0\n")

@@ -80,6 +80,61 @@ class TestFindRoots:
             )
 
 
+class TestResidualPolyval:
+    """``np.polyval``, as the residual bound calls it, against the Horner loop it replaced."""
+
+    @staticmethod
+    def loop_polyval(poly, y):
+        # the replaced loop: each row's value, coefficients ascending, in np.polyval's steps
+        p = np.zeros_like(y)
+        for k in range(poly.shape[1] - 1, -1, -1):
+            p *= y
+            p += poly[:, k:k + 1]
+        return p
+
+    @staticmethod
+    def numpy_polyval(poly, y):
+        return np.polyval(poly.T[::-1, :, None], y)
+
+    @staticmethod
+    def stacks(rng, special):
+        # (coefficients, points) of 2..40 rows of degree 1..7, complex and, as the majorant takes them, absolute
+        for _ in range(400):
+            d, n = int(rng.integers(1, 8)), int(rng.integers(2, 41))
+            a = rng.standard_normal((n, d + 1)) + 1j * rng.standard_normal((n, d + 1))
+            r = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+            for x in (a, r):
+                hit = rng.random(x.shape) < 0.1
+                x[hit] = rng.choice(special, size=x.shape)[hit]
+            yield a, r
+            yield np.abs(a), np.abs(r)
+
+    def test_finite_stacks_give_the_same_bits(self):
+        for a, r in self.stacks(np.random.default_rng(33), np.array([0.0, -0.0, 1.0, 1j])):
+            assert self.numpy_polyval(a, r).tobytes() == self.loop_polyval(a, r).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_and_inf_entries_give_the_same_bits_but_a_nan_sign(self):
+        # a NaN's sign can differ between an in-place and an out-of-place multiply;
+        # the bound takes the residual's modulus and fails on any NaN, so every NaN counts as one
+        special = np.array([np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(0, -np.inf), complex(np.nan, 1)])
+        for a, r in self.stacks(np.random.default_rng(34), special):
+            got, want = self.numpy_polyval(a, r), self.loop_polyval(a, r)
+            for v in (got, want):
+                v.view(float)[np.isnan(v.view(float))] = np.nan
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_single_value_is_evaluated_as_in_a_stack(self):
+        # numpy multiplies a one-element complex array in place by another path than a longer
+        # one, so the loop's bits for one row of degree 1 could differ by an ulp from the same
+        # row in a longer stack; np.polyval multiplies out of place and gives the stack's bits
+        rng = np.random.default_rng(35)
+        a = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+        r = rng.standard_normal((200, 1)) + 1j * rng.standard_normal((200, 1))
+        alone = np.concatenate([self.numpy_polyval(a[i:i + 1], r[i:i + 1]) for i in range(200)])
+        assert alone.tobytes() == self.numpy_polyval(a, r).tobytes() == self.loop_polyval(a, r).tobytes()
+
+
 class TestSelectUnitRoots:
     def test_unique_minimizer(self):
         roots = [0.5 + 0j, 1.01 * np.exp(1j * np.pi / 4), 3j]

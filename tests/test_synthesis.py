@@ -34,8 +34,11 @@ def _sources(*pairs):
         (lambda: SnapshotMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]), Subarray.Z), "contains non-finite entries"),
         (lambda: SnapshotMatrix(np.array([[1.0, 0.0], [np.inf, 1.0]]), Subarray.X), "contains non-finite entries"),
         (lambda: generate_noise(2, 3, -1e-300, np.random.default_rng(0)), "sigma2 must be >= 0"),
+        (lambda: generate_noise(2, 3, np.nan, np.random.default_rng(0)), "sigma2 must be >= 0"),
+        (lambda: synthesize(_sources((60, 45)), CFG, 3, np.inf, np.random.default_rng(0)), "sigma2 must be >= 0"),
     ],
-    ids=["no_sources", "one_row", "no_snapshots", "not_a_matrix", "nan_entry", "inf_entry", "negative_noise"],
+    ids=["no_sources", "one_row", "no_snapshots", "not_a_matrix", "nan_entry", "inf_entry", "negative_noise",
+         "nan_noise", "inf_noise"],
 )
 def test_input_checks(build, fragment):
     with pytest.raises(ValueError) as info:
