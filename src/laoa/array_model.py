@@ -1,7 +1,9 @@
 """L-shaped array geometry and electrical-angle mappings.
 
 The array consists of two orthogonal uniform linear subarrays along the Z
-and X axes, sharing the corner element at the origin.  A far-field source at
+and X axes, each with its first element at the origin.  The model samples
+that corner once per subarray, each time with its own noise, as two
+co-located elements would, so it has 2m elements.  A far-field source at
 (theta, phi) induces a per-element phase increment on each subarray:
 
     psi = 2*pi*(d/lambda)*cos(theta)              (Z-subarray)
@@ -29,8 +31,9 @@ class ArrayConfig:
     Parameters
     ----------
     m : int
-        Elements per subarray (the corner element is shared, so the physical
-        array has 2m - 1 elements).
+        Elements per subarray.  Both subarrays start at the corner, and each
+        samples it with its own noise, so the model has 2m elements, not the
+        2m - 1 of an L whose corner element is shared.
     spacing_ratio : float
         Inter-element spacing in wavelengths, d/lambda.  Capped at 0.5 to
         rule out spatial aliasing.

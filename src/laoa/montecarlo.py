@@ -24,6 +24,15 @@ its stack nor its worker, so the report is byte-identical for any worker
 count and any split into stacks.  Estimator failures at low SNR are counted
 per SNR point, not raised: the failure rate is itself a result.
 
+A stack's array is the first T trials of the calling thread's snapshot
+buffer (a ``threading.local``), which outlives the stack: it holds the last
+stack's T x 2m x M snapshots, grows to the largest stack of one (2m, M), is
+replaced at another (2m, M), and is kept across stacks and sweeps only if
+it fits STACK_BYTES.  So a thread that has run a stack holds at most
+STACK_BYTES, a stack that reuses the buffer faults in no fresh pages, and a
+one-trial stack too large for it is freed as it ends.  ``synthesize`` never
+uses it: it returns views of an array of its own.
+
 A sweep of more than one task runs task k in worker process k % workers.
 The workers are started for the sweep (forked, where that is the start
 method) and joined before ``monte_carlo`` returns, so no process or thread
@@ -35,6 +44,7 @@ next send and exits, whatever the start method.
 
 import multiprocessing
 import os
+import threading
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import repeat
@@ -49,6 +59,9 @@ from .synthesis import _synthesize_stack
 STACK_BYTES = 1 << 20
 
 CSV_HEADER = "snr_db,source_index,rmse_theta_deg,rmse_phi_deg,bias_theta_deg,bias_phi_deg,failure_count,trials"
+
+# the calling thread's snapshot buffer, kept across stacks and sweeps (see _snapshot_buffer)
+_thread = threading.local()
 
 # splitmix64 avalanche constants; part of the external seeding contract.
 _MASK = (1 << 64) - 1
@@ -102,7 +115,8 @@ def run_trials(cfg: ExperimentConfig, cells) -> tuple[np.ndarray, np.ndarray, li
     ``cells`` is a sequence of (snr_index, trial_index) pairs, which may
     belong to several SNR points.  Each trial draws on its own stream, at
     the noise variance of its point in ``cfg.snr_db_list``, into one
-    T x 2m x M stack, which ``estimate_stack`` runs in one pass; each result
+    T x 2m x M stack, the calling thread's snapshot buffer (see the module
+    docstring), which ``estimate_stack`` runs in one pass; each result
     is exactly the one the trial gets alone.  The draws run per trial and
     the rest of the synthesis once for the stack
     (``synthesis._synthesize_stack``); each slice holds exactly the data
@@ -115,10 +129,20 @@ def run_trials(cfg: ExperimentConfig, cells) -> tuple[np.ndarray, np.ndarray, li
     sigma2 = [cfg.noise_variance(snr_db) for snr_db in cfg.snr_db_list]
     rngs = (np.random.default_rng(trial_seed(cfg.seed, si, ti)) for si, ti in cells)
     array = cfg.array_config()
-    Y = _synthesize_stack(cfg.source_set(), array, cfg.M, [sigma2[si] for si, _ in cells], rngs)[0]
+    Y = _snapshot_buffer(len(cells), 2 * cfg.m, cfg.M)
+    _synthesize_stack(cfg.source_set(), array, cfg.M, [sigma2[si] for si, _ in cells], rngs, Y)
     est = estimate_stack(Y, cfg.q, array, cfg.mode)
     theta_err, phi_err = _match_to_truth(est.theta_deg, est.phi_deg, cfg.sources)
     return theta_err, phi_err, [None if exc is None else type(exc).__name__ for exc in est.errors]
+
+
+def _snapshot_buffer(T: int, rows: int, M: int) -> np.ndarray:
+    # the first T trials of the calling thread's snapshot buffer (see the module docstring)
+    buffer = getattr(_thread, "snapshots", None)
+    if buffer is None or buffer.shape[1:] != (rows, M) or len(buffer) < T:
+        buffer = np.empty((T, rows, M), dtype=complex)
+        _thread.snapshots = buffer if buffer.nbytes <= STACK_BYTES else None
+    return buffer[:T]
 
 
 def run_trial(cfg: ExperimentConfig, snr_index: int, trial_index: int) -> tuple[np.ndarray, np.ndarray, list]:

@@ -72,14 +72,14 @@ def find_roots(c: np.ndarray, errors: list) -> np.ndarray:
 
 
 def _horner(poly: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # value and derivative at every y of each row's polynomial, coefficients ascending
+    # value and derivative at every y of each row's polynomial, coefficients ascending; the
+    # products are out of place, as np.polyval's are: numpy multiplies a one-element complex
+    # array in place by another path, so a lone degree-1 row would get other bits than in a stack
     p = np.zeros_like(y)
     dp = np.zeros_like(y)
     for k in range(poly.shape[1] - 1, -1, -1):
-        dp *= y
-        dp += p
-        p *= y
-        p += poly[:, k:k + 1]
+        dp = dp * y + p
+        p = p * y + poly[:, k:k + 1]
     return p, dp
 
 

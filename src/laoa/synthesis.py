@@ -13,8 +13,12 @@ the draws run per trial, in the seeding contract's order (S's phases, then
 Z's real and imaginary noise, then X's), and the phase scaling, ``exp``,
 the steering products and the noise scaling and adds run once for the
 stack, with the sources' (psi, xi) from ``array_model.electrical_angles``.
-``synthesize`` is a stack of one, and each trial of a stack holds exactly
-what ``synthesize`` gives its stream; ``generate_sources`` and
+The stack fills a T x 2m x M array its caller supplies: ``synthesize``, a
+stack of one, allocates its own and returns views of it, and a Monte Carlo
+stack passes the first T trials of its thread's snapshot buffer, which holds
+the thread's last stack and outlives it only if it fits
+``montecarlo.STACK_BYTES`` (see ``laoa.montecarlo``).  Each trial of a stack
+holds exactly what ``synthesize`` gives its stream; ``generate_sources`` and
 ``generate_noise`` draw the same streams one matrix at a time.
 """
 
@@ -161,15 +165,17 @@ def synthesize(
     """
     separated_angle_sets(src, cfg)
     _check_snapshots(src.q, snapshots)
-    Y, S = _synthesize_stack(src, cfg, snapshots, [sigma2], [rng])
+    Y = np.empty((1, 2 * cfg.m, snapshots), dtype=complex)
+    S = _synthesize_stack(src, cfg, snapshots, [sigma2], [rng], Y)
     return SnapshotMatrix(Y[0, :cfg.m], Subarray.Z), SnapshotMatrix(Y[0, cfg.m:], Subarray.X), S[0]
 
 
-def _synthesize_stack(
-    src: SourceSet, cfg: ArrayConfig, snapshots: int, sigma2, rngs
-) -> tuple[np.ndarray, np.ndarray]:
-    # T trials at once, trial t at noise variance sigma2[t] on stream rngs[t]: returns Y
-    # (T x 2m x M), trial t's [Z; X], and S (T x q x M).  Only the draws run per trial, each
+def _synthesize_stack(src: SourceSet, cfg: ArrayConfig, snapshots: int, sigma2, rngs, Y: np.ndarray) -> np.ndarray:
+    # T trials at once, trial t at noise variance sigma2[t] on stream rngs[t]: fills the
+    # caller's Y (T x 2m x M) with trial t's [Z; X] in Y[t], whatever Y held before (the two
+    # matmuls write all of it before the noise adds read it), and returns S (T x q x M); the
+    # noise buffer is freed on return, before the QR's copy of Y, which can then take its
+    # memory.  Only the draws run per trial, each
     # into its slice of a stack buffer in the seeding contract's order: S's phases, then
     # Z's real and imaginary noise, then X's, the streams generate_sources and
     # generate_noise draw (rng.uniform(0, 2 pi) is 2 pi times rng.random).  The phase
@@ -200,14 +206,13 @@ def _synthesize_stack(
     S = 1j * phase
     del phase
     np.exp(S, out=S)
-    Y = np.empty((T, 2 * m, snapshots), dtype=complex)
     np.matmul(steering_vector(psis, m), S, out=Y[:, :m])
     np.matmul(steering_vector(xis, m), S, out=Y[:, m:])
     noise *= np.array(scales)[:, None, None, None, None]
     halves = Y.reshape(T, 2, m, snapshots)
     halves.real += noise[:, :, 0]
     halves.imag += noise[:, :, 1]
-    return Y, S
+    return S
 
 
 def build_lp_system(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,10 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -22,6 +25,7 @@ from laoa.montecarlo import (
     default_workers,
     monte_carlo,
     run_trial,
+    run_trials,
     splitmix64,
     trial_seed,
 )
@@ -377,6 +381,95 @@ class TestMonteCarlo:
                 assert row["rmse_theta_deg"] >= abs(row["bias_theta_deg"]) - 1e-12
                 assert row["rmse_phi_deg"] >= abs(row["bias_phi_deg"]) - 1e-12
             assert row["failure_count"] + row["trials"] >= row["trials"]
+
+
+def _in_new_thread(fn, *args):
+    # fn(*args) in a thread of its own, which starts with no snapshot buffer
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def _bits(result):
+    # a run_trials result, bit for bit
+    theta_err, phi_err, failures = result
+    return theta_err.tobytes(), phi_err.tobytes(), failures
+
+
+class TestSnapshotBuffer:
+    # each thread keeps one snapshot buffer across stacks and sweeps; what a stack gets must not
+    # depend on what an earlier stack left in it
+    def test_a_reused_buffer_gives_the_bits_of_a_fresh_one(self):
+        readme = _cfg(q=2, sources="30/40, 70/120", M=200, trials=20, snr_db_list="0, 20")
+        narrow = _cfg(q=2, sources="30/40, 70/120", M=50, trials=20, snr_db_list="-10")
+        # sigma^2 = 0 at inf dB draws no noise: its stack must not keep the noisy stack's data
+        noiseless = _cfg(q=2, sources="30/40, 70/120", M=50, trials=20, snr_db_list="inf", signal_model="qpsk")
+        runs = [
+            (readme, [(0, t) for t in range(20)]),
+            (readme, [(1, t) for t in range(7)]),
+            (readme, [(0, t) for t in range(10, 20)] + [(1, t) for t in range(10)]),
+            (narrow, [(0, t) for t in range(20)]),
+            (noiseless, [(0, t) for t in range(20)]),
+        ]
+        reused = _in_new_thread(lambda: [_bits(run_trials(cfg, cells)) for cfg, cells in runs])
+        assert reused == [_in_new_thread(lambda: _bits(run_trials(cfg, cells))) for cfg, cells in runs]
+
+    def test_consecutive_stacks_share_one_buffer(self, monkeypatch):
+        stacks, real = [], laoa.montecarlo.estimate_stack
+        monkeypatch.setattr(laoa.montecarlo, "estimate_stack", lambda Y, *a: stacks.append(Y) or real(Y, *a))
+        cfg = _cfg(M=200, trials=20, snr_db_list="20, 10")
+        _in_new_thread(monte_carlo, cfg, 1)
+        assert [len(Y) for Y in stacks] == [20, 20]
+        assert np.shares_memory(*stacks)
+
+    def test_synthesize_returns_arrays_no_sweep_reuses(self):
+        # the sweep before synthesize leaves this thread a buffer of the same shape
+        cfg = _cfg(M=200, trials=1, snr_db_list="20")
+        monte_carlo(cfg, workers=1)
+        rng = np.random.default_rng(trial_seed(cfg.seed, 0, 0))
+        Z, X, S = synthesize(cfg.source_set(), cfg.array_config(), cfg.M, 0.1, rng)
+        before = [a.copy() for a in (Z.data, X.data, S)]
+        monte_carlo(cfg, workers=1)
+        assert [a.tobytes() for a in (Z.data, X.data, S)] == [a.tobytes() for a in before]
+
+    def test_threads_sweeping_at_once_get_their_serial_reports(self):
+        # three threads, more than this box's cores, with a short switch interval; three stacks of
+        # 20 trials per sweep and three sweeps per thread; every config takes buffers of one shape,
+        # so a buffer shared between the threads would be written by more than one
+        cfgs = [
+            _cfg(q=2, sources="30/40, 70/120", M=200, trials=30, snr_db_list="0, 20"),
+            _cfg(M=200, trials=20, snr_db_list="10, 20, 30", seed=7),
+            _cfg(q=2, sources="50/60, 120/30", M=200, trials=60, snr_db_list="inf", signal_model="qpsk"),
+        ]
+        serial = [_in_new_thread(lambda: monte_carlo(cfg, 1).to_csv()) for cfg in cfgs]
+        start = threading.Barrier(len(cfgs))
+
+        def sweeps(cfg):
+            start.wait()
+            return [monte_carlo(cfg, 1).to_csv() for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(cfgs)) as pool:
+                got = list(pool.map(sweeps, cfgs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[csv] * 3 for csv in serial]
+
+    def test_a_stack_too_large_to_keep_leaves_no_buffer(self, monkeypatch):
+        # one trial at m = 8, M = 5000 is 1.28 MB, more than STACK_BYTES
+        buffers, real = [], laoa.montecarlo.estimate_stack
+        monkeypatch.setattr(laoa.montecarlo, "estimate_stack", lambda Y, *a: buffers.append(weakref.ref(Y.base)) or real(Y, *a))
+
+        def run():
+            # whether each stack's buffer is still held, after each stack, in the thread that ran them
+            run_trials(_cfg(M=200), [(0, 0), (0, 1)])
+            held = [ref() is not None for ref in buffers]
+            run_trials(_cfg(M=5000), [(0, 0)])
+            return held, [ref() is not None for ref in buffers]
+
+        assert 2 * 8 * 5000 * np.dtype(complex).itemsize > STACK_BYTES
+        assert _in_new_thread(run) == ([True], [False, False])
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the workers must inherit the patch")

@@ -41,6 +41,18 @@ class TestFindRoots:
         find_roots(np.array([[1j, 0.5]]), errors)
         assert isinstance(errors[0], ConvergenceFailure)
 
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_each_row_alone_gets_the_bits_it_gets_in_a_stack(self, degree):
+        # a row's roots do not depend on its neighbours; numpy multiplies a one-element complex
+        # array in place by another path than a longer one, which a lone degree-1 row's Newton
+        # step once took
+        rng = np.random.default_rng(40 + degree)
+        for _ in range(50):
+            c = rng.standard_normal((3, degree)) + 1j * rng.standard_normal((3, degree))
+            stack = find_roots(c, [None] * 3)
+            for i in range(3):
+                assert find_roots(c[i:i + 1], [None]).tobytes() == stack[i:i + 1].tobytes()
+
     def test_random_polynomials_vieta(self):
         rng = np.random.default_rng(31)
         for _ in range(200):

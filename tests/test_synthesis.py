@@ -201,10 +201,11 @@ class TestDrawOrder:
     def test_every_trial_of_a_stack_gets_its_noise(self):
         # the noise is added to the real and imaginary views of the stack's strided halves;
         # a trial with noise must differ from its noiseless product by the noise, and every
-        # trial must hold what synthesize gives its stream alone
+        # trial must hold what synthesize gives its stream alone, whatever the stack's array held
         src = _sources(*self.SRC)
         sigma2, seeds = [0.3, 0.0, 0.3], [8, 9, 10]
-        Y, S = _synthesize_stack(src, CFG, 40, sigma2, [np.random.default_rng(seed) for seed in seeds])
+        Y = np.full((3, 2 * CFG.m, 40), complex(np.nan, np.inf))
+        S = _synthesize_stack(src, CFG, 40, sigma2, [np.random.default_rng(seed) for seed in seeds], Y)
         psis, xis = electrical_angles(src.directions, CFG)
         A = np.vstack([steering_vector(psis, CFG.m), steering_vector(xis, CFG.m)])
         for y, s, v, seed in zip(Y, S, sigma2, seeds, strict=True):
