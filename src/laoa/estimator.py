@@ -302,9 +302,8 @@ def _pairing_residuals(
         P = table[ps]
         G = Gz[ts] + Gx[ts[:, None, None], P[:, :, None], P[:, None, :]]
         S = lapack_stack(np.linalg.solve, (G, Bz[ts] + Bx[ts[:, None], P]), errors, live[ts], SINGULAR_PAIRING)
-        if S is not None:
-            A = np.concatenate([A_z[ts], A_x[ts[:, None], :, P].swapaxes(1, 2)], axis=1)
-            resid[ts, ps] = np.linalg.norm(L[ts] - A @ S, axis=(1, 2))
+        A = np.concatenate([A_z[ts], A_x[ts[:, None], :, P].swapaxes(1, 2)], axis=1)
+        resid[ts, ps] = np.linalg.norm(L[ts] - A @ S, axis=(1, 2))
     return resid, e, live
 
 

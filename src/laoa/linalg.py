@@ -18,7 +18,10 @@ undefined, and an item whose slot is already set gets no further checks or
 warnings.  That list is the only place a failure is written, and a trial's
 first failure wins; where a stacked call's items are not the trials
 (``find_roots``' degree groups, the pairing's permutation systems),
-``lapack_stack`` maps each item to its trial's slot.  Only the single-trial
+``lapack_stack`` maps each item to its trial's slot.  A LAPACK failure has
+one rule: ``lapack_stack`` sets the failing item's slot, runs it as an
+identity and returns the whole stack, also when every item failed, so no
+caller special-cases a failed call.  Only the single-trial
 entry points ``estimate_2d_aoa`` and ``direction_from_electrical`` raise a
 trial's failure (``raise_first``).
 
@@ -56,27 +59,23 @@ def lapack_stack(fn, stacks: tuple, errors: list, slots, what: str):
     may share one.  LAPACK failing on one item fails the whole call, so the
     items are then tried one at a time, only to name the failing ones: each
     gives its slot a ConvergenceFailure unless the slot is already set, and
-    one more stacked call, with their matrices replaced by identities, gives
-    every other item the result it gets alone.  Returns None if every item
-    fails.
+    its matrices are replaced by identities.  One more stacked call then
+    returns the whole stack, also when every item failed: every other item
+    gets the result it gets alone, and a failed item's result is undefined.
     """
     try:
         return fn(*stacks)
     except np.linalg.LinAlgError:
         pass
-    bad = []
+    patched = [s.copy() for s in stacks]
     for i, slot in enumerate(slots):
         try:
             fn(*(s[i:i + 1] for s in stacks))
         except np.linalg.LinAlgError as exc:
-            bad.append(i)
+            for s in patched:
+                s[i] = np.eye(*s.shape[-2:])
             if errors[slot] is None:
                 errors[slot] = ConvergenceFailure(f"{what}: {exc}")
-    if len(bad) == len(stacks[0]):
-        return None
-    patched = [s.copy() for s in stacks]
-    for s in patched:
-        s[bad] = np.eye(*s.shape[-2:])
     return fn(*patched)
 
 
@@ -95,12 +94,7 @@ def svd(A: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if not np.all(np.isfinite(A)):
         raise ValueError("svd input contains non-finite entries")
 
-    factors = lapack_stack(lambda a: np.linalg.svd(a, full_matrices=False), (A,), errors, range(len(A)), "SVD did not converge")
-    if factors is None:  # every item failed, so every output is undefined
-        T, n, k = A.shape
-        r = min(n, k)
-        return np.full((T, n, r), np.nan + 0j), np.full((T, r), np.nan), np.full((T, k, r), np.nan + 0j)
-    U, s, Vh = factors
+    U, s, Vh = lapack_stack(lambda a: np.linalg.svd(a, full_matrices=False), (A,), errors, range(len(A)), "SVD did not converge")
     return U, s, Vh.conj().swapaxes(1, 2)
 
 

@@ -29,7 +29,7 @@ from laoa.errors import (
     RankDeficiencyWarning,
     UnsupportedScenario,
 )
-from laoa.estimator import PAIRING_AMBIGUITY_REL_TOL, estimate_electrical, estimate_stack, permutation_table
+from laoa.estimator import PAIRING_AMBIGUITY_REL_TOL, PAIRING_BLOCK, estimate_electrical, estimate_stack, permutation_table
 from laoa.synthesis import Subarray
 
 
@@ -156,6 +156,29 @@ class TestPairing:
         pair_and_recover(np.array([[0.3, 0.3]]), np.array([[0.5, 0.5]]), _stacked(Z, X)[None], cfg,
                          np.ones((1, 2)), np.ones((1, 2)), errors)
         assert isinstance(errors[0], ConvergenceFailure)
+
+    def test_a_whole_failing_solve_block_mid_stack(self):
+        # q = 2 solves both pairings of each trial, PAIRING_BLOCK systems per stacked solve: the
+        # first PAIRING_BLOCK // 2 trials' identical pairs fill the first block, every system in it
+        # singular, and 8 healthy trials follow in the next
+        cfg = ArrayConfig(m=8, spacing_ratio=0.5)
+        bad = PAIRING_BLOCK // 2
+        T = bad + 8
+        Y = np.stack([_stacked(*_setup([(30, 40), (70, 120)], M=50, sigma2=0.01, seed=s)[2:]) for s in range(T)])
+        psi, xi = (np.tile(a, (T, 1)) for a in electrical_angles([DirectionPair(30, 40), DirectionPair(70, 120)], cfg))
+        psi[:bad], xi[:bad] = 0.3, 0.5
+        mags = np.ones((T, 2))
+        errors = [None] * T
+        est = pair_and_recover(psi.copy(), xi.copy(), Y, cfg, mags.copy(), mags.copy(), errors)
+        for t in range(bad):
+            assert isinstance(errors[t], ConvergenceFailure)
+            assert str(errors[t]).startswith("singular pairing normal equations")
+        for t in range(bad, T):
+            alone_errors = [None]
+            alone = pair_and_recover(psi[t:t + 1].copy(), xi[t:t + 1].copy(), Y[t:t + 1], cfg,
+                                     mags[:1].copy(), mags[:1].copy(), alone_errors)
+            assert errors[t] is None and alone_errors == [None]
+            assert _row(est, t) == _row(alone)
 
     def test_more_sources_than_the_pairing_budget(self):
         # rejected before any data is touched: 8! pairings exceed the budget

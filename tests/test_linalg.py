@@ -138,11 +138,13 @@ class TestLapackStack:
         assert errors[1] is None
         np.testing.assert_array_equal(out[2], _fails_on_marked(a[2:])[0])
 
-    def test_every_item_failing_returns_none_and_sets_every_unset_slot(self):
+    def test_every_item_failing_returns_the_identity_stack_call_and_sets_every_unset_slot(self):
+        # the one rule holds when no item survives: each failed item is an identity in the
+        # returned call, so the stand-in gives 2 I per item
         preset = NotEnoughRoots("set by an earlier layer")
         errors = [None, preset, None]
         out = lapack_stack(_fails_on_marked, (_marked([-1.0, -2.0, -3.0, -4.0]),), errors, [2, 1, 0, 2], "stand-in")
-        assert out is None
+        np.testing.assert_array_equal(out, _fails_on_marked(np.stack([np.eye(2)] * 4)))
         assert str(errors[0]) == "stand-in: item -3.0"
         assert errors[1] is preset
         assert str(errors[2]) == "stand-in: item -1.0"

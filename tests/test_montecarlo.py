@@ -81,8 +81,14 @@ class TestRunTrial:
                 assert isinstance(failure, str)
 
     def test_lapack_failure_is_a_counted_failure(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+        real_svd = np.linalg.svd
+
+        def no_convergence(a, *args, **kwargs):
+            # fails a call unless each matrix is an identity, which LAPACK always handles and on which
+            # lapack_stack's last call runs the failed items
+            if not np.array_equal(a, np.broadcast_to(np.eye(*a.shape[-2:]), a.shape)):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
         cfg = _cfg(trials=3)

@@ -60,8 +60,6 @@ def _exhaustive_pairing_residuals(
                 live[ts],
                 "singular pairing normal equations",
             )
-            if S is None:
-                continue
             A = np.concatenate(
                 [np.broadcast_to(A_z[ts, None], S.shape[:2] + (m, q)), A_x[ts][:, :, perms].transpose(0, 2, 1, 3)],
                 axis=2,

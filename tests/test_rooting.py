@@ -33,8 +33,14 @@ class TestFindRoots:
         assert "no roots exist" in str(errors[0])
 
     def test_eigenvalue_failure_is_convergence_failure(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        real_eigvals = np.linalg.eigvals
+
+        def no_convergence(a):
+            # fails a call unless each matrix is an identity, which LAPACK always handles and on which
+            # lapack_stack's last call runs the failed items
+            if not np.array_equal(a, np.broadcast_to(np.eye(a.shape[-1]), a.shape)):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigvals(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
         errors = [None]
