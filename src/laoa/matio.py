@@ -8,11 +8,11 @@ float.  Lines whose first non-blank character is ``#`` are comments; there
 are no trailing comments.  The file is ASCII text, comments included.
 Every entry must be finite.  Write -> read is bit-exact.
 
-A canonical body (every row ``cols`` tokens with one ``:`` each) is parsed
-in one pass by numpy's C text reader, which converts each part exactly as
-``float()`` does.  A body that pass does not accept goes through the
-per-entry loop, which is the only place body ``ParseError``s are raised, so
-every error names the same line and column as an entry-by-entry read.
+A body laid out as the writer writes it (one ``:`` per entry, one space
+between entries) is parsed in one pass by numpy's C text reader, which
+converts each part exactly as ``float()`` does.  Any other body reads with the
+same values and errors, only slower, through the per-entry loop: the only place
+body ``ParseError``s are raised, so each names an entry-by-entry read's line and column.
 """
 
 import numpy as np
@@ -22,6 +22,8 @@ from .synthesis import SnapshotMatrix, Subarray
 
 _MAGIC = "aoa-matrix"
 _VERSION = "1"
+# every byte but ":" and the ASCII whitespace str.split splits on (numpy strips it inside a field)
+_NOT_LAYOUT = bytes(b for b in range(256) if b > 127 or not (chr(b) == ":" or chr(b).isspace()))
 
 
 def write_matrix_file(snap: SnapshotMatrix, path) -> None:
@@ -34,8 +36,7 @@ def write_matrix_file(snap: SnapshotMatrix, path) -> None:
 def read_matrix_file(path) -> SnapshotMatrix:
     try:
         with open(path, "r", encoding="ascii") as fh:
-            content = [(i + 1, ln.strip()) for i, ln in enumerate(fh)
-                       if ln.strip() and not ln.lstrip().startswith("#")]
+            content = [(i + 1, s) for i, ln in enumerate(fh) if (s := ln.strip()) and s[0] != "#"]
     except UnicodeDecodeError as exc:
         # the decoder's position counts from its buffer, not from the file, so no line is named
         raise ParseError(f"not ASCII text: byte {exc.object[exc.start]:#04x}") from exc
@@ -69,25 +70,22 @@ def read_matrix_file(path) -> SnapshotMatrix:
 
 
 def _parse_bulk(body, rows, cols):
-    """Parse a canonical body in one numpy pass; None sends it to ``_parse_entries``.
+    """Parse a body laid out as the writer writes it in one numpy pass; None sends it to ``_parse_entries``.
 
-    The pass is taken only when every row has ``cols`` tokens, ``cols`` colons
-    and a colon in each token, i.e. one colon per token.  numpy's reader
-    converts each part with the routine ``float()`` uses, so values are
-    bit-identical, but it accepts less (not ``1_0``, for one); its result is
-    kept only if it has 2 * cols finite parts per row.
+    The pass is taken only when each row's colons and whitespace read ``: : ... :``,
+    ``cols`` colons with one space between.  numpy's reader converts each part with
+    the routine ``float()`` uses, so values are bit-identical, but it accepts less
+    (not ``1_0`` or an empty half); its result is kept only if it is finite and has
+    the declared shape.
     """
     for _, line in body:
-        tokens = line.split()
-        if len(tokens) != cols or line.count(":") != cols or not all(":" in tok for tok in tokens):
-            return None
-        if ":" in tokens:
-            # a bare colon is a bad entry; a row of them would be blank to loadtxt,
-            # which skips blank rows and warns when no row is left
+        layout = line.encode("ascii").translate(None, _NOT_LAYOUT)
+        # the length first: the pattern is sized by the header, which only a row this long confirms
+        if len(layout) != 2 * cols - 1 or layout != b": " * (cols - 1) + b":":
             return None
     try:
         # a generator, so only one row's text is copied at a time
-        flat = np.loadtxt((line.replace(":", " ") for _, line in body), dtype=float, comments=None, ndmin=2)
+        flat = np.loadtxt((line.replace(":", " ") for _, line in body), dtype=float, comments=None, delimiter=" ")
     except ValueError:
         return None
     if flat.shape != (rows, 2 * cols) or not np.all(np.isfinite(flat)):

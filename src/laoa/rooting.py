@@ -54,15 +54,17 @@ def find_roots(c: np.ndarray, errors: list) -> np.ndarray:
         companion[:, 0, :] = -p[:, 1:] / p[:, :1]
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1
         r = lapack_stack(np.linalg.eigvals, (companion,), errors, idx, "companion-matrix eigenvalues did not converge")
-        # one Newton step on P polishes the eigenvalues to P's own roots
-        value, slope = _horner(a, r)
-        r = r - value / slope
-        # np.polyval runs y = y * r + p_k over p's first axis, so p_k can be a column:
-        # coefficient k of every row, highest degree first
-        coeffs = a.T[::-1, :, None]
-        residual = np.abs(np.polyval(coeffs, r))
-        # relative to 1 + sum_k |c_k| |y|^k; written as "not <=" so NaN fails too
-        bad = ~(residual <= RESIDUAL_TOL * np.polyval(np.abs(coeffs), np.abs(r)))
+        # a NaN row or a failed eigensolve's stand-in divides NaN or 0 here; errors holds its failure
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # one Newton step on P polishes the eigenvalues to P's own roots
+            value, slope = _horner(a, r)
+            r = r - value / slope
+            # np.polyval runs y = y * r + p_k over p's first axis, so p_k can be a column:
+            # coefficient k of every row, highest degree first
+            coeffs = a.T[::-1, :, None]
+            residual = np.abs(np.polyval(coeffs, r))
+            # relative to 1 + sum_k |c_k| |y|^k; written as "not <=" so NaN fails too
+            bad = ~(residual <= RESIDUAL_TOL * np.polyval(np.abs(coeffs), np.abs(r)))
         for j in np.flatnonzero(bad.any(axis=1)):
             if errors[idx[j]] is None:
                 errors[idx[j]] = ConvergenceFailure(f"root {r[j, np.argmax(bad[j])]} fails the residual bound")

@@ -180,6 +180,15 @@ def test_reader_matches_the_entry_by_entry_oracle(tmp_path_factory, file):
     (2, "1:2:3 4\n1:0 2:0"),          # as many colons as entries, but not one per entry
     (2, "1e999:0 2:0\n3:0 4:0"),      # overflows to inf
     (2, "1:0\x1c2:0\n3:0\t4:0"),      # whitespace both readers split on
+    # whitespace inside an entry, which numpy strips from a field and str.split splits on
+    (2, "1\t:2 3:4\n5:6 7:8"),
+    (2, "1:\t2 3:4\n5:6 7:8"),
+    (2, "1:2\x1c 3:4\n5:6 7:8"),
+    (2, "1:2 3\x0b:4\n5:6 7:8"),
+    (2, "1: 2:3\n5:6 7:8"),          # an empty half beside a single space
+    (2, "1:2 :3\n5:6 7:8"),
+    (2, "1:0  2:0\n3:0 4:0"),        # separators other than one space
+    (2, "1:0\t2:0\n3:0 4:0"),
 ])
 def test_reader_matches_the_oracle_on_edge_bodies(tmp_path, cols, body):
     path = tmp_path / "m.mat"
@@ -201,3 +210,29 @@ def test_a_writer_made_file_never_reaches_the_entry_loop(tmp_path, monkeypatch):
     back = read_matrix_file(path)
     assert back.data.tobytes() == data.tobytes()
     assert back.subarray is Subarray.Z
+
+
+def test_only_a_body_laid_out_as_the_writer_writes_it_skips_the_entry_loop(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    data = rng.standard_normal((4, 30)) + 1j * rng.standard_normal((4, 30))
+    path = tmp_path / "x.mat"
+    write_matrix_file(SnapshotMatrix(data, Subarray.X), path)
+    header, *rows = path.read_text(encoding="ascii").splitlines()
+    commented = tmp_path / "commented.mat"
+    commented.write_text("\n".join([header, "# rows follow"] + [f"{row}\n\n  # after a row" for row in rows]) + "\n",
+                         encoding="ascii")
+    tabbed = tmp_path / "tabbed.mat"
+    tabbed.write_text("\n".join([header] + [row.replace(" ", "\t") for row in rows]) + "\n", encoding="ascii")
+
+    calls = []
+    entry_loop = matio._parse_entries
+
+    def counted(*args):
+        calls.append(args)
+        return entry_loop(*args)
+
+    monkeypatch.setattr(matio, "_parse_entries", counted)
+    assert read_matrix_file(commented).data.tobytes() == data.tobytes()
+    assert not calls
+    assert read_matrix_file(tabbed).data.tobytes() == data.tobytes()
+    assert len(calls) == 1

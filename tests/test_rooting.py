@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,18 @@ class TestFindRoots:
         errors = [None]
         find_roots(np.array([[1j, 0.5]]), errors)
         assert isinstance(errors[0], ConvergenceFailure)
+
+    def test_nan_rows_fail_without_a_warning_and_leave_their_neighbours_alone(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors = [None, None]
+            roots = find_roots(np.array([[np.nan, 1], [1j, 0.5]]), errors)
+            alone = find_roots(np.array([[1j, 0.5]]), [None])
+            nan_errors = [None, None]
+            find_roots(np.array([[np.nan, 1], [np.nan, 0.5]]), nan_errors)
+        assert isinstance(errors[0], ConvergenceFailure) and errors[1] is None
+        assert roots[1:].tobytes() == alone.tobytes()
+        assert all(isinstance(exc, ConvergenceFailure) for exc in nan_errors)
 
     @pytest.mark.parametrize("degree", range(1, 8))
     def test_each_row_alone_gets_the_bits_it_gets_in_a_stack(self, degree):
