@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -17,10 +18,11 @@ from .config import load_config
 from .errors import AoaError, ParseError
 from .estimator import EstimatorMode, estimate_2d_aoa
 from .matio import read_matrix_file
-from .montecarlo import default_workers, monte_carlo, run_trial
+from .montecarlo import default_workers, monte_carlo, run_trials
 from .synthesis import Subarray
 
 
+@functools.cache  # built once per process; parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aoa",
@@ -58,7 +60,15 @@ def _print_estimate(est) -> None:
     for i, row in enumerate(zip(*(a[0].tolist() for a in columns))):
         print(",".join(map(repr, (i, *row))))
     print(f"# pairing_residual = {est.pairing_residual[0].tolist()!r}", file=sys.stderr)
-    if est.pairing_ambiguous[0]:
+    _print_flags(est.reduced_rank[0], est.pairing_ambiguous[0], est.theta_deg.shape[1])
+
+
+def _print_flags(reduced_rank, ambiguous, q: int) -> None:
+    # one trial's flags on stderr: each subarray's reduced truncation rank, then an ambiguous pairing
+    for name, rank in zip("ZX", reduced_rank.tolist()):
+        if rank >= 0:
+            print(f"# warning: {name} truncation rank reduced from {q} to {rank}", file=sys.stderr)
+    if ambiguous:
         print("# warning: pairing ambiguous", file=sys.stderr)
 
 
@@ -75,7 +85,8 @@ def _cmd_simulate(args) -> int:
         # the trial seed depends on the SNR's index in the list
         print(f"error: --snr-db {snr_db!r} is not in snr_db_list {list(cfg.snr_db_list)}", file=sys.stderr)
         return 1
-    theta_err, phi_err, (failure,) = run_trial(cfg, cfg.snr_db_list.index(snr_db), args.trial)
+    theta_err, phi_err, (failure,), reduced, ambiguous = run_trials(cfg, [(cfg.snr_db_list.index(snr_db), args.trial)])
+    _print_flags(reduced[0], ambiguous[0], cfg.q)
     if failure is not None:
         print(f"trial failed: {failure}", file=sys.stderr)
         return 2
@@ -122,11 +133,16 @@ def _cmd_montecarlo(args) -> int:
     fh = open(output, "w", encoding="ascii", newline="")
     try:
         with fh:
-            fh.write(monte_carlo(cfg, workers).to_csv())
+            report = monte_carlo(cfg, workers)
+            fh.write(report.to_csv())
     except BaseException:
         if os.path.isfile(output):  # not a device such as /dev/stdout
             os.remove(output)
         raise
+    counts = {"truncation rank reduced": report.rank_reduced_trials, "pairing ambiguous": report.ambiguous_trials}
+    for what, count in counts.items():
+        if count:
+            print(f"# warning: {what} in {count} of {len(cfg.snr_db_list) * cfg.trials} trials", file=sys.stderr)
     print(f"wrote {output}", file=sys.stderr)
     return 0
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy and warnings for the AOA toolkit.
+"""Exception hierarchy for the AOA toolkit.
 
 Two kinds of error.  ``OutOfRange``, ``DegenerateElevation``,
 ``ConvergenceFailure`` and ``NotEnoughRoots`` can strike any single noisy
@@ -9,7 +9,9 @@ single-trial entry points ``estimate_2d_aoa`` and
 ``direction_from_electrical`` raise a trial's error, through ``raise_first``.
 ``montecarlo.run_trials`` turns the list into failure class names, one per
 trial of its stack, and ``montecarlo.monte_carlo`` counts them per SNR
-point, since the failure rate is itself a result.
+point, since the failure rate is itself a result.  The estimator's
+non-fatal events, a reduced truncation rank and a nearly tied pairing, are
+no errors: they are flags on its array result, which a sweep counts.
 ``UnsupportedScenario`` (the (m, M, q) shape rules, the source-separation
 rule and the elevation guard) and ``ParseError`` (malformed config or matrix
 files) reject the input up front, before any trial or estimate runs.
@@ -58,14 +60,6 @@ class ParseError(AoaError):
         super().__init__(message + loc)
         self.line = line
         self.column = column
-
-
-class RankDeficiencyWarning(UserWarning):
-    """Requested truncation rank exceeded the numerical rank; rank was reduced."""
-
-
-class PairingAmbiguousWarning(UserWarning):
-    """Two pairings of subarray angle sets fit the data almost equally well."""
 
 
 def raise_first(errors: list) -> None:

@@ -5,11 +5,11 @@ data at once and makes each step one batched numpy/LAPACK call over the
 stack, which spreads numpy's per-call cost over the trials.  It returns one
 ``StackEstimate``, a struct of arrays with one row per trial: the paired
 (theta, phi), (psi, xi) and root magnitudes (T x q each), the pairing
-residual and ambiguity flag (T each), and the ``errors`` list that names
-each failed trial's AoaError, whose rows read NaN.  ``estimate_2d_aoa`` is a
-stack of one: it raises the trial's failure and returns the StackEstimate of
-its one row.  Every layer below it takes stacks only.  Each trial's result,
-failure and warnings do not depend on the other trials in its stack: numpy
+residual and ambiguity flag (T each), each subarray's reduced truncation
+rank (T x 2), and the ``errors`` list that names each failed trial's
+AoaError, whose rows read NaN.  ``estimate_2d_aoa`` is a stack of one: it
+raises the trial's failure and returns the StackEstimate of its one row.  Every layer below it takes stacks only.  Each trial's result,
+failure and flags do not depend on the other trials in its stack: numpy
 runs each item of a stacked call on its own, and a trial that fails is
 skipped by every later step (see ``laoa.linalg`` for the one ``errors`` list
 that carries the failures).
@@ -25,10 +25,9 @@ the pairing needs.
 
 Each subarray then independently yields a set of electrical angles via the
 prediction-polynomial pipeline; both subarrays run it in one stacked pass,
-their 2T blocks as the items of one stack, and the rank warnings of the
-coefficient solve are decided once both halves are done.  The paper-level
-method stops there; with more than one source the psi set (from Z) and the
-xi set (from X) must still be associated per physical source.  Both
+their 2T blocks as the items of one stack.  The paper-level method stops
+there; with more than one source the psi set (from Z) and the xi set (from
+X) must still be associated per physical source.  Both
 subarrays observe the same source waveforms, so the correct association is
 the permutation under which one common source matrix explains the stacked
 data best.
@@ -81,21 +80,14 @@ With q! <= 2 there is nothing to prune and the screen is skipped.
 """
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
 from .array_model import ArrayConfig, directions_from_electrical, steering_vector
-from .errors import (
-    ConvergenceFailure,
-    PairingAmbiguousWarning,
-    RankDeficiencyWarning,
-    UnsupportedScenario,
-    raise_first,
-)
+from .errors import ConvergenceFailure, UnsupportedScenario, raise_first
 from .linalg import EstimatorMode, lapack_stack, solve_coeffs
 from .rooting import electrical_angles_from_roots, find_roots, select_unit_roots
 from .synthesis import SnapshotMatrix, build_lp_system
@@ -144,8 +136,11 @@ class StackEstimate:
     pairs psi_hat[t, l] (root magnitude mag_z[t, l]) with xi_hat[t, l]
     (mag_x[t, l]) and maps to (theta_deg[t, l], phi_deg[t, l]).
     pairing_residual and pairing_ambiguous hold one entry per trial.
-    errors[t] is the AoaError trial t fails with, or None; a failed trial's
-    row reads NaN and not ambiguous.
+    reduced_rank[t] holds Z's and X's reduced truncation ranks as
+    ``solve_coeffs`` returns them, -1 where a rank was not reduced; a
+    subarray's rank is kept when the trial then fails.  errors[t] is the
+    AoaError trial t fails with, or None; a failed trial's row reads NaN and
+    not ambiguous.
     """
 
     theta_deg: np.ndarray
@@ -156,6 +151,7 @@ class StackEstimate:
     mag_x: np.ndarray
     pairing_residual: np.ndarray
     pairing_ambiguous: np.ndarray
+    reduced_rank: np.ndarray
     errors: list
 
 
@@ -169,9 +165,9 @@ def estimate_electrical(
     triangular factor (see the module docstring).  The items need not come
     from one subarray: ``estimate_stack`` passes Z's and X's blocks of every
     trial in one stack.  Gives T x q angles and magnitudes and the T reduced
-    ranks of ``solve_coeffs``, which warns about none of them; see
-    ``laoa.linalg`` for ``errors``.  Runs the full chain: linear-prediction
-    system, coefficient solve, root finding, and unit-circle root selection.
+    ranks of ``solve_coeffs``; see ``laoa.linalg`` for ``errors``.  Runs the
+    full chain: linear-prediction system, coefficient solve, root finding,
+    and unit-circle root selection.
     """
     P, P1 = build_lp_system(B)
     c, reduced = solve_coeffs(P, P1, q, mode, errors)
@@ -207,7 +203,8 @@ def pair_and_recover(
     alike; the reported ``pairing_residual`` is the winner's
     ||(I - P_A) L||_F = ||(I - P_A) Y||_F at the data's scale.
 
-    Returns a StackEstimate; see ``laoa.linalg`` for ``errors``.  A trial
+    Returns a StackEstimate whose reduced_rank reads -1 throughout, as no
+    coefficients are solved here; see ``laoa.linalg`` for ``errors``.  A trial
     gets ConvergenceFailure if the exact stage's LU finds some permutation's
     normal equations exactly singular, as when two (psi, xi) pairs are identical,
     and OutOfRange or DegenerateElevation if a paired (psi, xi) maps to no
@@ -241,10 +238,6 @@ def pair_and_recover(
         gap = second[close] - best[close]
         close[close] = gap < PAIRING_AMBIGUITY_REL_TOL * np.maximum(second[close], np.finfo(float).tiny)
         ambiguous[rows] = close
-    for _ in range(np.count_nonzero(ambiguous)):
-        warnings.warn(
-            "two pairings fit the data almost equally well; keeping the best", PairingAmbiguousWarning, stacklevel=2
-        )
 
     # the paired rows are written in place; every other row is a failed trial's, set to NaN below
     perm = permutation_table(q)[order[:, 0]]
@@ -258,7 +251,7 @@ def pair_and_recover(
     for a in (psi, xi, mags_z, mags_x, residual):
         a[failed] = np.nan
     ambiguous[failed] = False
-    return StackEstimate(theta, phi, psi, xi, mags_z, mags_x, residual, ambiguous, errors)
+    return StackEstimate(theta, phi, psi, xi, mags_z, mags_x, residual, ambiguous, np.full((len(psi), 2), -1), errors)
 
 
 def _pairing_residuals(
@@ -400,11 +393,8 @@ def estimate_stack(
     half seeded with the trials that already failed; a trial then fails with
     its Z half's error, or else its X half's.  Returns one StackEstimate:
     row t, and ``errors[t]``, are exactly what ``estimate_2d_aoa`` gives
-    trial t alone, and so is each warning.
-
-    A RankDeficiencyWarning is issued for each trial whose Z solve reduced
-    the truncation rank, then for each trial whose X solve did and whose Z
-    chain passed, as if X's chain ran only after Z's had succeeded.
+    trial t alone.  Its reduced_rank holds both halves' ranks as measured,
+    the X half's also when the Z half failed.
 
     Raises
     ------
@@ -421,23 +411,14 @@ def estimate_stack(
     errors = [None] * len(Y)
     for t in np.flatnonzero(~np.all(np.isfinite(R), axis=(1, 2))):
         errors[t] = ConvergenceFailure("coefficient solve overflowed: the triangular factor of the data is not finite")
-        # zeros keep the later stacked calls finite; a failed trial gets no further checks or warnings
+        # zeros keep the later stacked calls finite; a failed trial gets no further checks
         R[t] = 0.0
     T = len(Y)
     halves = errors + errors
     angles, mags, reduced = estimate_electrical(np.concatenate([R[:, :, :m], R[:, :, m:]]), q, mode, halves)
-    z_errors, x_errors = halves[:T], halves[T:]
-    # Z's reduced ranks, then X's of the trials whose Z chain passed
-    warned = reduced[:T].tolist() + [r for r, exc in zip(reduced[T:].tolist(), z_errors) if exc is None]
-    for rank in warned:
-        if rank >= 0:
-            warnings.warn(
-                f"requested truncation rank {q} exceeds numerical rank {rank}; reducing",
-                RankDeficiencyWarning,
-                stacklevel=2,
-            )
-    errors = [z if z is not None else x for z, x in zip(z_errors, x_errors)]
-    return pair_and_recover(angles[:T], angles[T:], R.swapaxes(1, 2), cfg, mags[:T], mags[T:], errors)
+    errors = [z if z is not None else x for z, x in zip(halves[:T], halves[T:])]
+    est = pair_and_recover(angles[:T], angles[T:], R.swapaxes(1, 2), cfg, mags[:T], mags[T:], errors)
+    return replace(est, reduced_rank=reduced.reshape(2, T).T)
 
 
 def estimate_2d_aoa(

@@ -14,8 +14,8 @@ trial) and its ``errors`` list (one slot per item), and decompose the whole
 stack in one LAPACK call; numpy runs the same routine on each item, so an
 item's result does not depend on its neighbours.  A layer raises for no item:
 an item that fails gets its ``AoaError`` in its slot, its outputs are
-undefined, and an item whose slot is already set gets no further checks or
-warnings.  That list is the only place a failure is written, and a trial's
+undefined, and an item whose slot is already set gets no further checks.
+That list is the only place a failure is written, and a trial's
 first failure wins; where a stacked call's items are not the trials
 (``find_roots``' degree groups, the pairing's permutation systems),
 ``lapack_stack`` maps each item to its trial's slot.  A LAPACK failure has
@@ -25,10 +25,9 @@ caller special-cases a failed call.  Only the single-trial
 entry points ``estimate_2d_aoa`` and ``direction_from_electrical`` raise a
 trial's failure (``raise_first``).
 
-``solve_coeffs`` warns about nothing itself: it returns, per item, the rank
-it had to reduce the truncation to, and ``estimator.estimate_stack``, which
-runs both subarrays of a trial as two items of one stack, decides which of
-them warn once both are done.
+``solve_coeffs`` also returns, per item, the rank it had to reduce the
+truncation to; ``estimator.estimate_stack``, which runs both subarrays of a
+trial as two items of one stack, keeps both as the trial's ``reduced_rank``.
 """
 
 from enum import Enum
@@ -116,9 +115,8 @@ def solve_coeffs(
 
     The second result (T ints) is, for each TRUNCATED_SVD item whose q-th
     singular value is numerically zero, the numerical rank its truncation is
-    reduced to, the rank a RankDeficiencyWarning reports; it is -1 for every
-    other item and for one whose slot was set before that check (by the SVD,
-    the sigma_1 check or an earlier layer).  The caller warns.
+    reduced to; it is -1 for every other item and for one whose slot was set
+    before that check (by the SVD, the sigma_1 check or an earlier layer).
 
     Raises
     ------

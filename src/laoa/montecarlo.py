@@ -15,14 +15,16 @@ rest of the synthesis runs once for the stack.  It estimates them in one pass
 (``estimator.estimate_stack``) and stays arrays to the end: the stack's
 estimates are matched to the true sources in one pass over all
 permutations, and a task returns T x q arrays of theta and phi errors plus
-each trial's failure class name.  ``monte_carlo`` joins the tasks' arrays,
-which then run in cell order, and reduces each SNR point's surviving trials
-in one pass: one contiguous block with a row per source and statistic,
-each row summed as its own 1-D array is, so every statistic is the
-``np.mean`` of that source's errors.  A trial's result depends on neither
-its stack nor its worker, so the report is byte-identical for any worker
-count and any split into stacks.  Estimator failures at low SNR are counted
-per SNR point, not raised: the failure rate is itself a result.
+each trial's failure class name and its two flags, the subarrays' reduced
+truncation ranks and the pairing's ambiguity.  ``monte_carlo`` joins the
+tasks' arrays, which then run in cell order, and reduces each SNR point's
+surviving trials in one pass: one contiguous block with a row per source and
+statistic, each row summed as its own 1-D array is, so every statistic is
+the ``np.mean`` of that source's errors.  A trial's result depends on
+neither its stack nor its worker, so the report is byte-identical for any
+worker count and any split into stacks.  Estimator failures at low SNR are
+counted per SNR point, not raised: the failure rate is itself a result.
+The flags are counted over the whole sweep, outside the CSV.
 
 A stack's array is the first T trials of the calling thread's snapshot
 buffer (a ``threading.local``), which outlives the stack: it holds the last
@@ -85,7 +87,12 @@ def trial_seed(seed: int, snr_index: int, trial_index: int) -> int:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
+    """The CSV's rows, plus the sweep's trials that reduced a truncation rank in either subarray
+    and those whose pairing was ambiguous (see ``estimator.StackEstimate``)."""
+
     rows: tuple[dict, ...]
+    rank_reduced_trials: int
+    ambiguous_trials: int
 
     def to_csv(self) -> str:
         columns = CSV_HEADER.split(",")
@@ -109,8 +116,8 @@ def _match_to_truth(theta_deg: np.ndarray, phi_deg: np.ndarray, truth) -> tuple[
     return theta_deg[rows, best] - true_theta, phi_deg[rows, best] - true_phi
 
 
-def run_trials(cfg: ExperimentConfig, cells) -> tuple[np.ndarray, np.ndarray, list]:
-    """Trials of the sweep's cells as one stack: their angle errors and failures.
+def run_trials(cfg: ExperimentConfig, cells) -> tuple[np.ndarray, np.ndarray, list, np.ndarray, np.ndarray]:
+    """Trials of the sweep's cells as one stack: their angle errors, failures and flags.
 
     ``cells`` is a sequence of (snr_index, trial_index) pairs, which may
     belong to several SNR points.  Each trial draws on its own stream, at
@@ -123,8 +130,9 @@ def run_trials(cfg: ExperimentConfig, cells) -> tuple[np.ndarray, np.ndarray, li
     ``synthesize`` gives its stream.
 
     Returns the theta and phi errors in degrees (T x q in cell order, source
-    l of the config in column l; NaN rows for failed trials) and, per trial,
-    the class name of the estimator error it fails with, or None.
+    l of the config in column l; NaN rows for failed trials), per trial the
+    class name of the estimator error it fails with, or None, and the
+    estimate's ``reduced_rank`` (T x 2) and ``pairing_ambiguous`` (T).
     """
     sigma2 = [cfg.noise_variance(snr_db) for snr_db in cfg.snr_db_list]
     rngs = (np.random.default_rng(trial_seed(cfg.seed, si, ti)) for si, ti in cells)
@@ -133,7 +141,8 @@ def run_trials(cfg: ExperimentConfig, cells) -> tuple[np.ndarray, np.ndarray, li
     _synthesize_stack(cfg.source_set(), array, cfg.M, [sigma2[si] for si, _ in cells], rngs, Y)
     est = estimate_stack(Y, cfg.q, array, cfg.mode)
     theta_err, phi_err = _match_to_truth(est.theta_deg, est.phi_deg, cfg.sources)
-    return theta_err, phi_err, [None if exc is None else type(exc).__name__ for exc in est.errors]
+    failures = [None if exc is None else type(exc).__name__ for exc in est.errors]
+    return theta_err, phi_err, failures, est.reduced_rank, est.pairing_ambiguous
 
 
 def _snapshot_buffer(T: int, rows: int, M: int) -> np.ndarray:
@@ -146,8 +155,8 @@ def _snapshot_buffer(T: int, rows: int, M: int) -> np.ndarray:
 
 
 def run_trial(cfg: ExperimentConfig, snr_index: int, trial_index: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """One synthesis + estimation trial: ``run_trials`` on a stack of one."""
-    return run_trials(cfg, [(snr_index, trial_index)])
+    """One synthesis + estimation trial's angle errors and failure: ``run_trials`` on a stack of one, less its flags."""
+    return run_trials(cfg, [(snr_index, trial_index)])[:3]
 
 
 def default_workers() -> int:
@@ -179,7 +188,7 @@ def _cut(cells, trial_bytes: int, workers: int) -> list:
     return [cells[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
-def _run_task(cfg: ExperimentConfig, task: range) -> tuple[np.ndarray, np.ndarray, list]:
+def _run_task(cfg: ExperimentConfig, task: range) -> tuple[np.ndarray, np.ndarray, list, np.ndarray, np.ndarray]:
     # flat cell index k is cell (snr_index, trial_index) = divmod(k, trials)
     return run_trials(cfg, [divmod(k, cfg.trials) for k in task])
 
@@ -250,7 +259,8 @@ def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarlo
     before it returns.  No more workers start than there are tasks, and a
     sweep of one task runs in process.  A worker's exception is re-raised
     here; a worker that dies raises ``RuntimeError``.  ``workers`` below 1
-    is a ``ValueError`` before any task is cut or started.
+    is a ``ValueError`` before any task is cut or started.  The report also
+    counts the sweep's flagged trials, as ``MonteCarloReport`` says.
     """
     if workers is None:
         workers = default_workers()
@@ -280,4 +290,6 @@ def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarlo
             rows.append(dict(zip(columns, (snr_db, source_index, *row_stats, cfg.trials - n, cfg.trials))))
 
     rows.sort(key=lambda r: (r["snr_db"], r["source_index"]))
-    return MonteCarloReport(rows=tuple(rows))
+    # the flagged trials of the whole sweep: a rank reduced in either subarray, an ambiguous pairing
+    rank_reduced = sum(int(np.count_nonzero(np.any(stack[3] >= 0, axis=1))) for stack in stacks)
+    return MonteCarloReport(tuple(rows), rank_reduced, sum(int(np.count_nonzero(stack[4])) for stack in stacks))

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from laoa import (
 from laoa.cli import main
 from laoa.errors import ConvergenceFailure
 from laoa.estimator import estimate_stack
-from laoa.montecarlo import run_trials
+from laoa.montecarlo import run_trials, trial_seed
 
 CONFIG = """\
 m = 8
@@ -34,6 +35,24 @@ def config_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(CONFIG.format(out=out))
     return path, out
+
+
+@pytest.fixture
+def rank_deficient_config(config_file):
+    # m = 4 and M = 3 at q = 2, noise-free QPSK then 40 dB: of its 400 trials, some reduce the
+    # truncation rank of both subarrays, some of those then fail, and some pair ambiguously
+    path, out = config_file
+    path.write_text(path.read_text().replace("m = 8", "m = 4").replace("M = 50", "M = 3").replace("q = 1", "q = 2")
+                    .replace("sources = 60/45", "sources = 30/40, 70/120").replace("unit_power_random_phase", "qpsk")
+                    .replace("snr_db_list = 300", "snr_db_list = inf, 40").replace("trials = 2", "trials = 200")
+                    .replace("seed = 42", "seed = 1"))
+    return path, out
+
+
+def _flag_lines(reduced, ambiguous):
+    # the stderr lines of one trial's flags at q = 2
+    lines = [f"# warning: {name} truncation rank reduced from 2 to {rank}" for name, rank in zip("ZX", reduced) if rank >= 0]
+    return lines + ["# warning: pairing ambiguous"] * bool(ambiguous)
 
 
 def test_simulate(config_file, capsys):
@@ -69,6 +88,22 @@ def test_simulate_reports_a_failing_trial_as_a_data_error(config_file, capsys):
     assert main(["simulate", "--config", str(path), "--trial", str(trial)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"trial failed: {failure}\n" and captured.out == ""
+
+
+def test_simulate_prints_its_trials_flags(rank_deficient_config, capsys):
+    # an ambiguous trial and a failing one, each of which reduced both subarrays' truncation rank
+    path, _ = rank_deficient_config
+    _, _, failures, reduced, ambiguous = run_trials(load_config(path), [(0, t) for t in range(200)])
+    flagged = np.flatnonzero(np.all(reduced >= 0, axis=1))
+    passed = next(t for t in flagged if ambiguous[t])
+    failed = next(t for t in flagged if failures[t] is not None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(path), "--trial", str(passed)]) == 0
+        assert capsys.readouterr().err == "\n".join(_flag_lines(reduced[passed], True)) + "\n"
+        assert main(["simulate", "--config", str(path), "--trial", str(failed)]) == 2
+        err = capsys.readouterr().err
+    assert err == "\n".join(_flag_lines(reduced[failed], False) + [f"trial failed: {failures[failed]}"]) + "\n"
 
 
 def test_simulate_rejects_snr_outside_the_list(config_file, capsys):
@@ -124,12 +159,35 @@ def test_pairing_budget_fails_before_any_trial(config_file, command, capsys):
     assert not out.exists()
 
 
-def test_montecarlo_writes_csv(config_file):
+def test_montecarlo_writes_csv(config_file, capsys):
     path, out = config_file
     assert main(["montecarlo", "--config", str(path)]) == 0
     text = out.read_text()
     assert text.startswith("snr_db,source_index,")
     assert len(text.strip().split("\n")) == 2
+    # no trial is flagged, so no count line is printed
+    assert capsys.readouterr().err == f"wrote {out}\n"
+
+
+def test_montecarlo_prints_one_count_line_per_flag(rank_deficient_config, capsys, monkeypatch):
+    # the same CSV and the same two lines at one and two workers, and no Python warning
+    path, out = rank_deficient_config
+    _, _, _, reduced, ambiguous = run_trials(load_config(path), [(si, t) for si in range(2) for t in range(200)])
+    counts = np.count_nonzero(np.any(reduced >= 0, axis=1)), np.count_nonzero(ambiguous)
+    assert all(counts)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("AOA_THREADS", threads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["montecarlo", "--config", str(path)]) == 0
+        runs.append((out.read_text(), capsys.readouterr().err))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == (
+        f"# warning: truncation rank reduced in {counts[0]} of 400 trials\n"
+        f"# warning: pairing ambiguous in {counts[1]} of 400 trials\n"
+        f"wrote {out}\n"
+    )
 
 
 def test_montecarlo_seed_override_changes_output(config_file, tmp_path):
@@ -199,6 +257,24 @@ def test_estimate_warns_of_an_ambiguous_pairing(tmp_path, capsys, monkeypatch):
     flagged = capsys.readouterr()
     assert flagged.out == plain.out
     assert flagged.err == plain.err + "# warning: pairing ambiguous\n"
+
+
+def test_estimate_reports_each_flag_once(rank_deficient_config, tmp_path, capsys):
+    # an ambiguous trial of the rank-deficient config, written to matrix files: each flag is one
+    # line, with no Python warning beside it
+    path, _ = rank_deficient_config
+    cfg = load_config(path)
+    _, _, _, reduced, ambiguous = run_trials(cfg, [(0, t) for t in range(200)])
+    trial = int(np.flatnonzero(ambiguous)[0])
+    rng = np.random.default_rng(trial_seed(cfg.seed, 0, trial))
+    Z, X, _ = synthesize(cfg.source_set(), cfg.array_config(), cfg.M, 0.0, rng)
+    zf, xf = tmp_path / "z.mat", tmp_path / "x.mat"
+    write_matrix_file(Z, zf)
+    write_matrix_file(X, xf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["estimate", "--z-file", str(zf), "--x-file", str(xf), "--q", "2", "--spacing-ratio", "0.5"]) == 0
+    assert capsys.readouterr().err.split("\n")[1:] == [*_flag_lines(reduced[trial], True), ""]
 
 
 def test_estimate_rejects_unequal_subarray_sizes(tmp_path, capsys):
@@ -370,6 +446,20 @@ def test_a_failed_sweep_leaves_no_csv(config_file, monkeypatch):
 
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 1
+
+
+def test_a_usage_error_leaves_the_parser_as_a_fresh_one(config_file, capsys):
+    # main builds its parser once per process: a call after a usage error (a bad --trial, parsed
+    # after --config) prints what it prints with a parser built afresh
+    path, _ = config_file
+    calls = [["simulate", "--config", "other.cfg", "--trial", "x"], ["simulate", "--config", str(path)]]
+    fresh = []
+    for argv in calls:
+        laoa.cli._build_parser.cache_clear()
+        fresh.append((main(argv), capsys.readouterr()))
+    assert [code for code, _ in fresh] == [1, 0]
+    assert [(main(argv), capsys.readouterr()) for argv in calls] == fresh
+    assert laoa.cli._build_parser() is laoa.cli._build_parser()
 
 
 def test_data_error_exit_code(tmp_path):

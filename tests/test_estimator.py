@@ -1,6 +1,4 @@
 import math
-import warnings
-from collections import Counter
 from dataclasses import fields
 from itertools import permutations
 
@@ -20,15 +18,7 @@ from laoa import (
     synthesize,
 )
 from laoa.array_model import electrical_angles, steering_vector
-from laoa.errors import (
-    AoaError,
-    ConvergenceFailure,
-    NotEnoughRoots,
-    OutOfRange,
-    PairingAmbiguousWarning,
-    RankDeficiencyWarning,
-    UnsupportedScenario,
-)
+from laoa.errors import ConvergenceFailure, NotEnoughRoots, OutOfRange, UnsupportedScenario
 from laoa.estimator import PAIRING_AMBIGUITY_REL_TOL, PAIRING_BLOCK, estimate_electrical, estimate_stack, permutation_table
 from laoa.synthesis import Subarray
 
@@ -143,9 +133,8 @@ class TestPairing:
         # duplicated xi estimates: both pairings give the same stacked matrix
         cfg, src, Z, X = _setup([(30, 40), (70, 120)], m=8, M=50, sigma2=0.01)
         errors = [None]
-        with pytest.warns(PairingAmbiguousWarning):
-            est = pair_and_recover(np.array([[0.3, 1.3]]), np.array([[0.5, 0.5]]), _stacked(Z, X)[None], cfg,
-                                   np.ones((1, 2)), np.array([[1.0, 2.0]]), errors)
+        est = pair_and_recover(np.array([[0.3, 1.3]]), np.array([[0.5, 0.5]]), _stacked(Z, X)[None], cfg,
+                               np.ones((1, 2)), np.array([[1.0, 2.0]]), errors)
         assert errors == [None]
         assert est.pairing_ambiguous[0]
         assert est.mag_x[0, 0] == 1.0
@@ -224,10 +213,8 @@ class TestPairingOracle:
         xis = sorted(np.asarray(xis) + rng.normal(0, jitter, q))
         perm, resid, ambiguous = _lstsq_pairing(psis, xis, _stacked(Z, X), cfg)
         errors = [None]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PairingAmbiguousWarning)
-            est = pair_and_recover(np.array([psis]), np.array([xis]), _stacked(Z, X)[None], cfg,
-                                   np.ones((1, q)), np.ones((1, q)), errors)
+        est = pair_and_recover(np.array([psis]), np.array([xis]), _stacked(Z, X)[None], cfg,
+                               np.ones((1, q)), np.ones((1, q)), errors)
         assert errors == [None]
         assert est.xi_hat[0].tolist() == [xis[j] for j in perm]
         assert est.pairing_ambiguous[0] == ambiguous
@@ -315,9 +302,8 @@ class TestEstimate2dAoa:
         ref = estimate_2d_aoa(Z, X, 2, cfg)
         Zs = SnapshotMatrix(scale * Z.data, Subarray.Z)
         Xs = SnapshotMatrix(scale * X.data, Subarray.X)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", PairingAmbiguousWarning)
-            est = estimate_2d_aoa(Zs, Xs, 2, cfg)
+        est = estimate_2d_aoa(Zs, Xs, 2, cfg)
+        assert not est.pairing_ambiguous[0]
         assert est.theta_deg[0] == pytest.approx(ref.theta_deg[0], rel=1e-12)
         assert est.phi_deg[0] == pytest.approx(ref.phi_deg[0], rel=1e-12)
         assert est.pairing_residual[0] / scale == pytest.approx(ref.pairing_residual[0], rel=1e-12)
@@ -394,7 +380,7 @@ class TestCompressOnce:
 
 
 class TestStackParity:
-    """Every trial of a stack gets exactly what it gets alone: result, failure class and warnings."""
+    """Every trial of a stack gets exactly what it gets alone: result, failure class and flags."""
 
     CFG = ArrayConfig(m=8, spacing_ratio=0.5)
     PAIRS = [(30, 40), (70, 120)]
@@ -404,14 +390,8 @@ class TestStackParity:
         return np.vstack([Z.data, X.data])
 
     def _alone(self, Y):
-        # estimate_2d_aoa on one trial: its estimate or the AoaError it raises, and its warnings
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                result = estimate_2d_aoa(SnapshotMatrix(Y[:8], Subarray.Z), SnapshotMatrix(Y[8:], Subarray.X), 2, self.CFG)
-            except AoaError as exc:
-                result = exc
-        return result, Counter(w.category for w in caught)
+        # one trial as the stack of one that estimate_2d_aoa runs: its row, failure and flags
+        return estimate_stack(Y[None], 2, self.CFG)
 
     def _inputs(self, monkeypatch, module, name, Y):
         # every matrix of each call that module.name gets while Y's trial runs alone, in call order
@@ -427,10 +407,13 @@ class TestStackParity:
         return seen
 
     @pytest.mark.parametrize("order", ["forward", "reversed"])
-    def test_failures_and_warnings_match_the_trials_alone(self, monkeypatch, order):
+    def test_failures_and_flags_match_the_trials_alone(self, monkeypatch, order):
         healthy = [self._data(seed=s) for s in range(4)]
         deflating = self._data(seed=5)
         deflating[0] = 0.0  # Z's first sensor is silent: P1 = 0, so every coefficient is 0
+        rank_deficient = self._data(pairs=self.PAIRS[:1], sigma2=0.0, seed=10)
+        rank_deficient_failing = rank_deficient.copy()
+        rank_deficient_failing[0] = 0.0  # fails after both subarrays reduced their rank
         trials = {
             "overflow": 1e307 * self._data(seed=4),
             "deflation": deflating,
@@ -438,7 +421,8 @@ class TestStackParity:
             "out_of_range": self._data(sigma2=10.0, seed=8),  # -10 dB
             "singular_pairing": self._data(seed=7),
             "ambiguous_pairing": self._data(seed=9),
-            "rank_deficient": self._data(pairs=self.PAIRS[:1], sigma2=0.0, seed=10),
+            "rank_deficient": rank_deficient,
+            "rank_deficient_failing": rank_deficient_failing,
             "lapack_raises": self._data(seed=11),
         }
 
@@ -484,62 +468,64 @@ class TestStackParity:
             "out_of_range": OutOfRange,
             "singular_pairing": ConvergenceFailure,
             "lapack_raises": ConvergenceFailure,
+            "rank_deficient_failing": NotEnoughRoots,
         }
         for name, cls in expected.items():
-            # a trial that fails warns about nothing, as no step after the failing one runs for it
-            assert type(alone[name][0]) is cls and not alone[name][1], name
-        assert alone["ambiguous_pairing"][0].pairing_ambiguous[0]
-        assert alone["ambiguous_pairing"][1] == Counter({PairingAmbiguousWarning: 1})
-        assert alone["rank_deficient"][1][RankDeficiencyWarning] >= 1
+            # a failed trial's pairing is never ambiguous
+            assert type(alone[name].errors[0]) is cls and not alone[name].pairing_ambiguous[0], name
+        flags = {name: (est.reduced_rank[0].tolist(), bool(est.pairing_ambiguous[0])) for name, est in alone.items()}
+        assert flags["ambiguous_pairing"] == ([-1, -1], True)
+        # both subarrays' ranks are kept, also where the trial then fails
+        assert flags["rank_deficient"] == flags["rank_deficient_failing"] == ([1, 1], False)
+        assert [name for name, f in flags.items() if f != ([-1, -1], False)] == [
+            "ambiguous_pairing", "rank_deficient", "rank_deficient_failing"
+        ]
 
         stack = [healthy[0], *trials.values(), *healthy[1:]]
         if order == "reversed":
             stack = stack[::-1]
         want = [self._alone(Y) for Y in stack]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = estimate_stack(np.stack(stack), 2, self.CFG)
-        for t, (w, _) in enumerate(want):
-            if isinstance(w, AoaError):
-                assert type(got.errors[t]) is type(w)
+        got = estimate_stack(np.stack(stack), 2, self.CFG)
+        for t, w in enumerate(want):
+            # each row's flags are the trial's own, failed trials' included
+            assert got.reduced_rank[t].tolist() == w.reduced_rank[0].tolist()
+            assert got.pairing_ambiguous[t] == w.pairing_ambiguous[0]
+            if w.errors[0] is not None:
+                assert type(got.errors[t]) is type(w.errors[0])
                 # a failed trial's row holds no estimate
                 rows = [a[t] for a in (got.theta_deg, got.phi_deg, got.psi_hat, got.xi_hat, got.mag_z, got.mag_x)]
                 assert np.all(np.isnan(rows)) and np.isnan(got.pairing_residual[t]) and not got.pairing_ambiguous[t]
             else:
                 assert got.errors[t] is None and _row(got, t) == _row(w)
-        assert Counter(w.category for w in caught) == sum((c for _, c in want), Counter())
 
 
-class TestRankWarnings:
-    """RankDeficiencyWarning is decided after both subarrays: Z warns, then X if Z's chain passed."""
+class TestReducedRank:
+    """reduced_rank holds both subarrays' ranks as their solves measured them, whatever fails later."""
 
     CFG = ArrayConfig(m=8, spacing_ratio=0.5)
 
     def _run(self, Y):
-        # a stack of one: the trial's failure and its rank warnings
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = estimate_stack(Y[None], 2, self.CFG)
-        return got.errors[0], [w for w in caught if w.category is RankDeficiencyWarning]
+        # a stack of one: the trial's failure and its Z and X reduced ranks
+        got = estimate_stack(Y[None], 2, self.CFG)
+        return got.errors[0], got.reduced_rank[0].tolist()
 
     def _data(self):
         # one noiseless source at q = 2: both prediction systems have rank 1
         _, _, Z, X = _setup([(30, 40)], m=8, M=64, sigma2=0.0, seed=10)
         return _stacked(Z, X)
 
-    def test_a_z_chain_that_fails_after_its_solve_warns_for_z_only(self):
+    def test_a_z_chain_that_fails_after_its_solve_keeps_both_ranks(self):
         Y = self._data()
         Y[0] = 0.0  # Z's first sensor is silent: Z's coefficients are 0
-        exc, caught = self._run(Y)
-        assert type(exc) is NotEnoughRoots and len(caught) == 1
-        assert str(caught[0].message) == "requested truncation rank 2 exceeds numerical rank 1; reducing"
+        exc, reduced = self._run(Y)
+        assert type(exc) is NotEnoughRoots and reduced == [1, 1]
 
-    def test_x_warns_once_z_chain_has_passed(self):
+    def test_an_x_chain_that_fails_after_its_solve_keeps_both_ranks(self):
         Y = self._data()
         Y[self.CFG.m] = 0.0  # X's first sensor is silent: X fails after its solve
-        exc, caught = self._run(Y)
-        assert type(exc) is NotEnoughRoots and len(caught) == 2
+        exc, reduced = self._run(Y)
+        assert type(exc) is NotEnoughRoots and reduced == [1, 1]
 
-    def test_a_trial_that_fails_in_the_solve_does_not_warn(self):
-        exc, caught = self._run(1e307 * self._data())  # R is finite, but sigma_1 overflows in both subarrays
-        assert type(exc) is ConvergenceFailure and "largest singular value" in str(exc) and caught == []
+    def test_a_trial_that_fails_in_the_solve_reduces_no_rank(self):
+        exc, reduced = self._run(1e307 * self._data())  # R is finite, but sigma_1 overflows in both subarrays
+        assert type(exc) is ConvergenceFailure and "largest singular value" in str(exc) and reduced == [-1, -1]

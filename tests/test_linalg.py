@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,7 @@ from laoa import (
     svd,
     synthesize,
 )
-from laoa.errors import ConvergenceFailure, NotEnoughRoots, RankDeficiencyWarning, UnsupportedScenario
+from laoa.errors import ConvergenceFailure, NotEnoughRoots, UnsupportedScenario
 from laoa.linalg import REL_RANK_TOL, lapack_stack
 
 
@@ -227,19 +225,15 @@ class TestSolveCoeffs:
         # q = 2 equals the rank of the noiseless system here
         np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-10)
 
-    def test_rank_deficiency_is_returned_for_the_caller_to_warn(self):
+    def test_rank_deficiency_is_returned(self):
         src = SourceSet(directions=(DirectionPair(40, 30),))
         cfg = ArrayConfig(m=5, spacing_ratio=0.5)
         Z, _, _ = synthesize(src, cfg, 30, 0.0, np.random.default_rng(30))
         P, P1 = build_lp_system(Z.data.T[None])
         errors = [None]
-        # noiseless single source: rank 1, requesting q=3 must reduce to rank 1 and report it;
-        # estimator.estimate_stack issues the RankDeficiencyWarning
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _, reduced = solve_coeffs(P, P1, 3, EstimatorMode.TRUNCATED_SVD, errors)
+        # noiseless single source: rank 1, requesting q=3 must reduce to rank 1 and report it
+        _, reduced = solve_coeffs(P, P1, 3, EstimatorMode.TRUNCATED_SVD, errors)
         assert errors == [None] and reduced.tolist() == [1]
-        assert not [w for w in caught if w.category is RankDeficiencyWarning]
 
     def test_q_out_of_range(self):
         with pytest.raises(UnsupportedScenario, match=r"q must be in \[1, 3\]"):

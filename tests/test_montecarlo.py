@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
@@ -132,8 +133,9 @@ class TestDefaultWorkers:
 
 
 def _same(a, b):
-    # two run_trials results: equal errors (NaN rows alike) and failures
-    return all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a[:2], b[:2])) and a[2] == b[2]
+    # two run_trials results: equal errors (NaN rows alike), failures and flags
+    return (all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a[:2], b[:2])) and a[2] == b[2]
+            and all(np.array_equal(x, y) for x, y in zip(a[3:], b[3:])))
 
 
 def _loop_match(est, truth):
@@ -289,7 +291,8 @@ class TestMonteCarlo:
 
         def run_trials(cfg, cells):
             e = np.array([np.full((2, 3), np.nan) if fails(*cell) else errors(*cell) for cell in cells])
-            return e[:, 0], e[:, 1], ["OutOfRange" if fails(*cell) else None for cell in cells]
+            flags = np.full((len(cells), 2), -1), np.zeros(len(cells), dtype=bool)
+            return e[:, 0], e[:, 1], ["OutOfRange" if fails(*cell) else None for cell in cells], *flags
 
         monkeypatch.setattr(laoa.montecarlo, "run_trials", run_trials)
         cfg = _cfg(q=3, sources="30/40, 70/120, 110/80", trials=300, snr_db_list="-10, 0, 10, 20")
@@ -380,6 +383,23 @@ class TestMonteCarlo:
         assert serial == parallel
         assert multiprocessing.active_children() == []
 
+    def test_the_flag_counts_are_the_trials_flags_at_any_worker_count(self):
+        # m = 4 and M = 3 at q = 2, noise-free QPSK then 40 dB: some trials reduce a truncation
+        # rank, some of those then fail, and some pair ambiguously; nothing in the sweep warns
+        cfg = _cfg(m=4, M=3, q=2, sources="30/40, 70/120", signal_model="qpsk", snr_db_list="inf, 40",
+                   trials=200, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            serial, parallel = monte_carlo(cfg, workers=1), monte_carlo(cfg, workers=2)
+            _, _, failures, reduced, ambiguous = run_trials(cfg, [divmod(k, cfg.trials) for k in range(400)])
+        assert serial.to_csv() == parallel.to_csv()
+        counts = serial.rank_reduced_trials, serial.ambiguous_trials
+        assert counts == (parallel.rank_reduced_trials, parallel.ambiguous_trials)
+        # a trial counts once if either subarray reduced its rank, also when it then fails
+        rank_reduced = np.any(reduced >= 0, axis=1)
+        assert counts == (np.count_nonzero(rank_reduced), np.count_nonzero(ambiguous))
+        assert all(counts) and any(f is not None for f in np.array(failures, dtype=object)[rank_reduced])
+
     def test_rmse_bias_consistency(self):
         cfg = _cfg(trials=20, snr_db_list="10")
         for row in monte_carlo(cfg).rows:
@@ -397,8 +417,8 @@ def _in_new_thread(fn, *args):
 
 def _bits(result):
     # a run_trials result, bit for bit
-    theta_err, phi_err, failures = result
-    return theta_err.tobytes(), phi_err.tobytes(), failures
+    theta_err, phi_err, failures, reduced, ambiguous = result
+    return theta_err.tobytes(), phi_err.tobytes(), failures, reduced.tobytes(), ambiguous.tobytes()
 
 
 class TestSnapshotBuffer:

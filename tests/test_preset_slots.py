@@ -1,21 +1,19 @@
 """Each stacked layer leaves an ``errors`` slot that is already set alone.
 
 A slot set before a layer runs belongs to a trial that failed in an earlier
-layer.  The layer must keep that slot's object, emit no warning for that
-trial, and give every other row bit for bit what the row gets as a stack of
-one.  Rows 1 and 3 of every stack here are preset; alone, each of them fails
-or warns in the layer, so a layer that ignored its slot would show.
+layer.  The layer must keep that slot's object, flag nothing for that trial
+(neither a reduced rank nor an ambiguous pairing), and give every other row
+bit for bit what the row gets as a stack of one.  Rows 1 and 3 of every
+stack here are preset; alone, each of them fails or is flagged in the
+layer, so a layer that ignored its slot would show.
 """
-
-import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from laoa import ArrayConfig, DirectionPair, EstimatorMode, SourceSet, build_lp_system, synthesize
 from laoa.array_model import directions_from_electrical
-from laoa.errors import AoaError, ConvergenceFailure, NotEnoughRoots, RankDeficiencyWarning
+from laoa.errors import AoaError, ConvergenceFailure, NotEnoughRoots
 from laoa.estimator import estimate_electrical, pair_and_recover
 from laoa.linalg import solve_coeffs, svd
 from laoa.rooting import find_roots, select_unit_roots
@@ -37,13 +35,11 @@ def _chain():
         Y.append(np.vstack([Z.data, X.data]))
     R = np.linalg.qr(np.stack(Y).transpose(0, 2, 1), mode="r")
     errors = [None] * len(R)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        P, P1 = build_lp_system(R[:, :, :CFG.m])
-        c, _ = solve_coeffs(P, P1, Q, MODE, errors)
-        roots = find_roots(c, errors)
-        psi, mags_z, _ = estimate_electrical(R[:, :, :CFG.m], Q, MODE, errors)
-        xi, mags_x, _ = estimate_electrical(R[:, :, CFG.m:], Q, MODE, errors)
+    P, P1 = build_lp_system(R[:, :, :CFG.m])
+    c, _ = solve_coeffs(P, P1, Q, MODE, errors)
+    roots = find_roots(c, errors)
+    psi, mags_z, _ = estimate_electrical(R[:, :, :CFG.m], Q, MODE, errors)
+    xi, mags_x, _ = estimate_electrical(R[:, :, CFG.m:], Q, MODE, errors)
     assert errors == [None] * len(R)
     return P, P1, c, roots, psi, xi, mags_z, mags_x, R.swapaxes(1, 2)
 
@@ -75,15 +71,6 @@ def _cases():
     psi_dir[1, 0] = np.pi * np.cos(np.deg2rad(0.5))  # theta = 0.5 deg: DegenerateElevation
     psi_dir[3, 0] = 4.0  # past 2 pi d / lambda = pi: OutOfRange
 
-    def solve_and_warn(P, P1, errors):
-        # solve_coeffs returns each row's reduced rank and warns about none: a rank it
-        # returns (>= 0) stands for the warning the row would get, so the checks on
-        # warnings below check the returned ranks
-        c, reduced = solve_coeffs(P, P1, Q, MODE, errors)
-        for rank in reduced[reduced >= 0].tolist():
-            warnings.warn(f"reduced to rank {rank}", RankDeficiencyWarning)
-        return c, reduced
-
     def stack_estimate(*args):
         est = pair_and_recover(*args[:3], CFG, *args[3:])
         return (est.theta_deg, est.phi_deg, est.psi_hat, est.xi_hat, est.mag_z, est.mag_x,
@@ -91,7 +78,7 @@ def _cases():
 
     return {
         "svd": (svd, (P,), svd_failing_on_presets),
-        "solve_coeffs": (solve_and_warn, (P_zero, P1), None),
+        "solve_coeffs": (lambda P, P1, errors: solve_coeffs(P, P1, Q, MODE, errors), (P_zero, P1), None),
         "find_roots": (lambda c, errors: (find_roots(c, errors),), (c_bad,), None),
         "select_unit_roots": (lambda r, errors: (select_unit_roots(r, Q, errors),), (roots_few,), None),
         "pair_and_recover": (stack_estimate, (psi_pair, xi_pair, L, mags_z, mags_x), None),
@@ -101,11 +88,13 @@ def _cases():
     }
 
 
-def _run(call, inputs, errors):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = call(*inputs, errors)
-    return out, Counter(w.category for w in caught)
+def _flagged(layer, out):
+    # per row, whether the layer flags it: solve_coeffs' reduced rank, pair_and_recover's ambiguity
+    if layer == "solve_coeffs":
+        return out[1] >= 0
+    if layer == "pair_and_recover":
+        return out[-1]
+    return np.zeros(len(out[0]), dtype=bool)
 
 
 @pytest.mark.parametrize(
@@ -119,24 +108,24 @@ def test_a_preset_slot_keeps_its_object_and_changes_no_other_row(layer, monkeypa
     alone = []
     for t in range(T):
         errors = [None]
-        out, caught = _run(call, tuple(a[t:t + 1] for a in inputs), errors)
-        alone.append((out, errors[0], caught))
+        out = call(*(a[t:t + 1] for a in inputs), errors)
+        alone.append((out, errors[0]))
     for t in PRESET:
-        # alone, a preset row fails or warns in this layer
-        assert isinstance(alone[t][1], AoaError) or alone[t][2], (layer, t)
+        # alone, a preset row fails or is flagged in this layer
+        assert isinstance(alone[t][1], AoaError) or _flagged(layer, alone[t][0])[0], (layer, t)
 
     preset = {1: ConvergenceFailure("failed upstream"), 3: NotEnoughRoots("failed upstream")}
     errors = [preset.get(t) for t in range(T)]
-    got, caught = _run(call, inputs, errors)
+    got = call(*inputs, errors)
 
     for t, exc in preset.items():
         assert errors[t] is exc
-    # the stack warns exactly as its other rows do alone: nothing for the preset rows
-    assert caught == sum((alone[t][2] for t in range(T) if t not in preset), Counter())
+        # the stack flags nothing for a preset row
+        assert not _flagged(layer, got)[t], (layer, t)
     for t in range(T):
         if t in preset:
             continue
-        out, exc, _ = alone[t]
+        out, exc = alone[t]
         assert errors[t] is None and exc is None
         for a, b in zip(got, out):
             assert a[t].tobytes() == b[0].tobytes(), (layer, t)

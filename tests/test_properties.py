@@ -3,7 +3,6 @@
 Examples are derandomized so every run checks the same cases.
 """
 
-import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -26,8 +25,8 @@ from laoa import (
     steering_vector,
     synthesize,
 )
-from laoa.errors import AoaError, PairingAmbiguousWarning, ParseError, RankDeficiencyWarning, UnsupportedScenario
-from laoa.montecarlo import CSV_HEADER, monte_carlo, run_trial, run_trials
+from laoa.errors import AoaError, ParseError, UnsupportedScenario
+from laoa.montecarlo import CSV_HEADER, monte_carlo, run_trials
 from laoa.synthesis import generate_noise, generate_sources, separated_angle_sets
 
 _directions = st.tuples(st.floats(5.0, 175.0), st.floats(2.0, 178.0))
@@ -93,18 +92,17 @@ def _stack_config(name: str, mode: str) -> ExperimentConfig:
 
 
 def _joined(stacks) -> tuple:
-    # run_trials results of consecutive stacks as one: errors stacked, failures concatenated
-    theta_err, phi_err, failures = zip(*stacks)
-    return np.concatenate(theta_err), np.concatenate(phi_err), [f for stack in failures for f in stack]
+    # run_trials results of consecutive stacks as one: arrays stacked, failures concatenated
+    theta_err, phi_err, failures, reduced, ambiguous = zip(*stacks)
+    failures = [f for stack in failures for f in stack]
+    return np.concatenate(theta_err), np.concatenate(phi_err), failures, np.concatenate(reduced), np.concatenate(ambiguous)
 
 
 @lru_cache(maxsize=None)
 def _trials_alone(name: str, mode: str) -> tuple:
     # every cell of the sweep's (snr_index, trial_index) grid, each trial run alone
     cfg = _stack_config(name, mode)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return _joined(run_trial(cfg, si, ti) for si, ti in _grid(cfg))
+    return _joined(run_trials(cfg, [cell]) for cell in _grid(cfg))
 
 
 def _grid(cfg: ExperimentConfig) -> list:
@@ -127,12 +125,12 @@ def test_any_split_into_stacks_gives_each_trial_its_own_result(name, mode, sizes
         # the split also cuts through failing trials (snr_db_list[0] = -10 dB)
         assert any(f is not None for f in alone[2][:cfg.trials])
     bounds = sorted({0, len(grid), *np.minimum(np.cumsum(sizes), len(grid)).tolist()})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        got = _joined(run_trials(cfg, grid[start:stop]) for start, stop in zip(bounds, bounds[1:]))
+    got = _joined(run_trials(cfg, grid[start:stop]) for start, stop in zip(bounds, bounds[1:]))
     assert np.array_equal(got[0], alone[0], equal_nan=True)
     assert np.array_equal(got[1], alone[1], equal_nan=True)
     assert got[2] == alone[2]
+    # each trial's flags: its reduced ranks and its pairing's ambiguity
+    assert np.array_equal(got[3], alone[3]) and np.array_equal(got[4], alone[4])
 
 
 # --- source order and config round trip ----------------------------------------
@@ -167,9 +165,7 @@ def test_estimate_does_not_depend_on_the_order_of_the_sources(pairs, order, sigm
             return type(exc)
         return sorted(zip(est.theta_deg[0].tolist(), est.phi_deg[0].tolist()))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        a, b = estimate(list(range(len(pairs)))), estimate(perm)
+    a, b = estimate(list(range(len(pairs)))), estimate(perm)
     if isinstance(a, type) or isinstance(b, type):
         assert a == b
     else:
@@ -262,10 +258,7 @@ def test_an_accepted_config_runs_to_a_full_report(text):
         cfg = parse_config(text)
     except ParseError:
         return
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficiencyWarning)
-        warnings.simplefilter("ignore", PairingAmbiguousWarning)
-        rows = monte_carlo(cfg, workers=1).rows
+    rows = monte_carlo(cfg, workers=1).rows
     assert [(r["snr_db"], r["source_index"]) for r in rows] == [
         (snr, l) for snr in sorted(cfg.snr_db_list) for l in range(cfg.q)
     ]
