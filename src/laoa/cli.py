@@ -6,6 +6,7 @@ Subcommands:
   montecarlo  full RMSE-vs-SNR experiment, writes the CSV report
 
 Exit codes: 0 success, 1 usage error, 2 data error.
+``AOA_THREADS`` sets the worker count of ``montecarlo``; the library reads no environment variable.
 """
 
 import argparse
@@ -18,7 +19,7 @@ from .config import load_config
 from .errors import AoaError, ParseError
 from .estimator import EstimatorMode, estimate_2d_aoa
 from .matio import read_matrix_file
-from .montecarlo import default_workers, monte_carlo, run_trials
+from .montecarlo import monte_carlo, run_trials
 from .synthesis import Subarray
 
 
@@ -111,23 +112,32 @@ def _cmd_estimate(args) -> int:
         if snap.subarray is not tag:
             print(f"{flag} holds a matrix tagged {snap.subarray.value}, expected {tag.value}", file=sys.stderr)
             return 2
-    if Z.m != X.m:
-        print(f"subarray sizes differ: {Z.m} vs {X.m}", file=sys.stderr)
-        return 2
-    if Z.snapshots != X.snapshots:
-        print(f"snapshot counts differ: {Z.snapshots} vs {X.snapshots} columns", file=sys.stderr)
-        return 2
     cfg = ArrayConfig(m=Z.m, spacing_ratio=args.spacing_ratio)
     est = estimate_2d_aoa(Z, X, args.q, cfg, EstimatorMode(args.mode))
     _print_estimate(est)
     return 0
 
 
+def _workers() -> int:
+    # the worker count from AOA_THREADS (default 1), capped at the CPU count: a sweep starts one
+    # process per worker, so an uncapped value would start that many
+    env = os.environ.get("AOA_THREADS")
+    if env is None:
+        return 1
+    try:
+        n = int(env)
+    except ValueError:
+        raise ValueError(f"AOA_THREADS must be an integer, got {env!r}") from None
+    if n < 1:
+        raise ValueError("AOA_THREADS must be >= 1")
+    return min(n, os.cpu_count() or 1)
+
+
 def _cmd_montecarlo(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
-    workers = default_workers()
+    workers = _workers()
     output = args.output if args.output is not None else cfg.output_path
     # opened before the first trial, so a bad path fails at once; a failed sweep leaves no CSV
     fh = open(output, "w", encoding="ascii", newline="")

@@ -448,7 +448,7 @@ def estimate_2d_aoa(
     """
     m, M = cfg.m, Z.snapshots
     if Z.data.shape != (m, M) or X.data.shape != (m, M):
-        raise ValueError(f"Z and X must both be cfg.m x M = {m} x M, got {Z.data.shape} and {X.data.shape}")
+        raise ValueError(f"Z is {Z.m} x {Z.snapshots} and X is {X.m} x {X.snapshots}; both must be {m} x M")
     result = estimate_stack(np.vstack([Z.data, X.data])[None], q, cfg, mode)
     raise_first(result.errors)
     return result

@@ -35,17 +35,19 @@ STACK_BYTES, a stack that reuses the buffer faults in no fresh pages, and a
 one-trial stack too large for it is freed as it ends.  ``synthesize`` never
 uses it: it returns views of an array of its own.
 
-A sweep of more than one task runs task k in worker process k % workers.
-The workers are started for the sweep (forked, where that is the start
-method) and joined before ``monte_carlo`` returns, so no process or thread
-outlives a sweep.  Each worker sends each stack through its own pipe as it
+The worker count is ``monte_carlo``'s ``workers`` argument (default 1) and
+nothing else: this module reads no environment variable, and ``aoa
+montecarlo`` is what turns ``AOA_THREADS`` into that argument.  A sweep of
+more than one task runs task k in worker process k % workers.  The workers
+are started for the sweep (forked, where that is the start method) and
+joined before ``monte_carlo`` returns, so no process or thread outlives a
+sweep.  Each worker sends each stack through its own pipe as it
 finishes, and the caller reads them in task order.  The caller holds the
 only read end of each pipe, so a worker whose caller is killed fails its
 next send and exits, whatever the start method.
 """
 
 import multiprocessing
-import os
 import threading
 from contextlib import suppress
 from dataclasses import dataclass
@@ -159,24 +161,6 @@ def run_trial(cfg: ExperimentConfig, snr_index: int, trial_index: int) -> tuple[
     return run_trials(cfg, [(snr_index, trial_index)])[:3]
 
 
-def default_workers() -> int:
-    """Worker count from ``AOA_THREADS`` (default 1), capped at the CPU count.
-
-    A sweep starts one process per worker, so an uncapped value would start
-    that many processes.
-    """
-    env = os.environ.get("AOA_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"AOA_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise ValueError("AOA_THREADS must be >= 1")
-        return min(n, os.cpu_count() or 1)
-    return 1
-
-
 def _cut(cells, trial_bytes: int, workers: int) -> list:
     # the fewest stacks of trial_bytes-sized trials that fit STACK_BYTES, rounded up to a
     # multiple of workers and at most one per cell, as runs of consecutive cells whose sizes
@@ -246,7 +230,7 @@ def _run_shares(cfg: ExperimentConfig, tasks: list, workers: int) -> list:
     return stacks
 
 
-def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarloReport:
+def monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> MonteCarloReport:
     """Run trials x SNR points and aggregate RMSE/bias per source per SNR.
 
     The sweep's cells, (snr_index, trial_index) in that order, are cut into
@@ -258,12 +242,11 @@ def monte_carlo(cfg: ExperimentConfig, workers: int | None = None) -> MonteCarlo
     process k % workers; the workers are started for this sweep and joined
     before it returns.  No more workers start than there are tasks, and a
     sweep of one task runs in process.  A worker's exception is re-raised
-    here; a worker that dies raises ``RuntimeError``.  ``workers`` below 1
-    is a ``ValueError`` before any task is cut or started.  The report also
-    counts the sweep's flagged trials, as ``MonteCarloReport`` says.
+    here; a worker that dies raises ``RuntimeError``.  ``workers`` (default
+    1) is not capped at the CPU count; below 1 it is a ``ValueError`` before
+    any task is cut or started.  The report also counts the sweep's flagged
+    trials, as ``MonteCarloReport`` says.
     """
-    if workers is None:
-        workers = default_workers()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = _cut(range(len(cfg.snr_db_list) * cfg.trials), 2 * cfg.m * cfg.M * np.dtype(complex).itemsize, workers)

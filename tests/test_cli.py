@@ -29,6 +29,12 @@ output_path = {out}
 """
 
 
+@pytest.fixture(autouse=True)
+def _no_inherited_aoa_threads(monkeypatch):
+    # a test that needs AOA_THREADS sets it itself
+    monkeypatch.delenv("AOA_THREADS", raising=False)
+
+
 @pytest.fixture
 def config_file(tmp_path):
     out = tmp_path / "report.csv"
@@ -284,7 +290,8 @@ def test_estimate_rejects_unequal_subarray_sizes(tmp_path, capsys):
     rc = main(["estimate", "--z-file", str(zf), "--x-file", str(xf), "--q", "1", "--spacing-ratio", "0.5"])
     assert rc == 2
     captured = capsys.readouterr()
-    assert captured.err == "subarray sizes differ: 8 vs 6\n" and captured.out == ""
+    # estimate_2d_aoa's shape rule, the only check of it
+    assert captured.err == "error: Z is 8 x 50 and X is 6 x 50; both must be 8 x M\n" and captured.out == ""
 
 
 def test_estimate_rejects_swapped_files(tmp_path, capsys):
@@ -300,7 +307,8 @@ def test_estimate_rejects_unequal_snapshot_counts(tmp_path, capsys):
     zf, xf = _write_pair(tmp_path, x_snapshots=40)
     rc = main(["estimate", "--z-file", str(zf), "--x-file", str(xf), "--q", "1", "--spacing-ratio", "0.5"])
     assert rc == 2
-    assert "snapshot counts differ: 50 vs 40" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == "error: Z is 8 x 50 and X is 8 x 40; both must be 8 x M\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("q, rule", [("8", "pairings"), ("0", "q <= m - 2")])
@@ -430,6 +438,25 @@ def test_montecarlo_checks_aoa_threads_before_any_trial(config_file, capsys, mon
     assert main(["montecarlo", "--config", str(path)]) == 2
     assert "AOA_THREADS must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestAoaThreads:
+    # os.cpu_count is patched, so no test here depends on the machine or starts a worker
+
+    @pytest.mark.parametrize(
+        "env, cpus, expected", [(None, 3, 1), ("2", 3, 2), ("1000000", 3, 3), ("4", None, 1)]
+    )
+    def test_aoa_threads_is_capped_at_the_cpu_count(self, monkeypatch, env, cpus, expected):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        if env is not None:
+            monkeypatch.setenv("AOA_THREADS", env)
+        assert laoa.cli._workers() == expected
+
+    @pytest.mark.parametrize("env, message", [("0", ">= 1"), ("two", "integer")])
+    def test_invalid_values_are_rejected(self, monkeypatch, env, message):
+        monkeypatch.setenv("AOA_THREADS", env)
+        with pytest.raises(ValueError, match=message):
+            laoa.cli._workers()
 
 
 def test_a_failed_sweep_leaves_no_csv(config_file, monkeypatch):

@@ -23,7 +23,6 @@ from laoa.montecarlo import (
     STACK_BYTES,
     _cut,
     _match_to_truth,
-    default_workers,
     monte_carlo,
     run_trial,
     run_trials,
@@ -111,25 +110,15 @@ class TestRunTrial:
         assert row["failure_count"] == 2 and row["rmse_theta_deg"] is None
 
 
-class TestDefaultWorkers:
-    # os.cpu_count is patched, so no test here depends on the machine or starts a pool
+def _run_workers_in_process(monkeypatch, shares):
+    # each worker of a sweep runs its share in process as it starts, and appends its tasks' sizes
+    # to shares; it has no read ends to close: in process, they are the caller's own
+    def process(target, args):
+        shares.append([len(cells) for cells in args[2]])
+        return SimpleNamespace(start=lambda: target(*args[:3], []), join=lambda: None, terminate=lambda: None)
 
-    @pytest.mark.parametrize(
-        "env, cpus, expected", [(None, 3, 1), ("2", 3, 2), ("1000000", 3, 3), ("4", None, 1)]
-    )
-    def test_aoa_threads_is_capped_at_the_cpu_count(self, monkeypatch, env, cpus, expected):
-        monkeypatch.setattr("os.cpu_count", lambda: cpus)
-        if env is None:
-            monkeypatch.delenv("AOA_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("AOA_THREADS", env)
-        assert default_workers() == expected
-
-    @pytest.mark.parametrize("env, message", [("0", ">= 1"), ("two", "integer")])
-    def test_invalid_values_are_rejected(self, monkeypatch, env, message):
-        monkeypatch.setenv("AOA_THREADS", env)
-        with pytest.raises(ValueError, match=message):
-            default_workers()
+    context = SimpleNamespace(Pipe=multiprocessing.Pipe, Process=process)
+    monkeypatch.setattr(laoa.montecarlo, "multiprocessing", SimpleNamespace(get_context=lambda: context))
 
 
 def _same(a, b):
@@ -327,24 +316,30 @@ class TestMonteCarlo:
         # a sweep of one cell is one task and runs in process; the cells of a larger sweep fit one
         # stack, so they are cut into as many equal tasks as there are workers, or one per cell;
         # task k runs in worker k % workers
-        class InProcessContext:
-            Pipe = staticmethod(multiprocessing.Pipe)
-
-            @staticmethod
-            def Process(target, args):
-                shares.append([len(cells) for cells in args[2]])
-                # no read ends to close: in process, they are the caller's own
-                return SimpleNamespace(start=lambda: target(*args[:3], []), join=lambda: None, terminate=lambda: None)
-
         shares, ran, real = [], [], laoa.montecarlo.run_trials
         cfg = _cfg(trials=trials, snr_db_list=snr_db_list)
         serial = monte_carlo(cfg, workers=1).to_csv()
-        monkeypatch.setattr(laoa.montecarlo, "multiprocessing", SimpleNamespace(get_context=lambda: InProcessContext))
+        _run_workers_in_process(monkeypatch, shares)
         monkeypatch.setattr(laoa.montecarlo, "run_trials", lambda cfg, cells: ran.append(len(cells)) or real(cfg, cells))
         assert monte_carlo(cfg, workers=workers).to_csv() == serial
         assert shares == started
         # the stub runs each share as its worker starts
         assert ran == ([n for share in started for n in share] or [trials])
+
+    def test_the_sweep_ignores_aoa_threads(self, monkeypatch):
+        # the worker count is the caller's argument, default 1; only `aoa montecarlo` reads
+        # AOA_THREADS, so neither a bad value nor a larger one reaches a library sweep
+        shares = []
+        cfg = _cfg(trials=3, snr_db_list="20, 10")
+        serial = monte_carlo(cfg, workers=1).to_csv()
+        _run_workers_in_process(monkeypatch, shares)
+        for env in ("bogus", "2"):
+            monkeypatch.setenv("AOA_THREADS", env)
+            assert monte_carlo(cfg).to_csv() == serial
+            assert shares == []
+        # the stub does see the workers of an explicit count
+        assert monte_carlo(cfg, workers=2).to_csv() == serial
+        assert shares == [[3], [3]]
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_a_worker_count_below_one_is_rejected_before_any_task(self, monkeypatch, workers):
