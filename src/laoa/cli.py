@@ -110,8 +110,7 @@ def _cmd_estimate(args) -> int:
     X = _read("--x-file", args.x_file)
     for flag, snap, tag in (("--z-file", Z, Subarray.Z), ("--x-file", X, Subarray.X)):
         if snap.subarray is not tag:
-            print(f"{flag} holds a matrix tagged {snap.subarray.value}, expected {tag.value}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{flag} holds a matrix tagged {snap.subarray.value}, expected {tag.value}")
     cfg = ArrayConfig(m=Z.m, spacing_ratio=args.spacing_ratio)
     est = estimate_2d_aoa(Z, X, args.q, cfg, EstimatorMode(args.mode))
     _print_estimate(est)

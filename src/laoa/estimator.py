@@ -41,10 +41,12 @@ two halves.
 
 The screen scores every permutation with q x q matrices only:
 cheap_P = ||L||^2 - Re tr(G_P^-1 H_P), with H_P = B_P B_P^H gathered from
-the three products Bz Bz^H, Bz Bx^H and Bx Bx^H.  Each pass of SCREEN_BLOCK
-systems of whole trials, the system index on the last axis, builds per
-trial one table of every sum an entry of G_P or H_P can take, and gathers
-all of the pass's G_P and H_P from it by one np.take.  It takes the trace
+the three products Bz Bz^H, Bz Bx^H and Bx Bx^H.  It runs in single
+precision: the exact stage below decides in double, so the screen only
+needs enough digits to prune.  Each pass of SCREEN_BLOCK complex64 systems
+of whole trials, the system index on the last axis, builds per trial one
+table of every sum an entry of G_P or H_P can take, and gathers all of the
+pass's G_P and H_P from it by one np.take.  It takes the trace
 by elimination in numpy, not by a LAPACK solve per system: the unpivoted
 elimination G_P = W D W^H (W unit lower triangular) applies each step's
 row operation to G_P and H_P in one numpy call, and its conjugate to H_P
@@ -53,14 +55,22 @@ as a column operation, so tr(G_P^-1 H_P) is the sum of
 definite, and the unpivoted elimination is backward stable for it.  In exact arithmetic cheap_P is the squared
 residual, but the subtraction cancels: rounding in B_P, H_P, ||L||^2 and
 the elimination moves cheap_P by O((m + q) eps kappa ||L||^2), since
-tr(G_P^-1 H_P) <= ||L||^2.  The stated bound is
-delta = C (m + q) eps kappa ||L||^2 (C = SCREEN_ERROR_FACTOR; measured gaps
-stay below 0.03 of it at C = 1), with kappa = 2mq / max(lambda_min(Gz),
-lambda_min(Gx)) >= cond(G_P) for every P: both terms of G_P are positive
-semidefinite and tr(G_P) = 2mq.  The bound is first order, so a trial whose
+tr(G_P^-1 H_P) <= ||L||^2, with eps that of the precision the tables and
+the elimination run in.  The stated bound is
+delta = C (m + q) eps kappa ||L||^2 (C = SCREEN_ERROR_FACTOR), with
+kappa = 2mq / max(lambda_min(Gz), lambda_min(Gx)) >= cond(G_P) for every P:
+both terms of G_P are positive semidefinite and tr(G_P) = 2mq.  Measured
+at C = 1, the largest gap was 0.021 of delta over 1230 trials screened in
+single precision (300 random accepted q = 3-6 configs, 4 trials each, at
+-10 to 30 dB) and 0.011 over the clustered sets of the screen's tests, the
+retried ones included.  The bound is first order, so a trial whose
 delta reaches ||L||^2 keeps every permutation; so does a trial whose
 elimination meets a pivot that is not positive and finite, or a score that
-is not finite: its delta is inf.  The screen fails no trial.
+is not finite: its delta is inf.  A trial whose single-precision delta is
+inf, as one whose kappa makes C (m + q) eps kappa >= 1 (past ~4e4 at
+m + q = 13), is screened again in double precision, those trials only, so
+every trial a screen run wholly in double precision prunes is still
+pruned.  The screen fails no trial.
 
 The exact stage scores only the contenders: every P with
 cheap_P <= c2 + 2 delta, c2 the second-smallest screen score.  The two
@@ -68,8 +78,9 @@ permutations with the smallest screen scores have squared residuals at most
 c2 + delta, so both of the exact best two are contenders.  For those, it
 solves G_P S = B_P by LU, in blocks of at most PAIRING_BLOCK systems, and
 forms the residual directly as ||L - A S||_F; the shortcut the screen takes
-loses everything below ~1e-8 of ||L|| to cancellation, which would hide a
-near-exact fit.  Every other permutation scores +inf.  That LU is the only
+loses everything below ~1e-8 of ||L|| to cancellation even in double
+precision, which would hide a near-exact fit.  Every other permutation
+scores +inf.  That LU is the only
 place a pairing fails: an exactly singular G_P, as when two (psi, xi) pairs
 are identical, gives ConvergenceFailure.  Such a G_P sits in a trial whose
 kappa already makes delta inf, since G_P >= max(lambda_min(Gz),
@@ -95,7 +106,7 @@ from .synthesis import SnapshotMatrix, build_lp_system
 PERMUTATION_BUDGET = 5040  # 7!
 PAIRING_AMBIGUITY_REL_TOL = 1e-6
 PAIRING_BLOCK = 24  # exact pairing systems per stacked solve: bounds the temporaries; 40 ran no faster on q=2 stacks of 20
-SCREEN_BLOCK = 480  # screen systems per elimination pass, whole trials (at least one); at q=5 ~1.5x faster than 120, +0.35 MiB peak
+SCREEN_BLOCK = 960  # complex64 screen systems per elimination pass, whole trials (at least one): the bytes of 480 complex128 ones
 SCREEN_ERROR_FACTOR = 16.0  # C in the screen's error bound (module docstring)
 SINGULAR_PAIRING = "singular pairing normal equations"
 
@@ -301,11 +312,14 @@ def _pairing_residuals(
 
 
 def _screen(
-    G_zx: np.ndarray, Bz: np.ndarray, Bx: np.ndarray, L: np.ndarray, table: np.ndarray
+    G_zx: np.ndarray, Bz: np.ndarray, Bx: np.ndarray, L: np.ndarray, table: np.ndarray, dtype=np.complex64
 ) -> tuple[np.ndarray, np.ndarray]:
     # every permutation's screen score ||L||^2 - Re tr(G_P^-1 H_P) (T x q!) and
     # each trial's bound delta on its distance from the exact squared residual;
     # G_zx is the 2T stack [Gz; Gx] and H_P = B_P B_P^H = Hzz + Hzx[:, P] + Hzx^H[P, :] + Hxx[P][:, P].
+    # The tables, the gather and the elimination run in dtype, and delta takes dtype's eps; the
+    # trials whose complex64 delta is inf are screened again at complex128, the retry being
+    # the only caller that passes dtype, so every trial a complex128 screen prunes is pruned.
     # Fails no trial: one whose elimination meets a pivot that is not positive and finite
     # or a score that is not finite scores NaN with delta = inf, so it keeps
     # every permutation
@@ -313,17 +327,19 @@ def _screen(
     m = L.shape[1] // 2
     Hzz, Hzx, Hxx = (a @ b.conj().swapaxes(1, 2) for a, b in ((Bz, Bz), (Bz, Bx), (Bx, Bx)))
     index = _screen_index(q)
-    per_pass = max(1, SCREEN_BLOCK // len(table))
+    # SCREEN_BLOCK counts complex64 systems: a complex128 pass takes half as many, the same bytes
+    per_pass = max(1, SCREEN_BLOCK * 8 // (np.dtype(dtype).itemsize * len(table)))
     traces = np.empty((T, len(table)))
     good = np.empty((T, len(table)), dtype=bool)
+    # the trials on the last axis: each block is q x q x T
+    blocks = [a.transpose(1, 2, 0).astype(dtype) for a in (G_zx[:T], G_zx[T:], Hzz, Hzx, Hxx)]
     for t0 in range(0, T, per_pass):
         ts = slice(t0, t0 + per_pass)
-        # the pass's trials on the last axis: each is q x q x trials
-        gz, gx, hzz, hzx, hxx = (a[ts].transpose(1, 2, 0) for a in (G_zx[:T], G_zx[T:], Hzz, Hzx, Hxx))
+        gz, gx, hzz, hzx, hxx = (a[..., ts] for a in blocks)
         # per trial, the tables G_P and H_P are gathered from: G[i, j, a, b] = Gx[a, b] + Gz[i, j]
         # and H[i, j, a, b] = ((Hxx[a, b] + Hzz[i, j]) + Hzx[i, b]) + conj(Hzx[j, a]), so that
         # G_P[i, j] = G[i, j, P[i], P[j]] and H_P[i, j] = H[i, j, P[i], P[j]]
-        tables = np.empty((2, q, q, q, q, gz.shape[-1]), dtype=complex)
+        tables = np.empty((2, q, q, q, q, gz.shape[-1]), dtype=dtype)
         np.add(gx, gz[:, :, None, None], out=tables[0])
         np.add(hxx, hzz[:, :, None, None], out=tables[1])
         tables[1] += hzx[:, None, None]
@@ -337,9 +353,14 @@ def _screen(
     # lambda_max(G_P) <= tr(G_P) = 2mq, and lambda_min(G_P) >= max(lambda_min(Gz), lambda_min(Gx))
     lam = np.max(np.linalg.eigvalsh(G_zx)[:, 0].reshape(2, T), axis=0)
     kappa = np.divide(2.0 * m * q, lam, out=np.full(T, np.inf), where=lam > 0)
-    delta = SCREEN_ERROR_FACTOR * (m + q) * np.finfo(float).eps * kappa * norm2
+    delta = SCREEN_ERROR_FACTOR * (m + q) * np.finfo(dtype).eps * kappa * norm2
     # a first-order bound: past ||L||^2, the whole range of residuals, it bounds nothing
-    return norm2[:, None] - traces, np.where((delta < norm2) & ~bad, delta, np.inf)
+    cheap, delta = norm2[:, None] - traces, np.where((delta < norm2) & ~bad, delta, np.inf)
+    retry = np.flatnonzero(delta == np.inf)
+    if dtype == np.complex64 and len(retry):
+        rows = np.concatenate([retry, retry + T])
+        cheap[retry], delta[retry] = _screen(G_zx[rows], Bz[retry], Bx[retry], L[retry], table, np.complex128)
+    return cheap, delta
 
 
 @lru_cache(maxsize=8)

@@ -300,6 +300,7 @@ def test_estimate_rejects_swapped_files(tmp_path, capsys):
     assert rc == 2
     captured = capsys.readouterr()
     assert "--z-file holds a matrix tagged X" in captured.err
+    assert captured.err == "error: --z-file holds a matrix tagged X, expected Z\n"
     assert captured.out == ""
 
 

@@ -28,8 +28,8 @@ from laoa.estimator import (
 from laoa.linalg import lapack_stack
 
 CFG = ArrayConfig(m=8, spacing_ratio=0.5)
-FIVE_SOURCES = [(30, 40), (60, 100), (100, 60), (140, 130), (80, 150)]
-TRUE_PSI, TRUE_XI = electrical_angles([DirectionPair(t, p) for t, p in FIVE_SOURCES], CFG)
+SOURCES = [(30, 40), (60, 100), (100, 60), (140, 130), (80, 150), (120, 20)]  # a trial of q sources takes the first q
+TRUE_PSI, TRUE_XI = electrical_angles([DirectionPair(t, p) for t, p in SOURCES], CFG)
 
 
 def _exhaustive_pairing_residuals(
@@ -121,7 +121,7 @@ def _stacks(draw, q):
     return np.array(psi), np.array(xi), np.array(L)
 
 
-@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])  # q = 6: 720 permutations, one trial per screen pass
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_the_screen_reports_what_the_exhaustive_search_reports(q, data):
@@ -169,6 +169,30 @@ def test_delta_covers_the_gap_between_screen_and_exact_scores(q, sep):
         assert kappa.max() > 1e6
 
 
+def test_trials_past_the_single_precision_bound_are_screened_again_in_double():
+    # one stack: a well-separated trial, whose complex64 screen gives a finite delta carrying
+    # float32's eps, and clustered trials, whose kappa takes the complex64 delta past ||L||^2,
+    # so they are screened again at complex128 and get what that screen gives them alone
+    sep = _clustered(3, 1.0, trials=1, seed=1)
+    tight = _clustered(3, 1e-3)
+    psi, xi, L = (np.concatenate(a) for a in zip(sep, tight))
+    table = permutation_table(3)
+    G_zx, Bz, Bx, Ls = _screen_inputs(psi, xi, L)
+    cheap, delta = _screen(G_zx, Bz, Bx, Ls, table)
+    alone_cheap, alone_delta = _screen(*_screen_inputs(*tight), table, np.complex128)
+    assert np.all(np.isfinite(delta))
+    np.testing.assert_array_equal(delta[1:], alone_delta)
+    np.testing.assert_allclose(cheap[1:], alone_cheap, rtol=1e-12)
+
+    norm2 = np.sum(np.abs(Ls) ** 2, axis=(1, 2))
+    lam = np.max(np.linalg.eigvalsh(G_zx)[:, 0].reshape(2, len(psi)), axis=0)
+    kappa = 2 * CFG.m * 3 / lam
+    bound = SCREEN_ERROR_FACTOR * (CFG.m + 3) * kappa * norm2
+    np.testing.assert_allclose(delta[0] / bound[0], np.finfo(np.float32).eps, rtol=1e-12)
+    assert np.all(bound[1:] * np.finfo(np.float32).eps >= norm2[1:])  # so the complex64 screen bounds nothing there
+    np.testing.assert_allclose(delta[1:] / bound[1:], np.finfo(float).eps, rtol=1e-12)
+
+
 @pytest.mark.parametrize("q", [1, 3, 5])
 def test_the_elimination_gives_the_trace_an_lu_solve_gives(q):
     # Re tr(G^-1 H) for Hermitian positive definite G (cond below ~1e3 here) and Hermitian H,
@@ -178,9 +202,20 @@ def test_the_elimination_gives_the_trace_an_lu_solve_gives(q):
     B = rng.standard_normal((50, q, 16)) + 1j * rng.standard_normal((50, q, 16))
     G, H = A.conj().swapaxes(1, 2) @ A, B @ B.conj().swapaxes(1, 2)
     want = np.trace(np.linalg.solve(G, H), axis1=1, axis2=2).real
-    trace, good = _eliminate(np.stack([G, H], axis=1).transpose(2, 3, 1, 0).copy())
+    GH = np.stack([G, H], axis=1).transpose(2, 3, 1, 0).copy()
+    trace, good = _eliminate(GH.copy())
     assert good.all()
     np.testing.assert_allclose(trace, want, rtol=1e-12)
+    # complex64, as the screen runs it: rounding G and H to single precision and the q - 1
+    # elimination steps perturb both by O(q u) relative (u = 2^-24, float32's unit roundoff),
+    # which moves tr(G^-1 H) by at most cond(G) times G's relative perturbation plus cond(H)
+    # times H's (H is positive semidefinite), and the float32 trace rounds once more: so each
+    # system's tolerance is 4 (q + 1) u (cond(G) + cond(H)), some 10x the worst error measured
+    trace32, good32 = _eliminate(GH.astype(np.complex64))
+    assert good32.all() and trace32.dtype == np.float32
+    u = np.finfo(np.float32).eps / 2
+    rtol = 4 * (q + 1) * u * (np.linalg.cond(G) + np.linalg.cond(H))
+    assert np.all(np.abs(trace32 - want) <= rtol * np.abs(want))
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
