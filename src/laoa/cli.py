@@ -73,10 +73,22 @@ def _print_flags(reduced_rank, ambiguous, q: int) -> None:
         print("# warning: pairing ambiguous", file=sys.stderr)
 
 
-def _cmd_simulate(args) -> int:
+def _load_config(args):
+    # the --config file under its --seed override, or None once an out-of-range --seed is
+    # reported; ExperimentConfig owns the range, and the loaded config passed every other check,
+    # so a ValueError from with_seed is the seed's
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
+    try:
+        return cfg if args.seed is None else cfg.with_seed(args.seed)
+    except ValueError as exc:
+        print(f"error: --seed {args.seed}: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_simulate(args) -> int:
+    cfg = _load_config(args)
+    if cfg is None:
+        return 1
     if not 0 <= args.trial < cfg.trials:
         # any other index would seed a trial that no Monte Carlo run of the config contains
         print(f"error: --trial must be >= 0 and < trials = {cfg.trials}, got {args.trial}", file=sys.stderr)
@@ -133,9 +145,9 @@ def _workers() -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
+    cfg = _load_config(args)
+    if cfg is None:
+        return 1
     workers = _workers()
     output = args.output if args.output is not None else cfg.output_path
     # opened before the first trial, so a bad path fails at once; a failed sweep leaves no CSV

@@ -5,7 +5,8 @@ model its signal roots lie exactly on the unit circle at e^{j*psi_l}.  Roots
 are the eigenvalues of the companion matrix (as in ``np.roots``), a
 backward-stable method (Edelman & Murakami, Math. Comp. 1995), each polished
 by one Newton step on P itself and then checked against a relative residual
-bound, which evaluates P and its majorant with ``np.polyval``.
+bound.  The step and the bound both evaluate P, P' and P's majorant with
+``np.polyval`` on one stack of coefficient columns.
 
 Each function takes a stack of polynomials or root sets (one row per trial)
 and its ``errors`` list, as every layer does (see ``laoa.linalg``).  The
@@ -54,14 +55,13 @@ def find_roots(c: np.ndarray, errors: list) -> np.ndarray:
         companion[:, 0, :] = -p[:, 1:] / p[:, :1]
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1
         r = lapack_stack(np.linalg.eigvals, (companion,), errors, idx, "companion-matrix eigenvalues did not converge")
+        # np.polyval runs y = y * r + p_k over p's first axis, so p_k can be a column:
+        # coefficient k of every row, highest degree first
+        coeffs = a.T[::-1, :, None]
         # a NaN row or a failed eigensolve's stand-in divides NaN or 0 here; errors holds its failure
         with np.errstate(divide="ignore", invalid="ignore"):
-            # one Newton step on P polishes the eigenvalues to P's own roots
-            value, slope = _horner(a, r)
-            r = r - value / slope
-            # np.polyval runs y = y * r + p_k over p's first axis, so p_k can be a column:
-            # coefficient k of every row, highest degree first
-            coeffs = a.T[::-1, :, None]
+            # one Newton step on P polishes the eigenvalues to P's own roots; P' has coefficients k * a_k
+            r = r - np.polyval(coeffs, r) / np.polyval(coeffs[:-1] * np.arange(d, 0, -1)[:, None, None], r)
             residual = np.abs(np.polyval(coeffs, r))
             # relative to 1 + sum_k |c_k| |y|^k; written as "not <=" so NaN fails too
             bad = ~(residual <= RESIDUAL_TOL * np.polyval(np.abs(coeffs), np.abs(r)))
@@ -70,18 +70,6 @@ def find_roots(c: np.ndarray, errors: list) -> np.ndarray:
                 errors[idx[j]] = ConvergenceFailure(f"root {r[j, np.argmax(bad[j])]} fails the residual bound")
         roots[idx, :d] = r
     return roots
-
-
-def _horner(poly: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # value and derivative at every y of each row's polynomial, coefficients ascending; the
-    # products are out of place, as np.polyval's are: numpy multiplies a one-element complex
-    # array in place by another path, so a lone degree-1 row would get other bits than in a stack
-    p = np.zeros_like(y)
-    dp = np.zeros_like(y)
-    for k in range(poly.shape[1] - 1, -1, -1):
-        dp = dp * y + p
-        p = p * y + poly[:, k:k + 1]
-    return p, dp
 
 
 def select_unit_roots(roots: np.ndarray, q: int, errors: list) -> np.ndarray:

@@ -206,6 +206,18 @@ def test_montecarlo_seed_override_changes_output(config_file, tmp_path):
     assert out.read_text() != first
 
 
+@pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_an_out_of_range_seed_is_a_usage_error(config_file, command, seed, capsys):
+    # exit 1 with a message naming the flag, as a bad --trial gets, and no CSV opened
+    path, out = config_file
+    assert main([command, "--config", str(path), "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --seed {seed}: seed must be a 64-bit unsigned integer\n"
+    assert not out.exists()
+
+
 def _write_pair(tmp_path, x_snapshots=50, m=8):
     cfg = ArrayConfig(m=m, spacing_ratio=0.5)
     src = SourceSet(directions=(DirectionPair(60, 45),))

@@ -73,6 +73,20 @@ class TestFindRoots:
             for i in range(3):
                 assert find_roots(c[i:i + 1], [None]).tobytes() == stack[i:i + 1].tobytes()
 
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_one_newton_step_squares_the_eigenvalue_error(self, degree, monkeypatch):
+        # eigenvalues 1e-6 off come back within 1e-10 of the true roots, as Newton's quadratic
+        # convergence gives; a step with a wrong P' (say, coefficients (k + 1) * a_k) leaves ~1e-7
+        radius = np.array([1.0, 0.9, 1.1, 1.0, 0.8, 1.2, 1.05])
+        true = (radius * np.exp(1j * np.array([0.3, 1.2, 2.5, -1.0, -2.2, 3.0, -0.3])))[:degree]
+        ascending = np.poly(true)[::-1]
+        real_eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: real_eigvals(a) + 1e-6 * np.exp(0.7j))
+        errors = [None]
+        roots = find_roots((ascending[1:] / ascending[0])[None], errors)[0]
+        assert errors == [None]
+        assert np.max(np.min(np.abs(roots[:, None] - true), axis=0)) < 1e-10
+
     def test_random_polynomials_vieta(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
@@ -113,7 +127,7 @@ class TestFindRoots:
 
 
 class TestResidualPolyval:
-    """``np.polyval``, as the residual bound calls it, against the Horner loop it replaced."""
+    """``np.polyval``, as the Newton step and the residual bound call it, against the Horner loop it replaced."""
 
     @staticmethod
     def loop_polyval(poly, y):
