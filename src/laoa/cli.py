@@ -16,7 +16,7 @@ import sys
 
 from .array_model import ArrayConfig
 from .config import load_config
-from .errors import AoaError, ParseError
+from .errors import AoaError, ParseError, raise_first
 from .estimator import EstimatorMode, estimate_2d_aoa
 from .matio import read_matrix_file
 from .montecarlo import monte_carlo, run_trials
@@ -98,11 +98,9 @@ def _cmd_simulate(args) -> int:
         # the trial seed depends on the SNR's index in the list
         print(f"error: --snr-db {snr_db!r} is not in snr_db_list {list(cfg.snr_db_list)}", file=sys.stderr)
         return 1
-    theta_err, phi_err, (failure,), reduced, ambiguous = run_trials(cfg, [(cfg.snr_db_list.index(snr_db), args.trial)])
+    theta_err, phi_err, errors, reduced, ambiguous = run_trials(cfg, [(cfg.snr_db_list.index(snr_db), args.trial)])
     _print_flags(reduced[0], ambiguous[0], cfg.q)
-    if failure is not None:
-        print(f"trial failed: {failure}", file=sys.stderr)
-        return 2
+    raise_first(errors)  # main reports a failed trial as `aoa estimate`'s: error: <message>, exit 2
     print("source,theta_true,phi_true,theta_err_deg,phi_err_deg")
     for i, (d, te, pe) in enumerate(zip(cfg.sources, theta_err[0].tolist(), phi_err[0].tolist())):
         print(f"{i},{d.theta!r},{d.phi!r},{te!r},{pe!r}")

@@ -7,9 +7,12 @@ them: each trial's error is kept in its slot of an ``errors`` list (see
 ``laoa.linalg``), which the estimator's array result carries.  Only the
 single-trial entry points ``estimate_2d_aoa`` and
 ``direction_from_electrical`` raise a trial's error, through ``raise_first``.
-``montecarlo.run_trials`` turns the list into failure class names, one per
-trial of its stack, and ``montecarlo.monte_carlo`` counts them per SNR
-point, since the failure rate is itself a result.  The estimator's
+``montecarlo.run_trials`` returns the list itself, one exception or None per
+trial of its stack (a worker process sends it pickled), and
+``montecarlo.monte_carlo`` counts the failures per SNR point, since the
+failure rate is itself a result; ``aoa simulate`` raises its one trial's
+error through ``raise_first``, so the CLI reports it as it reports
+``estimate_2d_aoa``'s.  The estimator's
 non-fatal events, a reduced truncation rank and a nearly tied pairing, are
 no errors: they are flags on its array result, which a sweep counts.
 ``UnsupportedScenario`` (the (m, M, q) shape rules, the source-separation

@@ -15,8 +15,9 @@ rest of the synthesis runs once for the stack.  It estimates them in one pass
 (``estimator.estimate_stack``) and stays arrays to the end: the stack's
 estimates are matched to the true sources in one pass over all
 permutations, and a task returns T x q arrays of theta and phi errors plus
-each trial's failure class name and its two flags, the subarrays' reduced
-truncation ranks and the pairing's ambiguity.  ``monte_carlo`` joins the
+each trial's estimator error (or None) and its two flags, the subarrays'
+reduced truncation ranks and the pairing's ambiguity; a worker sends the
+errors through its pipe pickled.  ``monte_carlo`` joins the
 tasks' arrays, which then run in cell order, and reduces each SNR point's
 surviving trials in one pass: one contiguous block with a row per source and
 statistic, each row summed as its own 1-D array is, so every statistic is
@@ -132,9 +133,9 @@ def run_trials(cfg: ExperimentConfig, cells) -> tuple[np.ndarray, np.ndarray, li
     ``synthesize`` gives its stream.
 
     Returns the theta and phi errors in degrees (T x q in cell order, source
-    l of the config in column l; NaN rows for failed trials), per trial the
-    class name of the estimator error it fails with, or None, and the
-    estimate's ``reduced_rank`` (T x 2) and ``pairing_ambiguous`` (T).
+    l of the config in column l; NaN rows for failed trials), the estimate's
+    ``errors`` (per trial the ``AoaError`` it fails with, or None), and its
+    ``reduced_rank`` (T x 2) and ``pairing_ambiguous`` (T).
     """
     sigma2 = [cfg.noise_variance(snr_db) for snr_db in cfg.snr_db_list]
     rngs = (np.random.default_rng(trial_seed(cfg.seed, si, ti)) for si, ti in cells)
@@ -143,8 +144,7 @@ def run_trials(cfg: ExperimentConfig, cells) -> tuple[np.ndarray, np.ndarray, li
     _synthesize_stack(cfg.source_set(), array, cfg.M, [sigma2[si] for si, _ in cells], rngs, Y)
     est = estimate_stack(Y, cfg.q, array, cfg.mode)
     theta_err, phi_err = _match_to_truth(est.theta_deg, est.phi_deg, cfg.sources)
-    failures = [None if exc is None else type(exc).__name__ for exc in est.errors]
-    return theta_err, phi_err, failures, est.reduced_rank, est.pairing_ambiguous
+    return theta_err, phi_err, est.errors, est.reduced_rank, est.pairing_ambiguous
 
 
 def _snapshot_buffer(T: int, rows: int, M: int) -> np.ndarray:

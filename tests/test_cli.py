@@ -10,7 +10,7 @@ from laoa import (
     write_matrix_file,
 )
 from laoa.cli import main
-from laoa.errors import ConvergenceFailure
+from laoa.errors import AoaError, ConvergenceFailure
 from laoa.estimator import estimate_stack
 from laoa.montecarlo import run_trials, trial_seed
 
@@ -61,6 +61,19 @@ def _flag_lines(reduced, ambiguous):
     return lines + ["# warning: pairing ambiguous"] * bool(ambiguous)
 
 
+def _simulate_failure(path, trial):
+    # the estimator error that `aoa simulate` hands to main to report for a failing trial
+    args = laoa.cli._build_parser().parse_args(["simulate", "--config", str(path), "--trial", str(trial)])
+    with pytest.raises(AoaError) as info:
+        laoa.cli._cmd_simulate(args)
+    return info.value
+
+
+def _key(exc):
+    # a failure as a comparable value: its class and its message
+    return type(exc), str(exc)
+
+
 def test_simulate(config_file, capsys):
     path, _ = config_file
     assert main(["simulate", "--config", str(path)]) == 0
@@ -93,7 +106,8 @@ def test_simulate_reports_a_failing_trial_as_a_data_error(config_file, capsys):
     trial, failure = next((t, f) for t, f in enumerate(failures) if f is not None)
     assert main(["simulate", "--config", str(path), "--trial", str(trial)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"trial failed: {failure}\n" and captured.out == ""
+    assert captured.err == f"error: {failure}\n" and captured.out == ""
+    assert _key(_simulate_failure(path, trial)) == _key(failure)
 
 
 def test_simulate_prints_its_trials_flags(rank_deficient_config, capsys):
@@ -109,7 +123,8 @@ def test_simulate_prints_its_trials_flags(rank_deficient_config, capsys):
         assert capsys.readouterr().err == "\n".join(_flag_lines(reduced[passed], True)) + "\n"
         assert main(["simulate", "--config", str(path), "--trial", str(failed)]) == 2
         err = capsys.readouterr().err
-    assert err == "\n".join(_flag_lines(reduced[failed], False) + [f"trial failed: {failures[failed]}"]) + "\n"
+    assert err == "\n".join(_flag_lines(reduced[failed], False) + [f"error: {failures[failed]}"]) + "\n"
+    assert _key(_simulate_failure(path, failed)) == _key(failures[failed])
 
 
 def test_simulate_rejects_snr_outside_the_list(config_file, capsys):

@@ -11,10 +11,11 @@ ASSP 1989, and Li, Liu & Vaccaro, IEEE Trans. AES 1993); to second order its
 bias is E[delta] = (sigma^2 / 4) * tr H (as in Xu & Buckley, IEEE Trans. SP
 1992, on MUSIC's bias).  Both are averaged over a few draws of S.
 
-The gate holds the measured RMSE within +-15% of its prediction.  The
-relative spread of an RMSE over T trials is ~1/sqrt(2T), 3.5% at T = 400, so
-the band is above 4 standard deviations, and a noise scale off by sqrt(2) (a
-ratio of 1.41) or a wrong pairing on some trials fails it.  The bias must lie
+The fixed-geometry gate holds the measured RMSE within +-15% of its
+prediction.  The relative spread of an RMSE over T trials is ~1/sqrt(2T),
+3.5% at T = 400, so the band is above 4 standard deviations, and a noise
+scale off by sqrt(2) (a ratio of 1.41) or a wrong pairing on some trials
+fails it.  The bias must lie
 within 3 combined standard errors of its prediction: the Monte Carlo one,
 RMSE / sqrt(T), and the spread of the prediction over the S draws.  On the
 q = 5 geometry phi's bias for source 0 (about +0.066 deg at 20 dB) is over 6
@@ -23,12 +24,20 @@ prediction's sign; the bias grows as sigma^2, so a noise scale off by
 sqrt(2) doubles it and fails.  The prediction covers
 the truncated-SVD mode only: the noiseless mode's rank jumps at the
 noiseless point.
+
+A second, looser gate needs no threshold per geometry, so it runs over
+random accepted configs: every angle's RMSE / prediction at 60 dB must lie in
+[0.5, 2] on each config where no trial fails.  A wrong pairing or a wrong
+root on some trials lands far above 2.  Configs with failing trials are
+counted, not gated: their survivors' statistics are censored.
 """
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from laoa import parse_config, synthesize
+from laoa.errors import AoaError
 from laoa.estimator import estimate_stack
 from laoa.montecarlo import _match_to_truth, monte_carlo
 
@@ -115,3 +124,62 @@ def test_rmse_and_bias_match_the_perturbation_prediction(text, draws, signed):
         if i == signed:
             assert abs(predicted_bias[1]) > 3.0 * se[1], where
             assert np.sign(bias[1]) == np.sign(predicted_bias[1]), where
+
+
+# the fuzz's config space: every config the parser accepts with m from 3 to 10, q from 1 to 4,
+# d / lambda from 0.05 to 0.5, M from max(q, m - 1) to 4m and random-phase sources at 60 dB
+FUZZ = """m = {m}
+spacing_ratio = {spacing!r}
+M = {M}
+q = {q}
+sources = {sources}
+signal_model = unit_power_random_phase
+snr_db_list = 60
+trials = 40
+seed = 1
+mode = truncated_svd
+output_path = unused.csv
+"""
+# measured over 184 failure-free configs of this space (40 trials, 2 S draws): RMSE / prediction
+# spanned 0.66-1.48, 0.70-1.35 from the 1st to the 99th percentile; the top of the range sits at
+# M <= 6, where S S^H / M is far from I and two draws do not average it out
+BAND = (0.5, 2.0)
+FUZZ_CONFIGS = 50
+MIN_GATED = 40  # failure-free configs the gate must cover, so that it cannot pass vacuously
+
+
+@st.composite
+def _accepted_configs(draw):
+    # each value is uniform, as in the measured fuzz, from a stream Hypothesis seeds: its own draws
+    # favour the ends of a range, where M = q or a source at phi = 0 or 180 would dominate the sample
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = int(rng.integers(3, 11))
+    q = int(rng.integers(1, min(4, m - 2) + 1))
+    M = int(rng.integers(max(q, m - 1), 4 * m + 1))
+    spacing = float(rng.uniform(0.05, 0.5))
+    sources = ", ".join(f"{theta!r}/{phi!r}" for theta, phi in rng.uniform(0.0, 180.0, (q, 2)).tolist())
+    try:
+        return parse_config(FUZZ.format(m=m, spacing=spacing, M=M, q=q, sources=sources))
+    except AoaError:
+        assume(False)  # a source near the Z axis, or two too close in psi or xi
+
+
+def test_accepted_configs_match_the_perturbation_prediction():
+    gated, failing = set(), set()
+
+    @settings(max_examples=FUZZ_CONFIGS, deadline=None, derandomize=True, database=None)
+    @given(cfg=_accepted_configs())
+    def check(cfg):
+        rows = monte_carlo(cfg, workers=1).rows
+        if any(row["failure_count"] for row in rows):
+            failing.add(cfg)
+            return
+        jacobian2, _ = _perturbation_terms(cfg, 2)
+        predicted = np.sqrt(cfg.noise_variance(60.0) / 2.0 * jacobian2.mean(axis=0))
+        measured = np.array([[row["rmse_theta_deg"], row["rmse_phi_deg"]] for row in rows]).T.ravel()
+        ratio = measured / predicted
+        assert np.all((BAND[0] <= ratio) & (ratio <= BAND[1])), (cfg, ratio)
+        gated.add(cfg)
+
+    check()
+    assert len(gated) >= MIN_GATED, (len(gated), len(failing))

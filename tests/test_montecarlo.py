@@ -18,6 +18,8 @@ import pytest
 import laoa.estimator
 import laoa.montecarlo
 from laoa import DirectionPair, parse_config, serialize_config
+from laoa.errors import AoaError, ConvergenceFailure, DegenerateElevation, NotEnoughRoots, OutOfRange
+from laoa.estimator import SINGULAR_PAIRING
 from laoa.montecarlo import (
     CSV_HEADER,
     STACK_BYTES,
@@ -78,7 +80,7 @@ class TestRunTrial:
                 assert np.all(np.isfinite(theta_err))
                 assert np.all(np.isfinite(phi_err))
             else:
-                assert isinstance(failure, str)
+                assert isinstance(failure, AoaError) and str(failure)
 
     def test_lapack_failure_is_a_counted_failure(self, monkeypatch):
         real_svd = np.linalg.svd
@@ -92,7 +94,7 @@ class TestRunTrial:
 
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
         cfg = _cfg(trials=3)
-        assert run_trial(cfg, 0, 0)[2] == ["ConvergenceFailure"]
+        assert _failures(run_trial(cfg, 0, 0)[2]) == [(ConvergenceFailure, "SVD did not converge: SVD did not converge")]
         (row,) = monte_carlo(cfg, workers=1).rows
         assert row["failure_count"] == 3 and row["rmse_theta_deg"] is None
 
@@ -105,9 +107,15 @@ class TestRunTrial:
             lambda B, *a: (np.full((len(B), 2), 0.3), np.ones((len(B), 2)), np.full(len(B), -1)),
         )
         cfg = _cfg(trials=2, q=2, sources="30/40, 70/120")
-        assert run_trial(cfg, 0, 0)[2] == ["ConvergenceFailure"]
+        assert _failures(run_trial(cfg, 0, 0)[2]) == [(ConvergenceFailure, f"{SINGULAR_PAIRING}: Singular matrix")]
         row = monte_carlo(cfg, workers=1).rows[0]
         assert row["failure_count"] == 2 and row["rmse_theta_deg"] is None
+
+    @pytest.mark.parametrize("exc", [OutOfRange("x"), DegenerateElevation("x"), ConvergenceFailure("x"), NotEnoughRoots("x")],
+                             ids=lambda exc: type(exc).__name__)
+    def test_a_trials_error_survives_a_workers_pipe(self, exc):
+        # a worker sends each stack's run_trials result pickled, exceptions included
+        assert _failures(pickle.loads(pickle.dumps([exc, None]))) == [(type(exc), "x"), None]
 
 
 def _run_workers_in_process(monkeypatch, shares):
@@ -121,9 +129,14 @@ def _run_workers_in_process(monkeypatch, shares):
     monkeypatch.setattr(laoa.montecarlo, "multiprocessing", SimpleNamespace(get_context=lambda: context))
 
 
+def _failures(errors):
+    # a run_trials failure list as comparable values: each failure's class and message, or None
+    return [None if exc is None else (type(exc), str(exc)) for exc in errors]
+
+
 def _same(a, b):
     # two run_trials results: equal errors (NaN rows alike), failures and flags
-    return (all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a[:2], b[:2])) and a[2] == b[2]
+    return (all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a[:2], b[:2])) and _failures(a[2]) == _failures(b[2])
             and all(np.array_equal(x, y) for x, y in zip(a[3:], b[3:])))
 
 
@@ -413,7 +426,7 @@ def _in_new_thread(fn, *args):
 def _bits(result):
     # a run_trials result, bit for bit
     theta_err, phi_err, failures, reduced, ambiguous = result
-    return theta_err.tobytes(), phi_err.tobytes(), failures, reduced.tobytes(), ambiguous.tobytes()
+    return theta_err.tobytes(), phi_err.tobytes(), _failures(failures), reduced.tobytes(), ambiguous.tobytes()
 
 
 class TestSnapshotBuffer:
