@@ -8,20 +8,23 @@ stack, which spreads numpy's per-call cost over the trials.  It returns one
 residual and ambiguity flag (T each), each subarray's reduced truncation
 rank (T x 2), and the ``errors`` list that names each failed trial's
 AoaError, whose rows read NaN.  ``estimate_2d_aoa`` is a stack of one: it
-raises the trial's failure and returns the StackEstimate of its one row.  Every layer below it takes stacks only.  Each trial's result,
-failure and flags do not depend on the other trials in its stack: numpy
-runs each item of a stacked call on its own, and a trial that fails is
-skipped by every later step (see ``laoa.linalg`` for the one ``errors`` list
-that carries the failures).
+raises the trial's failure and returns the StackEstimate of its one row.
+Every layer below it takes stacks only.  Each trial's result, failure and
+flags do not depend on the other trials in its stack: numpy runs each item
+of a stacked call on its own, and a trial that fails is skipped by every
+later step (see ``laoa.linalg`` for the one ``errors`` list that carries the
+failures).
 
 The data are compressed once, at the entry.  A trial's two subarrays are
-stacked as Y = [Z; X] (2m x M), and one QR gives the triangular factor R of
-Y^T = QR, at most 2m x 2m; every later step reads R, never the raw data, so M
-drops out after that one QR.  Q has orthonormal columns, so the prediction
-system of Z, R[:, 1:m] c = -R[:, 0], has the same singular values and the
-same (truncated-SVD) coefficients as the raw system built from Z, and so does
-X's, R[:, m+1:] c = -R[:, m].  L = R^T satisfies L L^H = Y Y^H, which is all
-the pairing needs.
+stacked as Y = [Z; X] (2m x M), and one QR (``triangular_factors``) gives
+the triangular factor R of Y^T = QR, min(2m, M) x 2m; every later step
+(``estimate_factors``) reads R, never the raw data, so M drops out after
+that one QR, and a caller may factor its trials in several stacks and
+estimate all their factors in one pass.  Q has orthonormal columns, so the
+prediction system of Z, R[:, 1:m] c = -R[:, 0], has the same singular
+values and the same (truncated-SVD) coefficients as the raw system built
+from Z, and so does X's, R[:, m+1:] c = -R[:, m].  L = R^T satisfies
+L L^H = Y Y^H, which is all the pairing needs.
 
 Each subarray then independently yields a set of electrical angles via the
 prediction-polynomial pipeline; both subarrays run it in one stacked pass,
@@ -105,7 +108,9 @@ from .synthesis import SnapshotMatrix, build_lp_system
 
 PERMUTATION_BUDGET = 5040  # 7!
 PAIRING_AMBIGUITY_REL_TOL = 1e-6
-PAIRING_BLOCK = 24  # exact pairing systems per stacked solve: bounds the temporaries; 40 ran no faster on q=2 stacks of 20
+# exact pairing systems per stacked solve: bounds the temporaries; 48 won only 6-8 of 10 timed pairs against
+# 24 on q=2 stacks of 40 and 64 trials and on q=5 stacks of 20, within the noise
+PAIRING_BLOCK = 24
 SCREEN_BLOCK = 960  # complex64 screen systems per elimination pass, whole trials (at least one): the bytes of 480 complex128 ones
 SCREEN_ERROR_FACTOR = 16.0  # C in the screen's error bound (module docstring)
 SINGULAR_PAIRING = "singular pairing normal equations"
@@ -174,7 +179,7 @@ def estimate_electrical(
     B is a stack (T x n x m) of blocks holding a subarray's sensors as
     columns: the raw data transposed, or the subarray's columns of the
     triangular factor (see the module docstring).  The items need not come
-    from one subarray: ``estimate_stack`` passes Z's and X's blocks of every
+    from one subarray: ``estimate_factors`` passes Z's and X's blocks of every
     trial in one stack.  Gives T x q angles and magnitudes and the T reduced
     ranks of ``solve_coeffs``; see ``laoa.linalg`` for ``errors``.  Runs the
     full chain: linear-prediction system, coefficient solve, root finding,
@@ -204,7 +209,7 @@ def pair_and_recover(
     psi_hats, xi_hats and the root magnitudes are T x q, one row per trial.
     L is T x 2m x k: L[t] is any matrix with L L^H = Y Y^H for trial t's
     stacked data Y = [Z; X], such as the transposed triangular factor that
-    ``estimate_stack`` passes, or Y itself.  For every permutation P of the
+    ``estimate_factors`` passes, or Y itself.  For every permutation P of the
     xi set, fit one common source matrix S to L with the stacked steering
     matrix [A_z; A_x P] and keep the permutation with the smallest Frobenius
     residual; ties go to the first permutation in itertools order.  The
@@ -406,16 +411,11 @@ def estimate_stack(
 ) -> StackEstimate:
     """The 2D AOA pipeline on a stack of trials, one pass per step.
 
-    Y is T x 2m x M, trial t's stacked data [Z_t; X_t].  Checks the scenario
-    once, compresses every trial with one stacked QR (see the module
-    docstring) and runs each step on the whole stack, the pairing and the
-    angle mapping included.  Both subarrays go through one
-    ``estimate_electrical`` pass over a 2T stack, Z's blocks then X's, each
-    half seeded with the trials that already failed; a trial then fails with
-    its Z half's error, or else its X half's.  Returns one StackEstimate:
-    row t, and ``errors[t]``, are exactly what ``estimate_2d_aoa`` gives
-    trial t alone.  Its reduced_rank holds both halves' ranks as measured,
-    the X half's also when the Z half failed.
+    Y is T x 2m x M, trial t's stacked data [Z_t; X_t].  Checks the shape
+    and the scenario once, compresses every trial with one stacked QR
+    (``triangular_factors``) and runs ``estimate_factors`` on the factors.
+    Returns one StackEstimate: row t, and ``errors[t]``, are exactly what
+    ``estimate_2d_aoa`` gives trial t alone.
 
     Raises
     ------
@@ -428,13 +428,44 @@ def estimate_stack(
     if Y.ndim != 3 or Y.shape[1] != 2 * m:
         raise ValueError(f"Y must be T x 2m x M with 2m = {2 * m}, got {Y.shape}")
     check_scenario(m, Y.shape[2], q)
-    R = np.linalg.qr(Y.transpose(0, 2, 1), mode="r")
-    errors = [None] * len(Y)
+    return estimate_factors(triangular_factors(Y), q, cfg, mode)
+
+
+def triangular_factors(Y: np.ndarray) -> np.ndarray:
+    """The triangular factor R of Y_t^T = QR for each trial t of a T x 2m x M stack: T x min(2m, M) x 2m.
+
+    One stacked QR, whose items numpy runs alone, so a trial's R does not
+    depend on its stack; it is all the estimator reads of the data (see the
+    module docstring).
+    """
+    return np.linalg.qr(Y.transpose(0, 2, 1), mode="r")
+
+
+def estimate_factors(
+    R: np.ndarray,
+    q: int,
+    cfg: ArrayConfig,
+    mode: EstimatorMode = EstimatorMode.TRUNCATED_SVD,
+) -> StackEstimate:
+    """The 2D AOA pipeline on a stack of trials' triangular factors, one pass per step.
+
+    R is T x k x 2m, trial t's ``triangular_factors``; a failed trial's
+    factor is zeroed in place.  The scenario is the caller's to check.  A trial whose R is not finite
+    fails with ConvergenceFailure; every step then runs on the whole stack,
+    the pairing and the angle mapping included.  Both subarrays go through
+    one ``estimate_electrical`` pass over a 2T stack, Z's blocks then X's,
+    each half seeded with the trials that already failed; a trial then fails
+    with its Z half's error, or else its X half's.  Row t, and
+    ``errors[t]``, do not depend on the other trials.  Its reduced_rank holds
+    both halves' ranks as measured, the X half's also when the Z half failed.
+    """
+    m = cfg.m
+    errors = [None] * len(R)
     for t in np.flatnonzero(~np.all(np.isfinite(R), axis=(1, 2))):
         errors[t] = ConvergenceFailure("coefficient solve overflowed: the triangular factor of the data is not finite")
         # zeros keep the later stacked calls finite; a failed trial gets no further checks
         R[t] = 0.0
-    T = len(Y)
+    T = len(R)
     halves = errors + errors
     angles, mags, reduced = estimate_electrical(np.concatenate([R[:, :, :m], R[:, :, m:]]), q, mode, halves)
     errors = [z if z is not None else x for z, x in zip(halves[:T], halves[T:])]

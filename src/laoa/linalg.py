@@ -26,8 +26,9 @@ entry points ``estimate_2d_aoa`` and ``direction_from_electrical`` raise a
 trial's failure (``raise_first``).
 
 ``solve_coeffs`` also returns, per item, the rank it had to reduce the
-truncation to; ``estimator.estimate_stack``, which runs both subarrays of a
-trial as two items of one stack, keeps both as the trial's ``reduced_rank``.
+truncation to; ``estimator.estimate_factors``, which runs both subarrays of
+a trial as two items of one stack, keeps both as the trial's
+``reduced_rank``.
 """
 
 from enum import Enum

@@ -2,39 +2,46 @@
 
 Every trial gets its own random stream derived from (master seed, SNR index,
 trial index) through a splitmix64-style avalanche.  The sweep's cells, its
-(SNR index, trial index) pairs in that order, are cut into the fewest stacks
-of consecutive cells whose snapshots fit STACK_BYTES, that count rounded up
-to a multiple of the worker count and capped at one stack per cell, and the
-cut is as even as it can be: stack sizes differ by at most 1.  A stack may
-straddle two SNR points.  A task is a range of flat cell indices, cell k
-being divmod(k, trials), so no list of the cells is built before the first
-trial, and a worker is sent only its tasks' bounds.  Each stack, one task,
+(SNR index, trial index) pairs in that order, are cut into the fewest tasks
+of consecutive cells that hold at most TASK_TRIALS cells, or a chunk's where
+more trials' snapshots fit STACK_BYTES, that count rounded up to a multiple
+of the worker count and capped at one task per cell, and the cut is as even
+as it can be: task sizes differ by at most 1.  A task may straddle two SNR
+points.  A task is a range of flat cell indices, cell k being
+divmod(k, trials), so no list of the cells is built before the first trial,
+and a worker is sent only its tasks' bounds.  A task runs its trials in
+chunks of consecutive trials whose snapshots fit STACK_BYTES: each chunk
 synthesizes its trials into one array, each at its own point's noise
-variance: only the draws run per trial, on the trial's own stream, and the
-rest of the synthesis runs once for the stack.  It estimates them in one pass
-(``estimator.estimate_stack``) and stays arrays to the end: the stack's
-estimates are matched to the true sources in one pass over all
-permutations, and a task returns T x q arrays of theta and phi errors plus
-each trial's estimator error (or None) and its two flags, the subarrays'
-reduced truncation ranks and the pairing's ambiguity; a worker sends the
-errors through its pipe pickled.  ``monte_carlo`` joins the
-tasks' arrays, which then run in cell order, and reduces each SNR point's
-surviving trials in one pass: one contiguous block with a row per source and
-statistic, each row summed as its own 1-D array is, so every statistic is
-the ``np.mean`` of that source's errors.  A trial's result depends on
-neither its stack nor its worker, so the report is byte-identical for any
-worker count and any split into stacks.  Estimator failures at low SNR are
-counted per SNR point, not raised: the failure rate is itself a result.
-The flags are counted over the whole sweep, outside the CSV.
+variance (only the draws run per trial, on the trial's own stream, and the
+rest of the synthesis runs once for the chunk), and one stacked QR
+compresses them into the task's stack of triangular factors
+(``estimator.triangular_factors``).  The task then estimates all its trials
+in one pass (``estimator.estimate_factors``), which reads only the factors,
+at most 2m x 2m each, so its per-call cost is shared by more trials than
+one chunk's snapshots hold.  It stays arrays to the end: the task's estimates are
+matched to the true sources in one pass over all permutations, and a task
+returns T x q arrays of theta and phi errors plus each trial's estimator
+error (or None) and its two flags, the subarrays' reduced truncation ranks
+and the pairing's ambiguity; a worker sends the errors through its pipe
+pickled.  ``monte_carlo`` joins the tasks' arrays, which then run in cell
+order, and reduces each SNR point's surviving trials in one pass: one
+contiguous block with a row per source and statistic, each row summed as
+its own 1-D array is, so every statistic is the ``np.mean`` of that
+source's errors.  A trial's result depends on neither its chunk, its task
+nor its worker, so the report is byte-identical for any worker count and
+any split into tasks and chunks.  Estimator failures at low SNR are counted
+per SNR point, not raised: the failure rate is itself a result.  The flags
+are counted over the whole sweep, outside the CSV.
 
-A stack's array is the first T trials of the calling thread's snapshot
-buffer (a ``threading.local``), which outlives the stack: it holds the last
-stack's T x 2m x M snapshots, grows to the largest stack of one (2m, M), is
-replaced at another (2m, M), and is kept across stacks and sweeps only if
-it fits STACK_BYTES.  So a thread that has run a stack holds at most
-STACK_BYTES, a stack that reuses the buffer faults in no fresh pages, and a
-one-trial stack too large for it is freed as it ends.  ``synthesize`` never
-uses it: it returns views of an array of its own.
+A chunk's array is the first T trials of the calling thread's snapshot
+buffer (a ``threading.local``), which outlives the chunk: it holds the last
+chunk's T x 2m x M snapshots, grows to the largest chunk of one (2m, M), is
+replaced at another (2m, M), and is kept across chunks, tasks and sweeps
+only if it fits STACK_BYTES.  So a thread that has run a task holds at most
+STACK_BYTES, a task holds one chunk's snapshots at a time, a chunk that
+reuses the buffer faults in no fresh pages, and a one-trial chunk too large
+for it is freed once the next chunk replaces it or the task ends.
+``synthesize`` never uses it: it returns views of an array of its own.
 
 The worker count is ``monte_carlo``'s ``workers`` argument (default 1) and
 nothing else: this module reads no environment variable, and ``aoa
@@ -42,7 +49,7 @@ montecarlo`` is what turns ``AOA_THREADS`` into that argument.  A sweep of
 more than one task runs task k in worker process k % workers.  The workers
 are started for the sweep (forked, where that is the start method) and
 joined before ``monte_carlo`` returns, so no process or thread outlives a
-sweep.  Each worker sends each stack through its own pipe as it
+sweep.  Each worker sends each task's result through its own pipe as it
 finishes, and the caller reads them in task order.  The caller holds the
 only read end of each pipe, so a worker whose caller is killed fails its
 next send and exits, whatever the start method.
@@ -57,15 +64,18 @@ from itertools import repeat
 import numpy as np
 
 from .config import ExperimentConfig
-from .estimator import estimate_stack, permutation_table
+from .estimator import estimate_factors, permutation_table, triangular_factors
 from .synthesis import _synthesize_stack
 
-# snapshot bytes per stack, which the QR holds twice; a long trial has little per-call cost to spread
+# snapshot bytes per chunk of a task, which the QR holds twice; a long trial has little per-call cost to spread
 STACK_BYTES = 1 << 20
+# the most cells in a task, unless one chunk holds more: a task's one estimator pass reads only its
+# trials' factors, at most 2m x 2m each, so more trials than a chunk's share its per-call cost
+TASK_TRIALS = 64
 
 CSV_HEADER = "snr_db,source_index,rmse_theta_deg,rmse_phi_deg,bias_theta_deg,bias_phi_deg,failure_count,trials"
 
-# the calling thread's snapshot buffer, kept across stacks and sweeps (see _snapshot_buffer)
+# the calling thread's snapshot buffer, kept across chunks, tasks and sweeps (see _snapshot_buffer)
 _thread = threading.local()
 
 # splitmix64 avalanche constants; part of the external seeding contract.
@@ -120,17 +130,20 @@ def _match_to_truth(theta_deg: np.ndarray, phi_deg: np.ndarray, truth) -> tuple[
 
 
 def run_trials(cfg: ExperimentConfig, cells) -> tuple[np.ndarray, np.ndarray, list, np.ndarray, np.ndarray]:
-    """Trials of the sweep's cells as one stack: their angle errors, failures and flags.
+    """Trials of the sweep's cells as one task: their angle errors, failures and flags.
 
     ``cells`` is a sequence of (snr_index, trial_index) pairs, which may
     belong to several SNR points.  Each trial draws on its own stream, at
-    the noise variance of its point in ``cfg.snr_db_list``, into one
-    T x 2m x M stack, the calling thread's snapshot buffer (see the module
-    docstring), which ``estimate_stack`` runs in one pass; each result
-    is exactly the one the trial gets alone.  The draws run per trial and
-    the rest of the synthesis once for the stack
-    (``synthesis._synthesize_stack``); each slice holds exactly the data
-    ``synthesize`` gives its stream.
+    the noise variance of its point in ``cfg.snr_db_list``.  The cells run
+    in chunks of consecutive trials whose snapshots fit STACK_BYTES: each
+    chunk is synthesized into one T x 2m x M stack, the calling thread's
+    snapshot buffer (see the module docstring), and compressed by one
+    stacked QR into the task's stack of triangular factors, which
+    ``estimate_factors`` runs in one pass; each result is exactly the one
+    the trial gets alone.  The draws run per trial and the rest of the
+    synthesis once per chunk (``synthesis._synthesize_stack``); each slice
+    holds exactly the data ``synthesize`` gives its stream.  The scenario is
+    not checked again: ``ExperimentConfig`` checks it.
 
     Returns the theta and phi errors in degrees (T x q in cell order, source
     l of the config in column l; NaN rows for failed trials), the estimate's
@@ -138,13 +151,23 @@ def run_trials(cfg: ExperimentConfig, cells) -> tuple[np.ndarray, np.ndarray, li
     ``reduced_rank`` (T x 2) and ``pairing_ambiguous`` (T).
     """
     sigma2 = [cfg.noise_variance(snr_db) for snr_db in cfg.snr_db_list]
-    rngs = (np.random.default_rng(trial_seed(cfg.seed, si, ti)) for si, ti in cells)
-    array = cfg.array_config()
-    Y = _snapshot_buffer(len(cells), 2 * cfg.m, cfg.M)
-    _synthesize_stack(cfg.source_set(), array, cfg.M, [sigma2[si] for si, _ in cells], rngs, Y)
-    est = estimate_stack(Y, cfg.q, array, cfg.mode)
+    src, array, rows = cfg.source_set(), cfg.array_config(), 2 * cfg.m
+    per_chunk = max(1, STACK_BYTES // _trial_bytes(cfg))
+    R = np.empty((len(cells), min(rows, cfg.M), rows), dtype=complex)
+    for start in range(0, len(cells), per_chunk):
+        chunk = cells[start:start + per_chunk]
+        rngs = (np.random.default_rng(trial_seed(cfg.seed, si, ti)) for si, ti in chunk)
+        Y = _snapshot_buffer(len(chunk), rows, cfg.M)
+        _synthesize_stack(src, array, cfg.M, [sigma2[si] for si, _ in chunk], rngs, Y)
+        R[start:start + len(chunk)] = triangular_factors(Y)
+    est = estimate_factors(R, cfg.q, array, cfg.mode)
     theta_err, phi_err = _match_to_truth(est.theta_deg, est.phi_deg, cfg.sources)
     return theta_err, phi_err, est.errors, est.reduced_rank, est.pairing_ambiguous
+
+
+def _trial_bytes(cfg: ExperimentConfig) -> int:
+    # one trial's 2m x M snapshots
+    return 2 * cfg.m * cfg.M * np.dtype(complex).itemsize
 
 
 def _snapshot_buffer(T: int, rows: int, M: int) -> np.ndarray:
@@ -157,15 +180,16 @@ def _snapshot_buffer(T: int, rows: int, M: int) -> np.ndarray:
 
 
 def run_trial(cfg: ExperimentConfig, snr_index: int, trial_index: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """One synthesis + estimation trial's angle errors and failure: ``run_trials`` on a stack of one, less its flags."""
+    """One synthesis + estimation trial's angle errors and failure: ``run_trials`` on a task of one, less its flags."""
     return run_trials(cfg, [(snr_index, trial_index)])[:3]
 
 
 def _cut(cells, trial_bytes: int, workers: int) -> list:
-    # the fewest stacks of trial_bytes-sized trials that fit STACK_BYTES, rounded up to a
-    # multiple of workers and at most one per cell, as runs of consecutive cells whose sizes
-    # differ by at most 1: an uneven cut such as 13 + 13 + 13 + 1 runs slower than 4 x 10
-    fewest = -(-len(cells) // max(1, STACK_BYTES // trial_bytes))
+    # the fewest tasks of at most max(TASK_TRIALS, chunk) cells, a chunk being the trials whose
+    # snapshots fit STACK_BYTES, rounded up to a multiple of workers and at most one per cell, as
+    # runs of consecutive cells whose sizes differ by at most 1: an uneven cut such as
+    # 13 + 13 + 13 + 1 runs slower than 4 x 10
+    fewest = -(-len(cells) // max(TASK_TRIALS, STACK_BYTES // trial_bytes))
     count = min(-(-fewest // workers) * workers, len(cells))
     size, extra = divmod(len(cells), count)
     bounds = [k * size + min(k, extra) for k in range(count + 1)]
@@ -178,7 +202,7 @@ def _run_task(cfg: ExperimentConfig, task: range) -> tuple[np.ndarray, np.ndarra
 
 
 def _run_share(conn, cfg: ExperimentConfig, tasks: list, inherited: list) -> None:
-    # a worker process: sends each stack of its share as it finishes, or the exception that
+    # a worker process: sends each task of its share as it finishes, or the exception that
     # stopped it.  A forked worker holds copies of its own pipe's read end and of every earlier
     # worker's, and closes them first: then the caller holds the only read end, so once the
     # caller is gone the worker's next send fails and it returns
@@ -195,7 +219,7 @@ def _run_share(conn, cfg: ExperimentConfig, tasks: list, inherited: list) -> Non
 
 
 def _run_shares(cfg: ExperimentConfig, tasks: list, workers: int) -> list:
-    # task k runs in worker process k % workers; the stacks are read in task order
+    # task k runs in worker process k % workers; their results are read in task order
     if workers == 1:
         return list(map(_run_task, repeat(cfg), tasks))
     ctx = multiprocessing.get_context()
@@ -208,17 +232,17 @@ def _run_shares(cfg: ExperimentConfig, tasks: list, workers: int) -> list:
             child.start()
             children.append((child, receiver))
             sender.close()
-        stacks = []
+        results = []
         for k in range(len(tasks)):
             child, receiver = children[k % workers]
             try:
-                stack = receiver.recv()
+                result = receiver.recv()
             except EOFError:
                 child.join()
                 raise RuntimeError(f"a Monte Carlo worker process died (exit code {child.exitcode})") from None
-            if isinstance(stack, BaseException):
-                raise stack
-            stacks.append(stack)
+            if isinstance(result, BaseException):
+                raise result
+            results.append(result)
     except BaseException:
         for child, _ in children:
             child.terminate()
@@ -227,21 +251,22 @@ def _run_shares(cfg: ExperimentConfig, tasks: list, workers: int) -> list:
         for child, receiver in children:
             child.join()
             receiver.close()
-    return stacks
+    return results
 
 
 def monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> MonteCarloReport:
     """Run trials x SNR points and aggregate RMSE/bias per source per SNR.
 
     The sweep's cells, (snr_index, trial_index) in that order, are cut into
-    the fewest tasks of consecutive cells whose snapshots fit STACK_BYTES,
-    rounded up to a multiple of ``workers`` and at most one per cell, with
-    sizes that differ by at most 1; a task may straddle two SNR points.
-    Each trial seeds its own stream and the stacks are joined in task order,
-    so any worker count yields the same report.  Task k runs in worker
-    process k % workers; the workers are started for this sweep and joined
-    before it returns.  No more workers start than there are tasks, and a
-    sweep of one task runs in process.  A worker's exception is re-raised
+    the fewest tasks of consecutive cells that hold at most TASK_TRIALS
+    cells, or a chunk's (the trials whose snapshots fit STACK_BYTES) where
+    that is more, rounded up to a multiple of ``workers`` and at most one per
+    cell, with sizes that differ by at most 1; a task may straddle two SNR
+    points.  Each trial seeds its own stream and the tasks' results are
+    joined in task order, so any worker count yields the same report.  Task
+    k runs in worker process k % workers; the workers are started for this
+    sweep and joined before it returns.  No more workers start than there
+    are tasks, and a sweep of one task runs in process.  A worker's exception is re-raised
     here; a worker that dies raises ``RuntimeError``.  ``workers`` (default
     1) is not capped at the CPU count; below 1 it is a ``ValueError`` before
     any task is cut or started.  The report also counts the sweep's flagged
@@ -249,11 +274,11 @@ def monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> MonteCarloReport:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = _cut(range(len(cfg.snr_db_list) * cfg.trials), 2 * cfg.m * cfg.M * np.dtype(complex).itemsize, workers)
-    stacks = _run_shares(cfg, tasks, min(workers, len(tasks)))
+    tasks = _cut(range(len(cfg.snr_db_list) * cfg.trials), _trial_bytes(cfg), workers)
+    results = _run_shares(cfg, tasks, min(workers, len(tasks)))
     # one row per cell, theta's q errors then phi's
-    errors = np.concatenate([np.concatenate(stack[:2], axis=1) for stack in stacks])
-    failed = np.array([f is not None for stack in stacks for f in stack[2]], dtype=bool)
+    errors = np.concatenate([np.concatenate(result[:2], axis=1) for result in results])
+    failed = np.array([f is not None for result in results for f in result[2]], dtype=bool)
 
     columns = CSV_HEADER.split(",")
     rows = []
@@ -274,5 +299,5 @@ def monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> MonteCarloReport:
 
     rows.sort(key=lambda r: (r["snr_db"], r["source_index"]))
     # the flagged trials of the whole sweep: a rank reduced in either subarray, an ambiguous pairing
-    rank_reduced = sum(int(np.count_nonzero(np.any(stack[3] >= 0, axis=1))) for stack in stacks)
-    return MonteCarloReport(tuple(rows), rank_reduced, sum(int(np.count_nonzero(stack[4])) for stack in stacks))
+    rank_reduced = sum(int(np.count_nonzero(np.any(result[3] >= 0, axis=1))) for result in results)
+    return MonteCarloReport(tuple(rows), rank_reduced, sum(int(np.count_nonzero(result[4])) for result in results))

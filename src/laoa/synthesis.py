@@ -14,10 +14,11 @@ Z's real and imaginary noise, then X's), and the phase scaling, ``exp``,
 the steering products and the noise scaling and adds run once for the
 stack, with the sources' (psi, xi) from ``array_model.electrical_angles``.
 The stack fills a T x 2m x M array its caller supplies: ``synthesize``, a
-stack of one, allocates its own and returns views of it, and a Monte Carlo
-stack passes the first T trials of its thread's snapshot buffer, which holds
-the thread's last stack and outlives it only if it fits
-``montecarlo.STACK_BYTES`` (see ``laoa.montecarlo``).  Each trial of a stack
+stack of one, allocates its own and returns views of it, and each chunk of
+a Monte Carlo task, the trials whose snapshots fit ``montecarlo.STACK_BYTES``,
+passes the first T trials of its thread's snapshot buffer, which holds the
+thread's last chunk and outlives it only if it fits STACK_BYTES (see
+``laoa.montecarlo``).  Each trial of a stack
 holds exactly what ``synthesize`` gives its stream; ``generate_sources`` and
 ``generate_noise`` draw the same streams one matrix at a time.
 """

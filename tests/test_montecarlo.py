@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +24,7 @@ from laoa.estimator import SINGULAR_PAIRING
 from laoa.montecarlo import (
     CSV_HEADER,
     STACK_BYTES,
+    TASK_TRIALS,
     _cut,
     _match_to_truth,
     monte_carlo,
@@ -114,7 +116,7 @@ class TestRunTrial:
     @pytest.mark.parametrize("exc", [OutOfRange("x"), DegenerateElevation("x"), ConvergenceFailure("x"), NotEnoughRoots("x")],
                              ids=lambda exc: type(exc).__name__)
     def test_a_trials_error_survives_a_workers_pipe(self, exc):
-        # a worker sends each stack's run_trials result pickled, exceptions included
+        # a worker sends each task's run_trials result pickled, exceptions included
         assert _failures(pickle.loads(pickle.dumps([exc, None]))) == [(type(exc), "x"), None]
 
 
@@ -213,22 +215,30 @@ class TestMonteCarlo:
     @pytest.mark.parametrize(
         "M, trials, snr_db_list, sizes",
         [
-            (50, 23, "20", [23]),
-            (50, 3, "20, 10, 0, -10", [12]),
-            (5000, 3, "20", [1, 1, 1]),
-            (200, 23, "20", [12, 11]),
-            (200, 7, "20, 10, 0, -10", [14, 14]),
+            (50, 23, "20", [[23]]),
+            (50, 3, "20, 10, 0, -10", [[12]]),
+            (5000, 3, "20", [[1, 1, 1]]),
+            (200, 23, "20", [[20, 3]]),
+            (200, 7, "20, 10, 0, -10", [[20, 8]]),
+            (50, 100, "20, 10", [[67], [67], [66]]),
+            (200, 100, "20, 10", [[20, 20, 10]] * 4),
         ],
     )
     def test_stacks_are_cut_by_trial_count_and_snapshot_bytes(self, monkeypatch, M, trials, snr_db_list, sizes):
-        # STACK_BYTES holds 81 trials' [Z; X] at M=50 and 20 at M=200, and not one at M=5000
-        # (1.28 MB); the stacks are cut from the (snr_index, trial_index) grid, so one may
-        # straddle SNR points, and as evenly as the fewest stacks allow
+        # sizes holds each task's chunk sizes.  STACK_BYTES holds 81 trials' [Z; X] at M=50 and
+        # 20 at M=200, and not one at M=5000 (1.28 MB): a task holds at most 81 cells at M = 50
+        # and TASK_TRIALS at M = 200 and 5000, and runs its cells in chunks of at most 81, 20 and
+        # 1 trials; the tasks are cut from the (snr_index, trial_index) grid, so one may straddle
+        # SNR points, and as evenly as the fewest tasks allow
+        assert TASK_TRIALS == 64
         cfg = _cfg(M=M, trials=trials, snr_db_list=snr_db_list)
         seen, real = [], laoa.montecarlo.run_trials
+        factored, real_factors = [], laoa.montecarlo.triangular_factors
         monkeypatch.setattr(laoa.montecarlo, "run_trials", lambda c, cells: seen.append(cells) or real(c, cells))
+        monkeypatch.setattr(laoa.montecarlo, "triangular_factors", lambda Y: factored.append(len(Y)) or real_factors(Y))
         monte_carlo(cfg, workers=1)
-        assert [len(cells) for cells in seen] == sizes
+        assert [len(cells) for cells in seen] == [sum(chunks) for chunks in sizes]
+        assert factored == [n for chunks in sizes for n in chunks]
         grid = [(si, ti) for si in range(len(cfg.snr_db_list)) for ti in range(cfg.trials)]
         assert [cell for cells in seen for cell in cells] == grid
 
@@ -237,43 +247,48 @@ class TestMonteCarlo:
         # worker's share of a 4 x 250000-cell sweep at M = 3 pickles to a few KB
         cuts, real = [], laoa.montecarlo._cut
         monkeypatch.setattr(laoa.montecarlo, "_cut", lambda *args: cuts.append(real(*args)) or cuts[-1])
-        cfg = _cfg(M=5000, trials=3, snr_db_list="20, 10")
+        cfg = _cfg(M=50, trials=100, snr_db_list="20, 10")
         monte_carlo(cfg, workers=1)
         (tasks,) = cuts
-        assert [type(task) for task in tasks] == [range] * 6
-        assert [k for task in tasks for k in task] == list(range(6))
+        assert [type(task) for task in tasks] == [range] * 3
+        assert [k for task in tasks for k in task] == list(range(200))
         share = real(range(4 * 250_000), 2 * 8 * 3 * np.dtype(complex).itemsize, 2)[0::2]
         assert all(type(task) is range for task in share)
         assert len(pickle.dumps(share)) < 64 * 1024
 
-    @pytest.mark.parametrize("cells", [1, 2, 5, 20, 21, 40, 100, 101])
+    @pytest.mark.parametrize("cells", [1, 2, 5, 20, 21, 40, 64, 65, 100, 101, 163, 300])
     @pytest.mark.parametrize("M", [50, 200, 2000, 5000])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_the_cut_is_the_fewest_equal_stacks_that_fit(self, cells, M, workers):
+        # a task holds at most TASK_TRIALS cells, or a chunk's where more trials' snapshots fit
+        # STACK_BYTES, so no task holds fewer trials than a chunk unless the sweep is that short
         grid = [(ti // 7, ti % 7) for ti in range(cells)]
         trial_bytes = 2 * 8 * M * np.dtype(complex).itemsize
-        per_stack = max(1, STACK_BYTES // trial_bytes)
-        stacks = _cut(grid, trial_bytes, workers)
-        sizes = [len(stack) for stack in stacks]
-        assert [cell for stack in stacks for cell in stack] == grid
+        per_task = max(TASK_TRIALS, STACK_BYTES // trial_bytes)
+        tasks = _cut(grid, trial_bytes, workers)
+        sizes = [len(task) for task in tasks]
+        assert [cell for task in tasks for cell in task] == grid
         assert max(sizes) - min(sizes) <= 1
-        assert len(stacks) % workers == 0 or len(stacks) == cells
-        assert max(sizes) * trial_bytes <= STACK_BYTES or max(sizes) == 1  # a trial too large for one is alone
-        # no fewer stacks, a multiple of workers, would fit
-        fewer = len(stacks) - workers
-        assert fewer < 1 or -(-cells // fewer) > per_stack
+        assert len(tasks) % workers == 0 or len(tasks) == cells
+        assert max(sizes) <= per_task
+        # no fewer tasks, a multiple of workers, would fit
+        fewer = len(tasks) - workers
+        assert fewer < 1 or -(-cells // fewer) > per_task
 
     @pytest.mark.parametrize("signal_model", ["unit_power_random_phase", "qpsk"])
     def test_each_slice_holds_what_synthesize_draws_on_the_trials_stream(self, monkeypatch, signal_model):
-        # the stack draws each trial on its own stream into stack buffers and does the rest once
-        # for the stack, each trial at its own SNR point's noise variance: the stack straddles
-        # three points, and the noiseless one (inf dB, no noise draw) sits between noisy ones
+        # each chunk draws each trial on its own stream into stack buffers and does the rest once
+        # for the chunk, each trial at its own SNR point's noise variance: the task straddles
+        # three points, and the noiseless one (inf dB, no noise draw) sits between noisy ones;
+        # three trials' snapshots fit STACK_BYTES, so the task runs as chunks of 3, 3 and 1
         cfg = _cfg(q=2, sources="30/40, 70/120", signal_model=signal_model, trials=7, snr_db_list="0, inf, 10")
         cells = [(0, 5), (0, 6), (1, 0), (1, 1), (2, 0), (1, 6), (2, 1)]
-        stacks, real = [], laoa.montecarlo.estimate_stack
-        monkeypatch.setattr(laoa.montecarlo, "estimate_stack", lambda Y, *a: stacks.append(Y.copy()) or real(Y, *a))
+        monkeypatch.setattr(laoa.montecarlo, "STACK_BYTES", 3 * 2 * 8 * cfg.M * np.dtype(complex).itemsize)
+        chunks, real = [], laoa.montecarlo.triangular_factors
+        monkeypatch.setattr(laoa.montecarlo, "triangular_factors", lambda Y: chunks.append(Y.copy()) or real(Y))
         laoa.montecarlo.run_trials(cfg, cells)
-        for Y, (snr_index, trial_index) in zip(stacks[0], cells, strict=True):
+        assert [len(Y) for Y in chunks] == [3, 3, 1]
+        for Y, (snr_index, trial_index) in zip(np.concatenate(chunks), cells, strict=True):
             rng = np.random.default_rng(trial_seed(cfg.seed, snr_index, trial_index))
             sigma2 = cfg.noise_variance(cfg.snr_db_list[snr_index])
             Z, X, _ = synthesize(cfg.source_set(), cfg.array_config(), cfg.M, sigma2, rng)
@@ -327,7 +342,7 @@ class TestMonteCarlo:
         self, monkeypatch, trials, snr_db_list, workers, started
     ):
         # a sweep of one cell is one task and runs in process; the cells of a larger sweep fit one
-        # stack, so they are cut into as many equal tasks as there are workers, or one per cell;
+        # task, so they are cut into as many equal tasks as there are workers, or one per cell;
         # task k runs in worker k % workers
         shares, ran, real = [], [], laoa.montecarlo.run_trials
         cfg = _cfg(trials=trials, snr_db_list=snr_db_list)
@@ -365,7 +380,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_workers_started_without_fork_give_the_same_report(self, monkeypatch, method):
-        # a spawned or fork server's worker inherits no read end, and sends its stacks as a forked one does
+        # a spawned or fork server's worker inherits no read end, and sends its tasks as a forked one does
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method here")
         cfg = _cfg(trials=3, snr_db_list="20, 10")
@@ -379,12 +394,14 @@ class TestMonteCarlo:
         "overrides, workers",
         [
             (dict(trials=6, snr_db_list="20, 10"), 3),
-            # one trial's snapshots per stack at M = 3000: 202 stacks, 101 per worker, so the
-            # stacks must be read in task order, and a worker's sends run far past a pipe's buffer
+            # one trial's snapshots per chunk at M = 3000, and one cell per task with TASK_TRIALS
+            # set to 1: 202 tasks, 101 per worker, so the results must be read in task order, and
+            # a worker's sends run far past a pipe's buffer
             (dict(M=3000, trials=101, snr_db_list="20, 10"), 2),
         ],
     )
-    def test_workers_do_not_change_bytes(self, overrides, workers):
+    def test_workers_do_not_change_bytes(self, monkeypatch, overrides, workers):
+        monkeypatch.setattr(laoa.montecarlo, "TASK_TRIALS", 1)
         cfg = _cfg(**overrides)
         serial = monte_carlo(cfg, workers=1).to_csv()
         parallel = monte_carlo(cfg, workers=workers).to_csv()
@@ -430,12 +447,12 @@ def _bits(result):
 
 
 class TestSnapshotBuffer:
-    # each thread keeps one snapshot buffer across stacks and sweeps; what a stack gets must not
-    # depend on what an earlier stack left in it
+    # each thread keeps one snapshot buffer across chunks, tasks and sweeps; what a chunk gets
+    # must not depend on what an earlier chunk left in it
     def test_a_reused_buffer_gives_the_bits_of_a_fresh_one(self):
         readme = _cfg(q=2, sources="30/40, 70/120", M=200, trials=20, snr_db_list="0, 20")
         narrow = _cfg(q=2, sources="30/40, 70/120", M=50, trials=20, snr_db_list="-10")
-        # sigma^2 = 0 at inf dB draws no noise: its stack must not keep the noisy stack's data
+        # sigma^2 = 0 at inf dB draws no noise: its chunk must not keep the noisy chunk's data
         noiseless = _cfg(q=2, sources="30/40, 70/120", M=50, trials=20, snr_db_list="inf", signal_model="qpsk")
         runs = [
             (readme, [(0, t) for t in range(20)]),
@@ -448,12 +465,13 @@ class TestSnapshotBuffer:
         assert reused == [_in_new_thread(lambda: _bits(run_trials(cfg, cells))) for cfg, cells in runs]
 
     def test_consecutive_stacks_share_one_buffer(self, monkeypatch):
-        stacks, real = [], laoa.montecarlo.estimate_stack
-        monkeypatch.setattr(laoa.montecarlo, "estimate_stack", lambda Y, *a: stacks.append(Y) or real(Y, *a))
+        # the sweep's one task of 40 cells runs as two chunks of 20, and so do two sweeps' tasks
+        chunks, real = [], laoa.montecarlo.triangular_factors
+        monkeypatch.setattr(laoa.montecarlo, "triangular_factors", lambda Y: chunks.append(Y) or real(Y))
         cfg = _cfg(M=200, trials=20, snr_db_list="20, 10")
-        _in_new_thread(monte_carlo, cfg, 1)
-        assert [len(Y) for Y in stacks] == [20, 20]
-        assert np.shares_memory(*stacks)
+        _in_new_thread(lambda: [monte_carlo(cfg, 1) for _ in range(2)])
+        assert [len(Y) for Y in chunks] == [20] * 4
+        assert all(np.shares_memory(chunks[0], Y) for Y in chunks[1:])
 
     def test_synthesize_returns_arrays_no_sweep_reuses(self):
         # the sweep before synthesize leaves this thread a buffer of the same shape
@@ -466,7 +484,7 @@ class TestSnapshotBuffer:
         assert [a.tobytes() for a in (Z.data, X.data, S)] == [a.tobytes() for a in before]
 
     def test_threads_sweeping_at_once_get_their_serial_reports(self):
-        # three threads, more than this box's cores, with a short switch interval; three stacks of
+        # three threads, more than this box's cores, with a short switch interval; three chunks of
         # 20 trials per sweep and three sweeps per thread; every config takes buffers of one shape,
         # so a buffer shared between the threads would be written by more than one
         cfgs = [
@@ -491,19 +509,42 @@ class TestSnapshotBuffer:
         assert got == [[csv] * 3 for csv in serial]
 
     def test_a_stack_too_large_to_keep_leaves_no_buffer(self, monkeypatch):
-        # one trial at m = 8, M = 5000 is 1.28 MB, more than STACK_BYTES
-        buffers, real = [], laoa.montecarlo.estimate_stack
-        monkeypatch.setattr(laoa.montecarlo, "estimate_stack", lambda Y, *a: buffers.append(weakref.ref(Y.base)) or real(Y, *a))
+        # one trial at m = 8, M = 5000 is 1.28 MB, more than STACK_BYTES, so it is a chunk alone
+        buffers, real = [], laoa.montecarlo.triangular_factors
+        monkeypatch.setattr(laoa.montecarlo, "triangular_factors", lambda Y: buffers.append(weakref.ref(Y.base)) or real(Y))
 
         def run():
-            # whether each stack's buffer is still held, after each stack, in the thread that ran them
+            # whether each chunk's buffer is still held, after each task, in the thread that ran them
             run_trials(_cfg(M=200), [(0, 0), (0, 1)])
             held = [ref() is not None for ref in buffers]
-            run_trials(_cfg(M=5000), [(0, 0)])
+            run_trials(_cfg(M=5000), [(0, 0), (0, 1)])
             return held, [ref() is not None for ref in buffers]
 
         assert 2 * 8 * 5000 * np.dtype(complex).itemsize > STACK_BYTES
-        assert _in_new_thread(run) == ([True], [False, False])
+        assert _in_new_thread(run) == ([True], [False, False, False])
+
+
+    def test_a_task_holds_at_most_one_chunk_of_snapshots(self):
+        # a 64-cell README task at M = 200 runs as chunks of 20, 20, 20 and 4 trials.  Above the
+        # kept buffer, a chunk adds its noise draws and then its QR's copy, each at most
+        # STACK_BYTES, not both at once, to the task's 0.25 MiB of factors and the estimator's
+        # temporaries: 1.5 MiB measured, under 2 x STACK_BYTES; a whole-task synthesis would hold
+        # 3.1 MiB of snapshots and as much noise
+        cfg = _cfg(q=2, sources="30/40, 70/120", M=200, trials=16, snr_db_list="0, 10, 20, 30")
+        trial_bytes = 2 * 8 * 200 * np.dtype(complex).itemsize
+
+        def run():
+            tracemalloc.start()
+            try:
+                run_trials(cfg, [divmod(k, cfg.trials) for k in range(64)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, laoa.montecarlo._thread.snapshots
+
+        peak, buffer = _in_new_thread(run)
+        assert len(buffer) <= STACK_BYTES // trial_bytes == 20
+        assert peak - buffer.nbytes < 2 * STACK_BYTES
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the workers must inherit the patch")
@@ -550,10 +591,10 @@ class TestWorkerFailures:
         assert multiprocessing.active_children() == []
 
     def test_a_worker_that_raises_after_sending_a_stack_raises_in_the_caller(self, monkeypatch):
-        # two trials' snapshots per stack at m = 4, M = 3000: the 8 cells are 4 tasks of 2, so each
-        # worker sends its first stack and then raises on its second
+        # TASK_TRIALS cells per task at m = 4, M = 3000 (two trials' snapshots per chunk): the 200
+        # cells are 4 tasks of 50, so each worker sends its first task and then raises on its second
         real, ran = laoa.montecarlo.run_trials, []
-        cfg = _cfg(m=4, M=3000, trials=4, snr_db_list="20, 10")
+        cfg = _cfg(m=4, M=3000, trials=100, snr_db_list="20, 10")
 
         def run_trials(cfg, cells):
             ran.append(cells)  # each forked worker appends to its own copy
@@ -569,11 +610,14 @@ class TestWorkerFailures:
 
 # the caller, in its own process, under the start method sys.argv[2]: writes both workers' pids to
 # stdout once it has started them; a patched run_trials would not reach a spawned worker, so a
-# thread watches the caller's children instead
+# thread watches the caller's children instead.  The caller cuts tasks of TASK_TRIALS = 2 cells,
+# one chunk each, which every start method's workers receive as their tasks' bounds
 _KILLED_CALLER = """
 import multiprocessing, os, sys, threading, time
 import laoa.montecarlo
 from laoa import parse_config
+
+laoa.montecarlo.TASK_TRIALS = 2
 
 def report():
     while len(workers := multiprocessing.active_children()) < 2:
@@ -598,9 +642,11 @@ def _running(pid):
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="the workers are found through /proc")
 @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
 def test_workers_exit_once_their_caller_is_killed(method):
-    # each worker's share is 12000 trials at M = 3000, two per stack: ~40 s of work, against a
-    # few ms per stack, so a worker that ran its share out after its caller was killed would
-    # outlive the kill by far more than the 5 s allowed, and one whose next send fails does not;
+    # each worker's share is 12000 trials at M = 3000, two per task: ~40 s of work, against a few
+    # ms per task, so a worker that ran its share out after its caller was killed would outlive
+    # the kill by far more than the 5 s allowed, and one whose next send fails does not.  A task
+    # of the sweep's own cut, 64 trials here, took 1.8-3.2 s in a 2-worker sweep on a 2-core box,
+    # too near that bound to tell the two apart;
     # under a fork server the caller is not the workers' parent, so their parent cannot tell
     # them that the caller is gone
     if method not in multiprocessing.get_all_start_methods():

@@ -3,11 +3,14 @@
 Examples are derandomized so every run checks the same cases.
 """
 
+import threading
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import laoa.montecarlo
 from laoa import (
     ArrayConfig,
     DirectionPair,
@@ -26,7 +29,7 @@ from laoa import (
     synthesize,
 )
 from laoa.errors import AoaError, ParseError, UnsupportedScenario
-from laoa.montecarlo import CSV_HEADER, monte_carlo, run_trials
+from laoa.montecarlo import CSV_HEADER, _cut, _run_task, monte_carlo, run_trials
 from laoa.synthesis import generate_noise, generate_sources, separated_angle_sets
 
 _directions = st.tuples(st.floats(5.0, 175.0), st.floats(2.0, 178.0))
@@ -80,6 +83,8 @@ def test_find_roots_round_trips_clustered_unit_roots(start, n_unit, interior):
 _STACK_CONFIGS = {
     "q2_M200": "M = 200\nq = 2\nsources = 30/40, 70/120",
     "q5_M64": "M = 64\nq = 5\nsources = 30/40, 60/100, 100/60, 140/130, 80/150",
+    # M < 2m: each trial's triangular factor is M x 2m
+    "q2_M10": "M = 10\nq = 2\nsources = 30/40, 70/120",
 }
 _TRIALS = 10  # per SNR point: a grid of 30 cells
 
@@ -135,6 +140,34 @@ def test_any_split_into_stacks_gives_each_trial_its_own_result(name, mode, sizes
     assert np.array_equal(got[1], alone[1], equal_nan=True)
     assert _failures(got[2]) == _failures(alone[2])
     # each trial's flags: its reduced ranks and its pairing's ambiguity
+    assert np.array_equal(got[3], alone[3]) and np.array_equal(got[4], alone[4])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(_STACK_CONFIGS)),
+    mode=st.sampled_from([m.value for m in EstimatorMode]),
+    chunk=st.integers(1, 3 * _TRIALS),
+    task_trials=st.integers(1, 3 * _TRIALS),
+    workers=st.integers(1, 3),
+)
+def test_any_cut_into_tasks_of_chunks_gives_each_trial_its_own_result(name, mode, chunk, task_trials, workers):
+    # the sweep's own cut, with STACK_BYTES set to `chunk` trials' snapshots and TASK_TRIALS to
+    # task_trials: each task synthesizes and factors its cells in chunks of `chunk` and estimates
+    # all its factors in one pass; a thread-local of its own leaves no buffer of these sizes behind
+    cfg = _stack_config(name, mode)
+    grid = _grid(cfg)
+    trial_bytes = 2 * cfg.m * cfg.M * np.dtype(complex).itemsize
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laoa.montecarlo, "STACK_BYTES", chunk * trial_bytes)
+        patch.setattr(laoa.montecarlo, "TASK_TRIALS", task_trials)
+        patch.setattr(laoa.montecarlo, "_thread", threading.local())
+        tasks = _cut(range(len(grid)), trial_bytes, workers)
+        got = _joined(_run_task(cfg, task) for task in tasks)
+    alone = _trials_alone(name, mode)
+    assert np.array_equal(got[0], alone[0], equal_nan=True)
+    assert np.array_equal(got[1], alone[1], equal_nan=True)
+    assert _failures(got[2]) == _failures(alone[2])
     assert np.array_equal(got[3], alone[3]) and np.array_equal(got[4], alone[4])
 
 
