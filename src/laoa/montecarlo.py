@@ -3,10 +3,12 @@
 Every trial gets its own random stream derived from (master seed, SNR index,
 trial index) through a splitmix64-style avalanche.  The sweep's cells, its
 (SNR index, trial index) pairs in that order, are cut into the fewest tasks
-of consecutive cells that hold at most TASK_TRIALS cells, or a chunk's where
-more trials' snapshots fit STACK_BYTES, that count rounded up to a multiple
-of the worker count and capped at one task per cell, and the cut is as even
-as it can be: task sizes differ by at most 1.  A task may straddle two SNR
+of consecutive cells that hold at most TASK_TRIALS cells, TASK_CHUNKS chunks
+(a chunk being the trials whose snapshots fit STACK_BYTES) and the trials
+whose triangular factors fit STACK_BYTES, whichever is fewest, but never
+fewer than one chunk, that count rounded up to a multiple of the worker
+count and capped at one task per cell, and the cut is as even as it can
+be: task sizes differ by at most 1.  A task may straddle two SNR
 points.  A task is a range of flat cell indices, cell k being
 divmod(k, trials), so no list of the cells is built before the first trial,
 and a worker is sent only its tasks' bounds.  A task runs its trials in
@@ -38,7 +40,8 @@ buffer (a ``threading.local``), which outlives the chunk: it holds the last
 chunk's T x 2m x M snapshots, grows to the largest chunk of one (2m, M), is
 replaced at another (2m, M), and is kept across chunks, tasks and sweeps
 only if it fits STACK_BYTES.  So a thread that has run a task holds at most
-STACK_BYTES, a task holds one chunk's snapshots at a time, a chunk that
+STACK_BYTES, a task holds one chunk's snapshots at a time and at most
+STACK_BYTES of factors or one chunk's, whichever is more, a chunk that
 reuses the buffer faults in no fresh pages, and a one-trial chunk too large
 for it is freed once the next chunk replaces it or the task ends.
 ``synthesize`` never uses it: it returns views of an array of its own.
@@ -67,11 +70,14 @@ from .config import ExperimentConfig
 from .estimator import estimate_factors, permutation_table, triangular_factors
 from .synthesis import _synthesize_stack
 
-# snapshot bytes per chunk of a task, which the QR holds twice; a long trial has little per-call cost to spread
+# snapshot bytes per chunk of a task, which the QR holds twice, and the most bytes of a task's factors
 STACK_BYTES = 1 << 20
 # the most cells in a task, unless one chunk holds more: a task's one estimator pass reads only its
 # trials' factors, at most 2m x 2m each, so more trials than a chunk's share its per-call cost
 TASK_TRIALS = 64
+# the most chunks in a task: past a few chunks' synthesis the estimator's per-call cost is a small
+# share, and a longer task only delays its worker's next send, where a worker whose caller is gone stops
+TASK_CHUNKS = 4
 
 CSV_HEADER = "snr_db,source_index,rmse_theta_deg,rmse_phi_deg,bias_theta_deg,bias_phi_deg,failure_count,trials"
 
@@ -152,7 +158,7 @@ def run_trials(cfg: ExperimentConfig, cells) -> tuple[np.ndarray, np.ndarray, li
     """
     sigma2 = [cfg.noise_variance(snr_db) for snr_db in cfg.snr_db_list]
     src, array, rows = cfg.source_set(), cfg.array_config(), 2 * cfg.m
-    per_chunk = max(1, STACK_BYTES // _trial_bytes(cfg))
+    per_chunk = _chunk_trials(cfg)
     R = np.empty((len(cells), min(rows, cfg.M), rows), dtype=complex)
     for start in range(0, len(cells), per_chunk):
         chunk = cells[start:start + per_chunk]
@@ -165,9 +171,17 @@ def run_trials(cfg: ExperimentConfig, cells) -> tuple[np.ndarray, np.ndarray, li
     return theta_err, phi_err, est.errors, est.reduced_rank, est.pairing_ambiguous
 
 
-def _trial_bytes(cfg: ExperimentConfig) -> int:
-    # one trial's 2m x M snapshots
-    return 2 * cfg.m * cfg.M * np.dtype(complex).itemsize
+def _chunk_trials(cfg: ExperimentConfig) -> int:
+    # the trials whose 2m x M snapshots fit STACK_BYTES, or one
+    return max(1, STACK_BYTES // (2 * cfg.m * cfg.M * np.dtype(complex).itemsize))
+
+
+def _task_cells(cfg: ExperimentConfig) -> int:
+    # the most cells in a task: TASK_TRIALS, TASK_CHUNKS chunks or the trials whose min(2m, M) x 2m
+    # factors fit STACK_BYTES, whichever is fewest, but never fewer than one chunk
+    rows, chunk = 2 * cfg.m, _chunk_trials(cfg)
+    factor_bytes = min(rows, cfg.M) * rows * np.dtype(complex).itemsize
+    return max(chunk, min(TASK_TRIALS, TASK_CHUNKS * chunk, STACK_BYTES // factor_bytes))
 
 
 def _snapshot_buffer(T: int, rows: int, M: int) -> np.ndarray:
@@ -184,12 +198,11 @@ def run_trial(cfg: ExperimentConfig, snr_index: int, trial_index: int) -> tuple[
     return run_trials(cfg, [(snr_index, trial_index)])[:3]
 
 
-def _cut(cells, trial_bytes: int, workers: int) -> list:
-    # the fewest tasks of at most max(TASK_TRIALS, chunk) cells, a chunk being the trials whose
-    # snapshots fit STACK_BYTES, rounded up to a multiple of workers and at most one per cell, as
-    # runs of consecutive cells whose sizes differ by at most 1: an uneven cut such as
-    # 13 + 13 + 13 + 1 runs slower than 4 x 10
-    fewest = -(-len(cells) // max(TASK_TRIALS, STACK_BYTES // trial_bytes))
+def _cut(cells, per_task: int, workers: int) -> list:
+    # the fewest tasks of at most per_task cells, rounded up to a multiple of workers and at most
+    # one per cell, as runs of consecutive cells whose sizes differ by at most 1: an uneven cut
+    # such as 13 + 13 + 13 + 1 runs slower than 4 x 10
+    fewest = -(-len(cells) // per_task)
     count = min(-(-fewest // workers) * workers, len(cells))
     size, extra = divmod(len(cells), count)
     bounds = [k * size + min(k, extra) for k in range(count + 1)]
@@ -259,8 +272,9 @@ def monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> MonteCarloReport:
 
     The sweep's cells, (snr_index, trial_index) in that order, are cut into
     the fewest tasks of consecutive cells that hold at most TASK_TRIALS
-    cells, or a chunk's (the trials whose snapshots fit STACK_BYTES) where
-    that is more, rounded up to a multiple of ``workers`` and at most one per
+    cells, TASK_CHUNKS chunks (a chunk being the trials whose snapshots fit
+    STACK_BYTES) and STACK_BYTES of triangular factors, but never fewer than
+    one chunk, rounded up to a multiple of ``workers`` and at most one per
     cell, with sizes that differ by at most 1; a task may straddle two SNR
     points.  Each trial seeds its own stream and the tasks' results are
     joined in task order, so any worker count yields the same report.  Task
@@ -274,7 +288,7 @@ def monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> MonteCarloReport:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = _cut(range(len(cfg.snr_db_list) * cfg.trials), _trial_bytes(cfg), workers)
+    tasks = _cut(range(len(cfg.snr_db_list) * cfg.trials), _task_cells(cfg), workers)
     results = _run_shares(cfg, tasks, min(workers, len(tasks)))
     # one row per cell, theta's q errors then phi's
     errors = np.concatenate([np.concatenate(result[:2], axis=1) for result in results])

@@ -24,9 +24,11 @@ from laoa.estimator import SINGULAR_PAIRING
 from laoa.montecarlo import (
     CSV_HEADER,
     STACK_BYTES,
+    TASK_CHUNKS,
     TASK_TRIALS,
     _cut,
     _match_to_truth,
+    _task_cells,
     monte_carlo,
     run_trial,
     run_trials,
@@ -222,15 +224,16 @@ class TestMonteCarlo:
             (200, 7, "20, 10, 0, -10", [[20, 8]]),
             (50, 100, "20, 10", [[67], [67], [66]]),
             (200, 100, "20, 10", [[20, 20, 10]] * 4),
+            (5000, 9, "20", [[1, 1, 1]] * 3),
         ],
     )
     def test_stacks_are_cut_by_trial_count_and_snapshot_bytes(self, monkeypatch, M, trials, snr_db_list, sizes):
         # sizes holds each task's chunk sizes.  STACK_BYTES holds 81 trials' [Z; X] at M=50 and
-        # 20 at M=200, and not one at M=5000 (1.28 MB): a task holds at most 81 cells at M = 50
-        # and TASK_TRIALS at M = 200 and 5000, and runs its cells in chunks of at most 81, 20 and
-        # 1 trials; the tasks are cut from the (snr_index, trial_index) grid, so one may straddle
-        # SNR points, and as evenly as the fewest tasks allow
-        assert TASK_TRIALS == 64
+        # 20 at M=200, and not one at M=5000 (1.28 MB): a task holds at most 81 cells at M = 50,
+        # TASK_TRIALS at M = 200 and TASK_CHUNKS at M = 5000, and runs its cells in chunks of at
+        # most 81, 20 and 1 trials; the tasks are cut from the (snr_index, trial_index) grid, so
+        # one may straddle SNR points, and as evenly as the fewest tasks allow
+        assert (TASK_TRIALS, TASK_CHUNKS) == (64, 4)
         cfg = _cfg(M=M, trials=trials, snr_db_list=snr_db_list)
         seen, real = [], laoa.montecarlo.run_trials
         factored, real_factors = [], laoa.montecarlo.triangular_factors
@@ -252,20 +255,32 @@ class TestMonteCarlo:
         (tasks,) = cuts
         assert [type(task) for task in tasks] == [range] * 3
         assert [k for task in tasks for k in task] == list(range(200))
-        share = real(range(4 * 250_000), 2 * 8 * 3 * np.dtype(complex).itemsize, 2)[0::2]
+        share = real(range(4 * 250_000), _task_cells(_cfg(m=4, M=3)), 2)[0::2]
         assert all(type(task) is range for task in share)
         assert len(pickle.dumps(share)) < 64 * 1024
 
     @pytest.mark.parametrize("cells", [1, 2, 5, 20, 21, 40, 64, 65, 100, 101, 163, 300])
-    @pytest.mark.parametrize("M", [50, 200, 2000, 5000])
+    @pytest.mark.parametrize(
+        "m, M, per_task",
+        # chunks of 81 trials at M = 50 and 20 at M = 200; of 2 at m = 4 and M = 3000 and at M =
+        # 2000, and of 1 at M = 5000, TASK_CHUNKS to a task; at m = 32, M = 100 a chunk is 10 trials
+        # but 16 trials' 64 x 64 factors fill STACK_BYTES, and at m = 64, M = 128 4 trials' do
+        [(8, 50, 81), (8, 200, 64), (4, 3000, 8), (8, 2000, 8), (8, 5000, 4), (32, 100, 16), (64, 128, 4)],
+        ids=["50", "200", "m4-3000", "2000", "5000", "m32-100", "m64-128"],
+    )
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_the_cut_is_the_fewest_equal_stacks_that_fit(self, cells, M, workers):
-        # a task holds at most TASK_TRIALS cells, or a chunk's where more trials' snapshots fit
-        # STACK_BYTES, so no task holds fewer trials than a chunk unless the sweep is that short
+    def test_the_cut_is_the_fewest_equal_stacks_that_fit(self, cells, m, M, per_task, workers):
+        # a task holds at most TASK_TRIALS cells, TASK_CHUNKS chunks and STACK_BYTES of triangular
+        # factors, but never fewer than a chunk, so no task holds fewer trials than a chunk unless
+        # the sweep is that short, and the one estimator pass holds no more factors than that
+        cfg = _cfg(m=m, M=M)
+        chunk = max(1, STACK_BYTES // (2 * m * M * np.dtype(complex).itemsize))
+        factor_bytes = min(2 * m, M) * 2 * m * np.dtype(complex).itemsize
+        assert _task_cells(cfg) == per_task >= chunk
+        assert per_task == chunk or per_task <= min(TASK_TRIALS, TASK_CHUNKS * chunk)
+        assert per_task == chunk or per_task * factor_bytes <= STACK_BYTES
         grid = [(ti // 7, ti % 7) for ti in range(cells)]
-        trial_bytes = 2 * 8 * M * np.dtype(complex).itemsize
-        per_task = max(TASK_TRIALS, STACK_BYTES // trial_bytes)
-        tasks = _cut(grid, trial_bytes, workers)
+        tasks = _cut(grid, per_task, workers)
         sizes = [len(task) for task in tasks]
         assert [cell for task in tasks for cell in task] == grid
         assert max(sizes) - min(sizes) <= 1
@@ -523,7 +538,6 @@ class TestSnapshotBuffer:
         assert 2 * 8 * 5000 * np.dtype(complex).itemsize > STACK_BYTES
         assert _in_new_thread(run) == ([True], [False, False, False])
 
-
     def test_a_task_holds_at_most_one_chunk_of_snapshots(self):
         # a 64-cell README task at M = 200 runs as chunks of 20, 20, 20 and 4 trials.  Above the
         # kept buffer, a chunk adds its noise draws and then its QR's copy, each at most
@@ -591,10 +605,10 @@ class TestWorkerFailures:
         assert multiprocessing.active_children() == []
 
     def test_a_worker_that_raises_after_sending_a_stack_raises_in_the_caller(self, monkeypatch):
-        # TASK_TRIALS cells per task at m = 4, M = 3000 (two trials' snapshots per chunk): the 200
-        # cells are 4 tasks of 50, so each worker sends its first task and then raises on its second
+        # two trials' snapshots per chunk at m = 4, M = 3000, TASK_CHUNKS chunks per task: the 32
+        # cells are 4 tasks of 8, so each worker sends its first task and then raises on its second
         real, ran = laoa.montecarlo.run_trials, []
-        cfg = _cfg(m=4, M=3000, trials=100, snr_db_list="20, 10")
+        cfg = _cfg(m=4, M=3000, trials=16, snr_db_list="20, 10")
 
         def run_trials(cfg, cells):
             ran.append(cells)  # each forked worker appends to its own copy
@@ -610,14 +624,11 @@ class TestWorkerFailures:
 
 # the caller, in its own process, under the start method sys.argv[2]: writes both workers' pids to
 # stdout once it has started them; a patched run_trials would not reach a spawned worker, so a
-# thread watches the caller's children instead.  The caller cuts tasks of TASK_TRIALS = 2 cells,
-# one chunk each, which every start method's workers receive as their tasks' bounds
+# thread watches the caller's children instead
 _KILLED_CALLER = """
 import multiprocessing, os, sys, threading, time
 import laoa.montecarlo
 from laoa import parse_config
-
-laoa.montecarlo.TASK_TRIALS = 2
 
 def report():
     while len(workers := multiprocessing.active_children()) < 2:
@@ -642,13 +653,11 @@ def _running(pid):
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="the workers are found through /proc")
 @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
 def test_workers_exit_once_their_caller_is_killed(method):
-    # each worker's share is 12000 trials at M = 3000, two per task: ~40 s of work, against a few
-    # ms per task, so a worker that ran its share out after its caller was killed would outlive
-    # the kill by far more than the 5 s allowed, and one whose next send fails does not.  A task
-    # of the sweep's own cut, 64 trials here, took 1.8-3.2 s in a 2-worker sweep on a 2-core box,
-    # too near that bound to tell the two apart;
-    # under a fork server the caller is not the workers' parent, so their parent cannot tell
-    # them that the caller is gone
+    # each worker's share is 12000 trials at M = 3000, two per chunk and 8 per task: ~40 s of
+    # work, against a fraction of a second per task, so a worker that ran its share out after its
+    # caller was killed would outlive the kill by far more than the 5 s allowed, and one whose
+    # next send fails does not; under a fork server the caller is not the workers' parent, so
+    # their parent cannot tell them that the caller is gone
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method here")
     text = serialize_config(_cfg(m=4, M=3000, snr_db_list="0, 10, 20, 30", trials=6000))

@@ -29,7 +29,7 @@ from laoa import (
     synthesize,
 )
 from laoa.errors import AoaError, ParseError, UnsupportedScenario
-from laoa.montecarlo import CSV_HEADER, _cut, _run_task, monte_carlo, run_trials
+from laoa.montecarlo import CSV_HEADER, _cut, _run_task, _task_cells, monte_carlo, run_trials
 from laoa.synthesis import generate_noise, generate_sources, separated_angle_sets
 
 _directions = st.tuples(st.floats(5.0, 175.0), st.floats(2.0, 178.0))
@@ -149,11 +149,14 @@ def test_any_split_into_stacks_gives_each_trial_its_own_result(name, mode, sizes
     mode=st.sampled_from([m.value for m in EstimatorMode]),
     chunk=st.integers(1, 3 * _TRIALS),
     task_trials=st.integers(1, 3 * _TRIALS),
+    task_chunks=st.integers(1, 4),
     workers=st.integers(1, 3),
 )
-def test_any_cut_into_tasks_of_chunks_gives_each_trial_its_own_result(name, mode, chunk, task_trials, workers):
-    # the sweep's own cut, with STACK_BYTES set to `chunk` trials' snapshots and TASK_TRIALS to
-    # task_trials: each task synthesizes and factors its cells in chunks of `chunk` and estimates
+def test_any_cut_into_tasks_of_chunks_gives_each_trial_its_own_result(
+    name, mode, chunk, task_trials, task_chunks, workers
+):
+    # the sweep's own cut, with STACK_BYTES set to `chunk` trials' snapshots, TASK_TRIALS to
+    # task_trials and TASK_CHUNKS to task_chunks: each task synthesizes and factors its cells in chunks of `chunk` and estimates
     # all its factors in one pass; a thread-local of its own leaves no buffer of these sizes behind
     cfg = _stack_config(name, mode)
     grid = _grid(cfg)
@@ -161,8 +164,9 @@ def test_any_cut_into_tasks_of_chunks_gives_each_trial_its_own_result(name, mode
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(laoa.montecarlo, "STACK_BYTES", chunk * trial_bytes)
         patch.setattr(laoa.montecarlo, "TASK_TRIALS", task_trials)
+        patch.setattr(laoa.montecarlo, "TASK_CHUNKS", task_chunks)
         patch.setattr(laoa.montecarlo, "_thread", threading.local())
-        tasks = _cut(range(len(grid)), trial_bytes, workers)
+        tasks = _cut(range(len(grid)), _task_cells(cfg), workers)
         got = _joined(_run_task(cfg, task) for task in tasks)
     alone = _trials_alone(name, mode)
     assert np.array_equal(got[0], alone[0], equal_nan=True)
